@@ -24,7 +24,7 @@ from .model import (
 from .parse import SourceError, parse_formula, print_formula, print_term
 from .proof import check_proof, match_axiom, proof_from_json, taut_check
 from .semantics import EvalContext, cs_violations, evidence_effective, holds
-from .syntax import Up, constants_in, eval_closure
+from .syntax import Constant, Up, constants_in, eval_closure
 
 
 class InputError(Exception):
@@ -138,8 +138,8 @@ def cmd_search(args) -> int:
         # the slice of the full CS that can bear on this formula: its own
         # constants paired with the axiom instances its evaluation touches
         universe = [
-            (c, g)
-            for c in sorted(constants_in(f), key=print_term)
+            (Constant(i), g)
+            for i in sorted(constants_in(f))
             for g in sorted(eval_closure(f), key=print_formula)
             if match_axiom(g)
         ]

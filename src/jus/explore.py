@@ -17,9 +17,9 @@ import os
 import random
 from dataclasses import dataclass
 
-from .model import ConstantSpec, SubsetModel, validate_model
+from .model import ConstantSpec, SubsetModel
 from .parse import print_formula, print_term
-from .semantics import EvalContext, cs_violations, evaluate, holds
+from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, truth_set
 from .syntax import (
     App,
     Constant,
@@ -155,6 +155,12 @@ def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     being forced, so it is repeated until a fixed point; interdependent
     universes that oscillate are reported rather than half-applied.
     """
+    return random_cs_models(sig, cs_universe, [seed])[0]
+
+
+def _random_model(sig: ModelSignature, constants, seed: int) -> SubsetModel:
+    """A random model over the signature, the given constants' evidence
+    being every world until forced."""
     rng = random.Random(seed)
     n = rng.randint(1, sig.max_worlds)
     nn = rng.randint(0, min(sig.max_nonnormal, n - 1))
@@ -167,37 +173,53 @@ def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
         for w in normal
         for t in sig.atoms
     }
-    constants = {c for c, _ in cs_universe}
     for w in normal:
         for c in constants:
             evidence.setdefault((w, c), frozenset(worlds))
-    model = SubsetModel(worlds, frozenset(normal), v0, v1, evidence, "all")
+    return SubsetModel(worlds, frozenset(normal), v0, v1, evidence, "all")
+
+
+def random_cs_models(sig: ModelSignature, cs_universe, seeds) -> list:
+    """random_cs_model for each seed, forced as one batch. Evaluation never
+    mixes the models of a batch, so each model takes the same forcing
+    rounds to the same fixed point as it would alone."""
+    constants = {c for c, _ in cs_universe}
+    models = [_random_model(sig, constants, seed) for seed in seeds]
     if not cs_universe:
-        return model
+        return models
+    pending = list(range(len(models)))
     for _ in range(len(cs_universe) + 2):
-        ctx = EvalContext(model)
-        forced = {}
-        for c in constants:
-            members = set(worlds)
-            for d, a in cs_universe:
-                if d is c:
-                    members &= truth_members(ctx, a)
-            forced[c] = frozenset(members)
-        new_evidence = dict(evidence)
-        for w in normal:
+        ctx = EvalContext([models[k] for k in pending])
+        shifted = []
+        for b, k in enumerate(pending):
+            m = models[k]
+            forced = {}
             for c in constants:
-                new_evidence[(w, c)] = forced[c]
-        if new_evidence == model.evidence:
-            return model
-        model = SubsetModel(worlds, frozenset(normal), v0, v1, new_evidence, "all")
+                members = set(m.worlds)
+                for d, a in cs_universe:
+                    if d is c:
+                        members &= truth_set(ctx, a, b)
+                forced[c] = frozenset(members)
+            new_evidence = dict(m.evidence)
+            for w in m.worlds:
+                if w in m.normal:
+                    for c in constants:
+                        new_evidence[(w, c)] = forced[c]
+            if new_evidence != m.evidence:
+                models[k] = SubsetModel(m.worlds, m.normal, m.v0, m.v1, new_evidence, "all")
+                shifted.append(k)
+        pending = shifted
+        if not pending:
+            return models
     raise RuntimeError(
         "constant evidence kept shifting; the specification universe is "
         "too self-referential to force by fixed point"
     )
 
 
-def truth_members(ctx: EvalContext, f: Formula) -> frozenset:
-    return ctx.unmask(ctx.truth_mask(f))
+# models per evaluation batch: a bit of every mask each, so memory grows
+# with the batch; 64 keeps the peak of a long search flat
+BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -209,24 +231,46 @@ class SearchReport:
     world: str = None
 
 
+def _batches(items, size=BATCH):
+    """Consecutive lists of items, of size items at first and then twice
+    as many each time, up to BATCH."""
+    it = iter(items)
+    while batch := list(itertools.islice(it, size)):
+        yield batch
+        size = min(2 * size, BATCH)
+
+
 def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> SearchReport:
     """First enumerated CS-model with a normal world falsifying f.
 
-    Any hit is re-verified with a fresh context before being reported.
-    Exhaustion certifies nothing beyond the stated bounds, since no
-    completeness theorem backs this logic.
+    Enumerated models are evaluated in batches that double from one model
+    up to BATCH, so a search that stops early enumerates at most about
+    as many models again as it scanned. The first hit in enumeration
+    order is the lowest model bit of its batch, at that model's first
+    normal world where f is false. The hit is re-verified with a fresh
+    batch of one before being reported. Exhaustion certifies nothing
+    beyond the stated bounds, since no completeness theorem backs this
+    logic.
     """
     scanned = 0
-    for m in enumerate_models(sig):
-        scanned += 1
-        ctx = EvalContext(m)
-        if cs_universe and cs_violations(ctx, cs_universe):
+    for batch in _batches(enumerate_models(sig), 1):
+        ctx = EvalContext(Batch(batch))  # enumerated models are valid by construction
+        false = false_at_normal(ctx, f)
+        hits = ctx.batch.models_in(false)
+        if cs_universe:
+            for b in range(len(batch)):
+                if cs_violations(ctx, cs_universe, b):
+                    hits &= ~(1 << b)
+        if not hits:
+            scanned += len(batch)
             continue
-        for w in m.worlds:
-            if w in m.normal and not holds(ctx, w, f):
-                if holds(EvalContext(m), w, f):  # independent re-check
-                    raise RuntimeError("countermodel failed re-verification")
-                return SearchReport("countermodel", scanned, sig, m, w)
+        b = (hits & -hits).bit_length() - 1
+        m = batch[b]
+        refuting = ctx.unmask(false, b)
+        w = next(w for w in m.worlds if w in refuting)
+        if holds(EvalContext(m), w, f):  # independent re-check
+            raise RuntimeError("countermodel failed re-verification")
+        return SearchReport("countermodel", scanned + b + 1, sig, m, w)
     return SearchReport("exhausted", scanned, sig)
 
 
@@ -272,13 +316,15 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
                 seen.add(pair)
                 universe.append(pair)
     violations = []
-    for trial in range(trials):
-        m = random_cs_model(sig, universe, seed + trial)
-        ctx = EvalContext(m)
-        for f in conclusions:
-            for w in m.worlds:
-                if w in m.normal and not evaluate(ctx, w, f):
-                    violations.append((f, m, w))
+    for seeds in _batches(range(seed, seed + trials)):
+        batch = random_cs_models(sig, universe, seeds)
+        ctx = EvalContext(batch)
+        masks = [(f, false_at_normal(ctx, f)) for f in conclusions]
+        false = [(f, mask) for f, mask in masks if mask]
+        for b, m in enumerate(batch):
+            for f, mask in false:
+                refuting = ctx.unmask(mask, b)
+                violations.extend((f, m, w) for w in m.worlds if w in refuting)
     return violations
 
 

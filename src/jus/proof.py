@@ -294,11 +294,13 @@ def _iterated_cs_shape(f: Formula) -> bool:
 def cs_contains(cs: ConstantSpec, c: Constant, f: Formula) -> bool:
     """Whether the specification licenses c as a reason for f. In full
     mode every constant pairs with every formula of the iterated shape,
-    which satisfies both closure clauses of axiomatic appropriateness."""
+    which satisfies both closure clauses of axiomatic appropriateness; an
+    explicit pair licenses only a formula of that shape, so a file that
+    pairs a constant with a non-axiom licenses nothing by it."""
     if cs.mode == "empty":
         return False
-    if cs.mode == "explicit":
-        return (c, f) in cs.pairs
+    if cs.mode == "explicit" and (c, f) not in cs.pairs:
+        return False
     return _iterated_cs_shape(f)
 
 

@@ -1,28 +1,48 @@
-"""Valuation over subset models, with announcement updates.
+"""Valuation over subset models, with announcement updates, bit-sliced
+over a batch of models.
 
-An EvalContext is a model plus a chain of announcements applied left to
-right. Contexts form a tree rooted at the plain model; pushing an update
-returns a cached child. Truth values are computed for all worlds at once
-as integer bitmasks (bit i = the i-th world in file order) and memoized
-per context, since the update recursion revisits the same formulas often.
+An EvalContext evaluates a batch of models at once; a single model is a
+batch of one. A truth value is one integer mask in which each world slot
+has a field of one bit per model: with B models, bit i*B + b stands for
+slot i of model b, and slot i is the model's i-th world in file order.
+Slots run up to the batch's largest world count; a model with fewer
+worlds leaves its missing slots out of every set. For a batch of one, bit
+i is just the i-th world. A context also carries a chain of announcements
+applied left to right. Contexts form a tree rooted at the plain batch;
+pushing the same announcement twice gives contexts that share one memo.
+Truth values and evidence are memoized per chain, since the update
+recursion revisits the same formulas often.
 
 Non-normal worlds read v1 for the whole formula, whatever its shape, so
-their bits never depend on the chain. Normal worlds follow the recursive
-clauses; justification by an application term s *[A] t is decided by the
-two component claims s : (A -> B) and t : A, never by stored evidence.
+their bits never depend on the chain: f holds in V1[f] | (normal &
+normal_part). Normal worlds follow the recursive clauses, each
+connective one integer operation over every world of every model. With
+E[t][i] the mask of the worlds that are evidence for t at slot i, t : A
+holds at slot i in the models where E[t][i] & ~A is empty; folding that
+mask's slot fields onto one another finds them. That is O(slots^2)
+integer operations per formula, whatever the batch size. Justification
+by an application term s *[A] t is decided by the two component claims
+s : (A -> B) and t : A, never by stored evidence.
 
-Evidence for terms: pushing announcement C changes the entry for up(C)
-only, intersecting it with C's truth set in the updated context (the
-update is well-defined because up(C) cannot occur inside C, so
-evaluating C never reads the entry being defined). All other terms,
+Evidence for terms: atomic evidence is stored per model, and unlisted
+entries follow each model's own evidence_default ("all" meaning that
+model's worlds). Pushing announcement C changes the entry for up(C)
+only, E[up(C)][i] &= C, with C's truth value taken in the updated
+context (the update is well-defined because up(C) cannot occur inside C,
+so evaluating C never reads the entry being defined). All other terms,
 application terms included, keep the value they had before the push;
 application evidence bottoms out at the canonical maximal choice
-E(s) & E(t) & wmp in the base model.
+E[s] & E[t] & wmp in the base models.
+
+The memos hold finished values only. Formulas are interned DAGs and no
+announcement reads its own up-term, so no query is cyclic, and a query
+that fails part-way (a RecursionError on a very deep formula, say)
+leaves its context as usable as before.
 """
 
 from __future__ import annotations
 
-from .model import ConstantSpec, SubsetModel, evidence_atomic, validate_model, wmp
+from .model import ConstantSpec, SubsetModel, validate_model, wmp
 from .syntax import (
     App,
     Formula,
@@ -35,88 +55,151 @@ from .syntax import (
     Update,
 )
 
-_BUSY = object()  # in-progress sentinel; hit only on a cyclic query
+
+class Batch:
+    """Models packed for bit-sliced evaluation.
+
+    With width models, a mask gives each world slot a field of width
+    bits: bit i * width + b stands for world slot i of model b. Packing
+    fixes each world's bit (bits[b] maps model b's worlds to theirs), the
+    masks of each model's worlds (lanes), of the normal worlds, of v0 and
+    v1, and each atomic term's stored evidence. It does not validate the
+    models; EvalContext validates any model handed to it directly, so
+    build a Batch only from models known to be valid.
+    """
+
+    __slots__ = ("models", "width", "slots", "full", "bits", "normal", "v0", "v1",
+                 "lanes", "offsets", "_evidence", "_default", "_wmp")
+
+    def __init__(self, models):
+        self.models = models = tuple(models)
+        if not models:
+            raise ValueError("a batch needs at least one model")
+        width = len(models)
+        slots = normal = every = 0
+        v0 = {}
+        v1 = {}
+        evidence = {}
+        self.bits = world_bits = []
+        self.lanes = lanes = []
+        for b, m in enumerate(models):
+            worlds = m.worlds
+            at = {}
+            lane = 0
+            bit = 1 << b
+            for w in worlds:
+                at[w] = bit
+                lane |= bit
+                bit <<= width
+            if len(worlds) > slots:
+                slots = len(worlds)
+            for w in m.normal:
+                normal |= at[w]
+            for (w, q), val in m.v0.items():
+                if val:
+                    v0[q] = v0.get(q, 0) | at[w]
+            for (w, f), val in m.v1.items():
+                if val:
+                    v1[f] = v1.get(f, 0) | at[w]
+            for (w, t), members in m.evidence.items():
+                bits = 0
+                for u in members:
+                    bits |= at[u]
+                evidence.setdefault(t, []).append((worlds.index(w), lane, bits))
+            if m.evidence_default == "all":
+                every |= lane
+            world_bits.append(at)
+            lanes.append(lane)
+        self.width = width
+        self.slots = slots
+        self.full = (1 << width) - 1
+        self.normal = normal
+        self.v0 = v0
+        self.v1 = v1
+        self.offsets = range(0, slots * width, width)
+        self._evidence = evidence
+        self._default = every
+        self._wmp = None
+
+    def models_in(self, mask: int) -> int:
+        """The models (bit b for model b) with a bit set in some slot."""
+        step = self.width
+        while step < self.slots * self.width:
+            mask |= mask >> step
+            step <<= 1
+        return mask & self.full
+
+    def atomic_evidence(self, t: Term) -> tuple:
+        """E[t][i] for an atomic term: stored entries, else each model's
+        default."""
+        rows = [self._default] * self.slots
+        for i, lane, bits in self._evidence.get(t, ()):
+            rows[i] = rows[i] & ~lane | bits
+        return tuple(rows)
+
+    def wmp(self) -> int:
+        """The worlds closed under modus ponens; computed on first use,
+        since only application evidence reads it."""
+        if self._wmp is None:
+            out = 0
+            for b, m in enumerate(self.models):
+                for w in wmp(m):
+                    out |= self.bits[b][w]
+            self._wmp = out
+        return self._wmp
 
 
 class EvalContext:
-    """One node of the update tree. Do not mutate; push to extend."""
+    """One node of the update tree over one batch. Do not mutate; push to
+    extend.
 
-    __slots__ = (
-        "base",
-        "chain",
-        "_parent",
-        "_children",
-        "_memo",
-        "_eff",
-        "_pos",
-        "_normal_mask",
-        "_full_mask",
-        "_wmp_mask",
-        "_nn",
-        "_v0m",
-    )
+    base is a SubsetModel, a sequence of them, or a Batch. Models are
+    checked against validate_model; a Batch is taken as packed. The
+    attribute base is the batch's first model (the model, for a batch of
+    one), and batch holds the packed layout.
+    """
 
-    def __init__(self, base: SubsetModel, _parent: "EvalContext" = None, _c: Formula = None):
+    __slots__ = ("base", "batch", "chain", "_parent", "_children", "_memo", "_eff")
+
+    def __init__(self, base, _parent: "EvalContext" = None, _c: Formula = None):
         if _parent is None:
-            bad = validate_model(base)
-            if bad:
-                raise ValueError("invalid model: " + "; ".join(bad))
-            self.base = base
+            if not isinstance(base, Batch):
+                models = (base,) if isinstance(base, SubsetModel) else tuple(base)
+                for m in models:
+                    bad = validate_model(m)
+                    if bad:
+                        raise ValueError("invalid model: " + "; ".join(bad))
+                base = Batch(models)
+            self.batch = base
+            self.base = base.models[0]
             self.chain = ()
-            self._pos = {w: i for i, w in enumerate(base.worlds)}
-            self._full_mask = (1 << len(base.worlds)) - 1
-            self._normal_mask = self._mask(base.normal)
-            self._wmp_mask = self._mask(wmp(base))
-            nn = {}
-            for (w, f), val in base.v1.items():
-                if val:
-                    nn[f] = nn.get(f, 0) | (1 << self._pos[w])
-            self._nn = nn
-            v0m = {}
-            for (w, p), val in base.v0.items():
-                if val:
-                    v0m[p] = v0m.get(p, 0) | (1 << self._pos[w])
-            self._v0m = v0m
+            state = ({}, {}, {})
         else:
+            self.batch = _parent.batch
             self.base = _parent.base
             self.chain = _parent.chain + (_c,)
-            self._pos = _parent._pos
-            self._full_mask = _parent._full_mask
-            self._normal_mask = _parent._normal_mask
-            self._wmp_mask = _parent._wmp_mask
-            self._nn = _parent._nn
-            self._v0m = _parent._v0m
+            # a pushed context's memos live in its parent's _children, so
+            # no context refers to its children: without a reference cycle
+            # a dropped tree, with its batch of models, is freed at once
+            state = _parent._children.get(_c)
+            if state is None:
+                state = _parent._children[_c] = ({}, {}, {})
         self._parent = _parent
-        self._children = {}
-        self._memo = {}
-        self._eff = {}
-
-    def _mask(self, worlds) -> int:
-        out = 0
-        for w in worlds:
-            out |= 1 << self._pos[w]
-        return out
+        self._memo, self._eff, self._children = state
 
     def push(self, c: Formula) -> "EvalContext":
-        child = self._children.get(c)
-        if child is None:
-            child = EvalContext(self.base, self, c)
-            self._children[c] = child
-        return child
+        return EvalContext(self.base, self, c)
 
     def truth_mask(self, f: Formula) -> int:
         got = self._memo.get(f)
-        if got is _BUSY:
-            raise RuntimeError("cyclic evaluation of %r" % (f,))
         if got is None:
-            self._memo[f] = _BUSY
-            got = self._nn.get(f, 0) | (self._normal_mask & self._normal_part(f))
+            got = self.batch.v1.get(f, 0) | (self.batch.normal & self._normal_part(f))
             self._memo[f] = got
         return got
 
     def _normal_part(self, f: Formula) -> int:
         if isinstance(f, Prop):
-            return self._v0m.get(f.index, 0)
+            return self.batch.v0.get(f.index, 0)
         if isinstance(f, Not):
             return ~self.truth_mask(f.body)
         if isinstance(f, Implies):
@@ -127,45 +210,41 @@ class EvalContext:
                 return self.truth_mask(
                     Justifies(t.left, Implies(t.annotation, f.body))
                 ) & self.truth_mask(Justifies(t.right, t.annotation))
-            body = self.truth_mask(f.body)
+            # slot i holds in the models where no evidence escapes the body
+            outside = ~self.truth_mask(f.body)
+            rows = self.evidence_mask(t)
+            batch = self.batch
             out = 0
-            bit = 1
-            for w in self.base.worlds:
-                if bit & self._normal_mask and not self.evidence_mask(w, t) & ~body:
-                    out |= bit
-                bit <<= 1
+            for row, offset in zip(rows, batch.offsets):
+                out |= (batch.full & ~batch.models_in(row & outside)) << offset
             return out
         if isinstance(f, Update):
             return self.push(f.announcement).truth_mask(f.body)
         raise TypeError("expected a formula, got %r" % (f,))
 
-    def evidence_mask(self, omega: str, t: Term) -> int:
-        key = (omega, t)
-        got = self._eff.get(key)
-        if got is _BUSY:
-            raise RuntimeError("cyclic evidence for %r" % (t,))
-        if got is not None:
-            return got
-        self._eff[key] = _BUSY
-        if self._parent is not None:
-            last = self.chain[-1]
-            if isinstance(t, Up) and t.body is last:
-                got = self._parent.evidence_mask(omega, t) & self.truth_mask(last)
+    def evidence_mask(self, t: Term) -> tuple:
+        """E[t] after the whole chain: row i is the mask of the worlds
+        that are evidence for t at world slot i (read at normal slots)."""
+        got = self._eff.get(t)
+        if got is None:
+            if self._parent is not None:
+                got = self._parent.evidence_mask(t)
+                last = self.chain[-1]
+                if isinstance(t, Up) and t.body is last:
+                    cut = self.truth_mask(last)
+                    got = tuple([row & cut for row in got])
+            elif isinstance(t, App):
+                wm = self.batch.wmp()
+                got = tuple([left & right & wm for left, right in
+                             zip(self.evidence_mask(t.left), self.evidence_mask(t.right))])
             else:
-                got = self._parent.evidence_mask(omega, t)
-        elif isinstance(t, App):
-            got = (
-                self.evidence_mask(omega, t.left)
-                & self.evidence_mask(omega, t.right)
-                & self._wmp_mask
-            )
-        else:
-            got = self._mask(evidence_atomic(self.base, omega, t))
-        self._eff[key] = got
+                got = self.batch.atomic_evidence(t)
+            self._eff[t] = got
         return got
 
-    def unmask(self, mask: int) -> frozenset:
-        return frozenset(w for w in self.base.worlds if mask & (1 << self._pos[w]))
+    def unmask(self, mask: int, b: int = 0) -> frozenset:
+        """The worlds of model b whose bit is set in the mask."""
+        return frozenset(w for w, bit in self.batch.bits[b].items() if mask & bit)
 
 
 def push_update(ctx: EvalContext, c: Formula) -> EvalContext:
@@ -173,38 +252,48 @@ def push_update(ctx: EvalContext, c: Formula) -> EvalContext:
     return ctx.push(c)
 
 
-def evaluate(ctx: EvalContext, omega: str, f: Formula) -> int:
-    """Truth value in {0, 1} of f at a world under the context's chain."""
-    pos = ctx._pos.get(omega)
-    if pos is None:
+def evaluate(ctx: EvalContext, omega: str, f: Formula, b: int = 0) -> int:
+    """Truth value in {0, 1} of f at a world of model b under the
+    context's chain."""
+    bit = ctx.batch.bits[b].get(omega)
+    if bit is None:
         raise ValueError("unknown world %r" % omega)
-    return (ctx.truth_mask(f) >> pos) & 1
+    return 1 if ctx.truth_mask(f) & bit else 0
 
 
-def holds(ctx: EvalContext, omega: str, f: Formula) -> bool:
-    return evaluate(ctx, omega, f) == 1
+def holds(ctx: EvalContext, omega: str, f: Formula, b: int = 0) -> bool:
+    return evaluate(ctx, omega, f, b) == 1
 
 
-def truth_set(ctx: EvalContext, f: Formula) -> frozenset:
-    """The set of worlds (normal and not) where f evaluates to 1."""
-    return ctx.unmask(ctx.truth_mask(f))
+def truth_set(ctx: EvalContext, f: Formula, b: int = 0) -> frozenset:
+    """The set of worlds of model b (normal and not) where f evaluates to 1."""
+    return ctx.unmask(ctx.truth_mask(f), b)
 
 
-def evidence_effective(ctx: EvalContext, omega: str, t: Term) -> frozenset:
-    """Evidence set for any term at a normal world, after the whole chain."""
-    if omega not in ctx.base.normal:
+def false_at_normal(ctx: EvalContext, f: Formula) -> int:
+    """The mask of the normal worlds where f evaluates to 0."""
+    return ctx.batch.normal & ~ctx.truth_mask(f)
+
+
+def evidence_effective(ctx: EvalContext, omega: str, t: Term, b: int = 0) -> frozenset:
+    """Evidence set for any term at a normal world of model b, after the
+    whole chain."""
+    if omega not in ctx.batch.models[b].normal:
         raise ValueError("world %r is not normal" % omega)
-    return ctx.unmask(ctx.evidence_mask(omega, t))
+    return ctx.unmask(ctx.evidence_mask(t)[ctx.batch.models[b].worlds.index(omega)], b)
 
 
-def cs_violations(ctx: EvalContext, universe) -> list:
-    """(world, constant, formula) triples where constant evidence escapes
-    the formula's truth set, in the given context."""
+def cs_violations(ctx: EvalContext, universe, b: int = 0) -> list:
+    """(world, constant, formula) triples of model b where constant
+    evidence escapes the formula's truth set, in the given context."""
+    m = ctx.batch.models[b]
+    lane = ctx.batch.lanes[b]
     bad = []
     for c, a in universe:
-        target = ctx.truth_mask(a)
-        for w in ctx.base.worlds:
-            if w in ctx.base.normal and ctx.evidence_mask(w, c) & ~target:
+        outside = lane & ~ctx.truth_mask(a)
+        rows = ctx.evidence_mask(c)
+        for i, w in enumerate(m.worlds):
+            if w in m.normal and rows[i] & outside:
                 bad.append((w, c, a))
     return bad
 

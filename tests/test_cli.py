@@ -177,6 +177,19 @@ def test_check_proof_rejects_unsound_pers(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "countermodel"
 
 
+def test_check_proof_refuses_non_axiom_pair(capsys, tmp_path):
+    # an explicit CS may list (c1, P1), but P1 is no axiom, so the pair
+    # licenses nothing and the necessitation step fails
+    path = write_proof(tmp_path, [{"formula": "c1 : P1", "rule": "an", "constant": "c1"}])
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"mode": "explicit", "pairs": [["c1", "P1"]]}))
+    code, out, _ = run_cli(capsys, "check-proof", path, str(cs))
+    assert code == 1
+    obj = json.loads(out)
+    assert (obj["ok"], obj["step"]) == (False, 1)
+    assert "not in the constant specification" in obj["reason"]
+
+
 def test_check_proof_ramsey_round_trip(capsys, tmp_path):
     proof = prove_ramsey(Variable(1), P1, Prop(2), ConstantSpec("full"))
     path = write_proof(tmp_path, proof_to_json(proof))
@@ -217,6 +230,14 @@ def test_search_simple_prop(capsys):
 def test_search_bad_input(capsys):
     assert run_cli(capsys, "search", "(P1 ->")[0] == 2
     assert run_cli(capsys, "search", "P1", "--max-worlds", "0")[0] == 2
+
+
+def test_search_full_cs_with_constant(capsys):
+    # the default full CS pairs the formula's own constants with the
+    # axioms its evaluation touches
+    code, out, _ = run_cli(capsys, "search", "c1 : (P1 -> P1)")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "exhausted"
 
 
 def test_search_human(capsys):

@@ -16,6 +16,7 @@ from jus.explore import (
     find_countermodel,
     random_axiom_instances,
     random_cs_model,
+    random_cs_models,
     report_to_json,
     signature_for,
     signature_to_json,
@@ -24,7 +25,7 @@ from jus.explore import (
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
-from jus.semantics import EvalContext, evaluate, is_cs_model
+from jus.semantics import EvalContext, cs_violations, evaluate, holds, is_cs_model
 from jus.syntax import (
     Constant,
     Implies,
@@ -186,6 +187,46 @@ def test_random_cs_model_guarantee():
         m = random_cs_model(sig, uni, seed)
         assert validate_model(m) == []
         assert is_cs_model(m, cs, uni)
+
+
+def test_random_cs_models_force_like_one_at_a_time():
+    # forcing a batch must reach each model's own fixed point
+    sig = ModelSignature((1, 2), (Constant(1), Constant(2), Up(P1)), 4, 2, (P1, P2))
+    uni = [
+        (Constant(1), Implies(P1, Implies(P2, P1))),
+        (Constant(2), parse_formula("[P1] up(P1) : P1")),
+        (Constant(2), P1),
+    ]
+    seeds = range(100, 170)
+    assert random_cs_models(sig, uni, seeds) == [random_cs_model(sig, uni, s) for s in seeds]
+
+
+def _first_countermodel(f, sig, universe=()):
+    """find_countermodel's answer, one model and one context at a time."""
+    for scanned, m in enumerate(enumerate_models(sig), 1):
+        ctx = EvalContext(m)
+        if universe and cs_violations(ctx, universe):
+            continue
+        for w in m.worlds:
+            if w in m.normal and not holds(ctx, w, f):
+                return ("countermodel", scanned, m, w)
+    return ("exhausted", scanned, None, None)
+
+
+@pytest.mark.parametrize("text, universe", [
+    (PERSIST, ()),
+    (parse_formula("(x1 : P1 -> x1 : ~~P1)"), ()),
+    (parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"), ()),
+    (parse_formula("~c1 : (P1 -> P1)"), ((Constant(1), Implies(P1, P1)),)),
+    (parse_formula("c1 : (P1 -> P1)"), ((Constant(1), Implies(P1, P1)),)),
+    (parse_formula("(c1 : (P1 -> P1) -> c1 : ~~(P1 -> P1))"),
+     ((Constant(1), Implies(P1, P1)),)),
+])
+def test_find_countermodel_matches_a_plain_scan(text, universe):
+    sig = signature_for(text)
+    report = find_countermodel(text, sig, universe)
+    got = (report.outcome, report.models_scanned, report.model, report.world)
+    assert got == _first_countermodel(text, sig, universe)
 
 
 def test_random_cs_model_empty_universe():

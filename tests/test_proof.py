@@ -376,7 +376,10 @@ def test_check_proof_an_needs_cs():
     assert isinstance(fail, CheckFailure)
     assert fail.index == 1
     assert "not in the constant specification" in fail.reason
-    assert check_proof(p, ConstantSpec("explicit", ((Constant(1), P1),))) is None
+    # an explicit pair licenses only a formula of axiom shape, and P1 is none
+    fail = check_proof(p, ConstantSpec("explicit", ((Constant(1), P1),)))
+    assert isinstance(fail, CheckFailure)
+    assert fail.index == 1
 
 
 def test_check_proof_failure_modes():

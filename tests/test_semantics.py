@@ -6,9 +6,18 @@ up(P1) -> {w,v}. Announcing P1 shrinks up(P1)'s evidence to {w},
 which flips the justified-disbelief formula from true to false.
 """
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from jus.explore import (
+    ModelSignature,
+    enumerate_models,
+    random_axiom_instances,
+    random_cs_model,
+)
 from jus.model import ConstantSpec, SubsetModel
 from jus.parse import parse_formula
 from jus.semantics import (
@@ -20,7 +29,18 @@ from jus.semantics import (
     push_update,
     truth_set,
 )
-from jus.syntax import Constant, Implies, Justifies, Not, Prop, Up, Variable
+from jus.syntax import (
+    App,
+    Constant,
+    Implies,
+    Justifies,
+    Not,
+    Prop,
+    Up,
+    Update,
+    Variable,
+    subformulas,
+)
 
 from strategies import formulas
 
@@ -211,3 +231,110 @@ def test_constant_evidence_defaults_all(ctx):
     assert holds(ctx, "w", Justifies(Constant(9), Implies(P1, P1))) == (
         truth_set(ctx, Implies(P1, P1)) == frozenset(ctx.base.worlds)
     )
+
+
+def test_failed_query_leaves_the_memo_usable(ctx):
+    # A query too deep for the recursive evaluator fails part-way. Every
+    # subformula it touched must still evaluate on the same context; a
+    # memo that kept in-progress markers reported them as cycles.
+    try:
+        evaluate(ctx, "w", parse_formula("~" * 500 + "P1"))
+    except RecursionError:
+        pass
+    assert evaluate(ctx, "w", Not(Not(P1))) == 1
+    deep = P1
+    for _ in range(2 * sys.getrecursionlimit()):
+        deep = Not(deep)
+    with pytest.raises(RecursionError):
+        evaluate(ctx, "w", deep)
+    # bottom-up, each level needs one new memo entry
+    f = P1
+    for k in range(1, 2 * sys.getrecursionlimit() + 1):
+        f = Not(f)
+        assert evaluate(ctx, "w", f) == (k + 1) % 2
+    assert f is deep
+
+
+def test_batch_rejects_invalid_models_and_empty_batches(two_world):
+    bad = SubsetModel(worlds=("w",), normal=frozenset())
+    with pytest.raises(ValueError, match="invalid model"):
+        EvalContext([two_world, bad])
+    with pytest.raises(ValueError, match="at least one model"):
+        EvalContext([])
+
+
+def _values(ctx, b, formulas, terms, announcements):
+    """Everything the public API reports about model b of the batch: the
+    truth of each formula at each world, and the effective evidence of
+    each term at each normal world, before and after each announcement."""
+    m = ctx.batch.models[b]
+    out = [truth_set(ctx, f, b) for f in formulas]
+    out += [holds(ctx, w, f, b) for f in formulas for w in m.worlds]
+    for sub in [ctx] + [push_update(ctx, c) for c in announcements]:
+        for w in m.worlds:
+            if w in m.normal:
+                out += [evidence_effective(sub, w, t, b) for t in terms]
+    return out
+
+
+def _assert_batches_agree(models, formulas, size):
+    terms = sorted({g.term for f in formulas for g in subformulas(f)
+                    if isinstance(g, Justifies)}, key=repr)
+    announcements = sorted({g.announcement for f in formulas for g in subformulas(f)
+                            if isinstance(g, Update)}, key=repr)
+    assert any(isinstance(t, App) for t in terms)
+    assert any(isinstance(t, Up) for t in terms)
+    for start in range(0, len(models), size):
+        chunk = models[start:start + size]
+        many = EvalContext(chunk)
+        for b, m in enumerate(chunk):
+            alone = _values(EvalContext(m), 0, formulas, terms, announcements)
+            assert _values(many, b, formulas, terms, announcements) == alone, m
+
+
+# the unrestricted Pers schema, whose instances fail on some models
+PERS_CONTRAST = parse_formula("(up(P1) : ~up(P1) : P1 -> [P1] up(P1) : ~up(P1) : P1)")
+
+
+def test_batch_agrees_with_batches_of_one_on_enumerated_models():
+    jup = Justifies(Up(P1), P1)
+    sig = ModelSignature(
+        propositions=(1,),
+        atoms=(Variable(1), Up(P1)),
+        max_worlds=2,
+        max_nonnormal=1,
+        v1_support=(P1, jup, Not(jup)),
+    )
+    models = list(enumerate_models(sig))
+    assert len(models) == 792
+    app = App(Variable(1), P1, Up(P1))
+    formulas = [
+        PERS_CONTRAST,
+        Justifies(app, P2),
+        Update(P1, Justifies(app, jup)),
+        Update(Not(P1), Justifies(Variable(1), Implies(P1, jup))),
+        Update(P1, Update(P1, Not(jup))),
+    ] + random_axiom_instances("Pers", 2, seed=1) + random_axiom_instances("App", 2, seed=1)
+    _assert_batches_agree(models, formulas, 57)
+
+
+def test_batch_agrees_with_batches_of_one_on_random_models():
+    formulas = [PERS_CONTRAST]
+    for schema in ("Taut", "App", "Indep", "Funct", "Norm", "Up", "Pers"):
+        formulas += random_axiom_instances(schema, 2, seed=3)
+    atoms = sorted({t for f in formulas for g in subformulas(f) if isinstance(g, Justifies)
+                    for t in [g.term] if not isinstance(t, App)}, key=repr)
+    sig = ModelSignature(
+        propositions=(1, 2, 3),
+        atoms=tuple(atoms[::2]),  # the rest fall back to each model's default
+        max_worlds=4,
+        max_nonnormal=2,
+        v1_support=tuple(sorted({g.body for f in formulas for g in subformulas(f)
+                                 if isinstance(g, Justifies)}, key=repr))[:12],
+    )
+    models = [random_cs_model(sig, [], seed) for seed in range(200)]
+    models = [dataclasses.replace(m, evidence_default="empty") if k % 3 else m
+              for k, m in enumerate(models)]
+    assert {len(m.worlds) for m in models} == {1, 2, 3, 4}
+    _assert_batches_agree(models, formulas, 64)
+
