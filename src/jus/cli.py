@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .explore import find_countermodel, report_to_json, signature_for
@@ -69,11 +70,13 @@ def _cs_arg(spec: str):
 
 
 def _emit(args, payload, human: str):
+    """Queues the subcommand's output; main writes it once the exit code
+    is known."""
     if args.human:
-        print(human)
+        args.output.append(human)
     else:
-        print(json.dumps(payload, indent=2) if isinstance(payload, dict) else
-              json.dumps(payload))
+        args.output.append(json.dumps(payload, indent=2) if isinstance(payload, dict) else
+                           json.dumps(payload))
 
 
 def cmd_eval(args) -> int:
@@ -123,12 +126,13 @@ def cmd_check_proof(args) -> int:
 
 def cmd_search(args) -> int:
     f = _formula_arg(args.formula)
-    if args.max_worlds < 1:
-        raise InputError("--max-worlds must be at least 1")
     nonnormal = args.max_nonnormal
     if nonnormal is None:
         nonnormal = max(args.max_worlds - 1, 0)
-    sig = signature_for(f, max_worlds=args.max_worlds, max_nonnormal=nonnormal)
+    try:
+        sig = signature_for(f, max_worlds=args.max_worlds, max_nonnormal=nonnormal)
+    except ValueError as e:
+        raise InputError("bad search bounds: %s" % e) from e
     cs = _cs_arg(args.cs)
     if cs.mode == "explicit":
         universe = list(cs.pairs)
@@ -251,11 +255,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    args.output = []
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except InputError as e:
         print(str(e), file=sys.stderr)
         return 2
+    try:
+        for text in args.output:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say, `| head -1`); what it read stands and
+        # the exit code still carries the verdict. Later flushes, the one
+        # at interpreter exit included, go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def run() -> None:

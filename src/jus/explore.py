@@ -6,6 +6,15 @@ Within those bounds every assignment is generated, with one representative
 per world-renaming class (renamings must respect the normal/non-normal
 split, since evaluation is invariant under any such relabeling).
 
+The raw assignments of one shape (so many normal and non-normal worlds)
+form one binary index, and over a window of that index every cell of the
+model is a periodic bit pattern. So a window is evaluated bit-sliced, as
+one Batch, without building a model, and the representatives are a mask
+too: the models whose encoding no renaming makes lexicographically
+smaller (lex-leader symmetry breaking). Search and enumeration share that
+one scan; a SubsetModel is built only for a reported countermodel and for
+the models enumerate_models yields.
+
 Nothing here certifies validity: an exhausted search means only that no
 countermodel exists within the stated bounds.
 """
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 from .model import ConstantSpec, SubsetModel
 from .parse import print_formula, print_term
-from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, truth_set
+from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, pattern, truth_set
 from .syntax import (
     App,
     Constant,
@@ -54,6 +63,8 @@ class ModelSignature:
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("at least one world is needed (the normal core is nonempty)")
+        if self.max_nonnormal < 0:
+            raise ValueError("the number of non-normal worlds cannot be negative")
         if not all(is_atomic(t) for t in self.atoms):
             raise ValueError("signature atoms must be atomic terms")
 
@@ -82,69 +93,181 @@ def _world_names(n_normal: int, n_nonnormal: int):
     return normal, other
 
 
-def _encode(m: SubsetModel, normal, other, sig, renaming) -> tuple:
-    """Model data under a world renaming, as a comparable tuple. The
-    renaming maps old name -> new name within each class."""
-    order = {w: i for i, w in enumerate(normal + other)}
-    inv = {new: old for old, new in renaming.items()}
+# the values of a one-bit digit that set its column
+_ONE = frozenset((1,))
 
-    def row(w):
-        old = inv[w]
-        if w in normal:
-            vals = tuple(m.v0[(old, p)] for p in sig.propositions)
-            ev = tuple(
-                tuple(sorted(order[renaming[u]] for u in m.evidence[(old, t)]))
-                for t in sig.atoms
-            )
-            return (vals, ev)
-        return tuple(m.v1[(old, g)] for g in sig.v1_support)
 
-    return tuple(row(w) for w in normal + other)
+class _Shape:
+    """The raw models with k normal and m non-normal worlds, bit-sliced.
+
+    A raw model is one binary index in itertools.product order over its
+    cells: v0 cells (normal world, proposition) first and most
+    significant, then v1 cells (non-normal world, support formula), then
+    evidence cells (normal world, atom), each an n-bit digit that picks
+    the evidence set from subsets, all the sets of worlds in
+    itertools.combinations order. Over a window of indices each digit is
+    a periodic pattern (semantics.pattern), so a window of models packs
+    into a Batch without building any of them.
+
+    A model is canonical when its encoding is lexicographically no
+    larger than that of any world renaming of it (renamings keep the
+    normal/non-normal split). The encoding lists, world by world, the v0
+    values and the evidence sets, then the v1 values of the non-normal
+    worlds; a set counts by the rank of its sorted tuple of world slots.
+    Every digit is a function of one cell, so each renaming's encoding
+    is a list of columns too, and the comparison is bit-sliced over the
+    window.
+    """
+
+    def __init__(self, sig: ModelSignature, k: int, m: int):
+        self.normal, other = _world_names(k, m)
+        self.worlds = worlds = self.normal + other
+        self.k = k
+        self.n = n = len(worlds)
+        self.sig = sig
+        self.subsets = [sum(1 << i for i in c)
+                        for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+        self.cells = ([("v0", i, p, 1) for i in range(k) for p in sig.propositions]
+                      + [("v1", i, g, 1) for i in range(k, n) for g in sig.v1_support]
+                      + [("ev", i, t, n) for i in range(k) for t in sig.atoms])
+        self.lo = {}  # each cell's lowest bit in the index
+        lo = 0
+        for kind, i, x, size in reversed(self.cells):
+            self.lo[kind, i, x] = lo
+            lo += size
+        self.size = 1 << lo
+        # digits whose set contains world slot u
+        self.members = [frozenset(d for d, s in enumerate(self.subsets) if s >> u & 1)
+                        for u in range(n)]
+        by_tuple = sorted(self.subsets, key=lambda s: [u for u in range(n) if s >> u & 1])
+        rank = {s: r for r, s in enumerate(by_tuple)}
+        perms = [pn + po for pn in itertools.permutations(range(k))
+                 for po in itertools.permutations(range(k, n))]
+        mine = self._encoding(perms[0], rank)
+        # per renaming, the (own, renamed) column pairs that can differ
+        self.pairs = [[(a, b) for a, b in zip(mine, self._encoding(p, rank)) if a != b]
+                      for p in perms[1:]]
+
+    def _encoding(self, perm, rank) -> list:
+        """The encoding of the model renamed by perm (slot i to slot
+        perm[i]), as (lo, size, values) columns, most significant first."""
+        n, sig = self.n, self.sig
+        old = [0] * n
+        for i, j in enumerate(perm):
+            old[j] = i
+        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)]
+                   for s in self.subsets]
+        bits = [frozenset(d for d, r in enumerate(renamed) if r >> j & 1)
+                for j in reversed(range(n))]
+        out = []
+        for w in range(self.k):
+            out += [(self.lo["v0", old[w], p], 1, _ONE) for p in sig.propositions]
+            for t in sig.atoms:
+                out += [(self.lo["ev", old[w], t], n, values) for values in bits]
+        for w in range(self.k, n):
+            out += [(self.lo["v1", old[w], g], 1, _ONE) for g in sig.v1_support]
+        return out
+
+    def chunks(self):
+        """(start, width) windows covering the raw index: 64 models, then
+        doubling up to CHUNK, each start a multiple of its width."""
+        start, width = 0, min(64, self.size)
+        while start < self.size:
+            yield start, width
+            start += width
+            width = min(start, CHUNK)
+
+    def canonical(self, start: int, width: int) -> int:
+        """The mask of the window's canonical models: the AND over
+        renamings of encoding <= renamed encoding."""
+        cols = {}
+
+        def col(spec):
+            got = cols.get(spec)
+            if got is None:
+                got = cols[spec] = pattern(*spec, start, width)
+            return got
+
+        keep = (1 << width) - 1
+        for pairs in self.pairs:
+            tied = keep
+            below = 0
+            for a, b in pairs:
+                a = col(a)
+                b = col(b)
+                below |= tied & b & ~a
+                tied &= ~(a ^ b)
+                if not tied:
+                    break
+            keep = below | tied
+            if not keep:
+                break
+        return keep
+
+    def batch(self, start: int, width: int) -> Batch:
+        """The window's models packed for evaluation, in index order."""
+        n = self.n
+        lanes = (1 << n * width) - 1
+        v0 = {}
+        v1 = {}
+        for kind, i, x, _ in self.cells:
+            if kind != "ev":
+                table = v0 if kind == "v0" else v1
+                col = pattern(self.lo[kind, i, x], 1, _ONE, start, width) << i * width
+                table[x] = table.get(x, 0) | col
+        evidence = {}
+        for t in self.sig.atoms:
+            rows = [lanes] * n
+            for i in range(self.k):
+                lo = self.lo["ev", i, t]
+                rows[i] = 0
+                for u in range(n):
+                    rows[i] |= pattern(lo, n, self.members[u], start, width) << u * width
+            evidence[t] = tuple(rows)
+        normal = (1 << self.k * width) - 1  # normal worlds take the first slots
+        return Batch(width, n, normal, lanes, v0, v1, evidence, lanes)
+
+    def model(self, index: int) -> SubsetModel:
+        """The raw model at an index."""
+        v0 = {}
+        v1 = {}
+        evidence = {}
+        for kind, i, x, size in self.cells:
+            digit = index >> self.lo[kind, i, x] & (1 << size) - 1
+            w = self.worlds[i]
+            if kind == "v0":
+                v0[w, x] = digit == 1
+            elif kind == "v1":
+                v1[w, x] = digit == 1
+            else:
+                s = self.subsets[digit]
+                evidence[w, x] = frozenset(u for j, u in enumerate(self.worlds) if s >> j & 1)
+        return SubsetModel(self.worlds, frozenset(self.normal), v0, v1, evidence, "all")
+
+
+def _shapes(sig: ModelSignature):
+    for n in range(1, sig.max_worlds + 1):
+        for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
+            yield _Shape(sig, n - nn, nn)
+
+
+def _set_bits(mask: int):
+    """The positions of the bits set in mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def enumerate_models(sig: ModelSignature):
     """Every model over the signature with total assignments, one per
-    renaming class, worlds named w1.. (normal) and u1.. (non-normal)."""
-    for n in range(1, sig.max_worlds + 1):
-        for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
-            yield from _enumerate_shape(sig, n - nn, nn)
-
-
-def _enumerate_shape(sig: ModelSignature, k: int, m: int):
-    normal, other = _world_names(k, m)
-    worlds = normal + other
-    subsets = [frozenset(c) for r in range(len(worlds) + 1)
-               for c in itertools.combinations(worlds, r)]
-    v0_cells = [(w, p) for w in normal for p in sig.propositions]
-    v1_cells = [(w, g) for w in other for g in sig.v1_support]
-    ev_cells = [(w, t) for w in normal for t in sig.atoms]
-    renamings = [
-        {**dict(zip(normal, pn)), **dict(zip(other, po))}
-        for pn in itertools.permutations(normal)
-        for po in itertools.permutations(other)
-    ]
-    for v0_bits in itertools.product((False, True), repeat=len(v0_cells)):
-        v0 = dict(zip(v0_cells, v0_bits))
-        for v1_bits in itertools.product((False, True), repeat=len(v1_cells)):
-            v1 = dict(zip(v1_cells, v1_bits))
-            for ev_choice in itertools.product(subsets, repeat=len(ev_cells)):
-                model = SubsetModel(
-                    worlds=worlds,
-                    normal=frozenset(normal),
-                    v0=v0,
-                    v1=v1,
-                    evidence=dict(zip(ev_cells, ev_choice)),
-                    evidence_default="all",
-                )
-                if len(renamings) == 1:
-                    yield model
-                    continue
-                mine = _encode(model, normal, other, sig, renamings[0])
-                if all(
-                    mine <= _encode(model, normal, other, sig, r)
-                    for r in renamings[1:]
-                ):
-                    yield model
+    renaming class, worlds named w1.. (normal) and u1.. (non-normal):
+    shape by shape, the canonical models in raw index order."""
+    for shape in _shapes(sig):
+        for start, width in shape.chunks():
+            for b in _set_bits(shape.canonical(start, width)):
+                yield shape.model(start + b)
 
 
 def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
@@ -217,9 +340,14 @@ def random_cs_models(sig: ModelSignature, cs_universe, seeds) -> list:
     )
 
 
-# models per evaluation batch: a bit of every mask each, so memory grows
-# with the batch; 64 keeps the peak of a long search flat
+# models per evaluation batch of the sweep: a bit of every mask each, so
+# memory grows with the batch; 64 keeps the peak of a long sweep flat
 BATCH = 64
+
+# the most raw models a search evaluates at once; every mask of a window
+# has a bit per model and world slot, so the peak memory of a search
+# grows with it (figures in BENCH_search.json)
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -231,46 +359,54 @@ class SearchReport:
     world: str = None
 
 
-def _batches(items, size=BATCH):
-    """Consecutive lists of items, of size items at first and then twice
-    as many each time, up to BATCH."""
+def _batches(items):
+    """Consecutive lists of BATCH items."""
     it = iter(items)
-    while batch := list(itertools.islice(it, size)):
+    while batch := list(itertools.islice(it, BATCH)):
         yield batch
-        size = min(2 * size, BATCH)
 
 
 def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> SearchReport:
     """First enumerated CS-model with a normal world falsifying f.
 
-    Enumerated models are evaluated in batches that double from one model
-    up to BATCH, so a search that stops early enumerates at most about
-    as many models again as it scanned. The first hit in enumeration
-    order is the lowest model bit of its batch, at that model's first
-    normal world where f is false. The hit is re-verified with a fresh
-    batch of one before being reported. Exhaustion certifies nothing
+    Each shape's raw models are evaluated a window at a time, windows
+    growing from 64 models up to CHUNK, so a search that stops early
+    evaluates at most about as many raw models again as it passed. A
+    window's hits are its canonical models with a normal world where f is
+    false and with no normal world where c : A is false for a pair (c, A)
+    of the CS universe. The first hit in enumeration order is the lowest
+    bit, reported at its model's first normal world where f is false;
+    models_scanned counts the canonical models up to it, CS-models or
+    not. The hit is re-verified on a fresh batch of one, f and the CS
+    universe both, before being reported. Exhaustion certifies nothing
     beyond the stated bounds, since no completeness theorem backs this
     logic.
     """
     scanned = 0
-    for batch in _batches(enumerate_models(sig), 1):
-        ctx = EvalContext(Batch(batch))  # enumerated models are valid by construction
-        false = false_at_normal(ctx, f)
-        hits = ctx.batch.models_in(false)
-        if cs_universe:
-            for b in range(len(batch)):
-                if cs_violations(ctx, cs_universe, b):
-                    hits &= ~(1 << b)
-        if not hits:
-            scanned += len(batch)
-            continue
-        b = (hits & -hits).bit_length() - 1
-        m = batch[b]
-        refuting = ctx.unmask(false, b)
-        w = next(w for w in m.worlds if w in refuting)
-        if holds(EvalContext(m), w, f):  # independent re-check
-            raise RuntimeError("countermodel failed re-verification")
-        return SearchReport("countermodel", scanned + b + 1, sig, m, w)
+    for shape in _shapes(sig):
+        for start, width in shape.chunks():
+            canonical = shape.canonical(start, width)
+            if not canonical:
+                continue
+            ctx = EvalContext(shape.batch(start, width))
+            false = false_at_normal(ctx, f)
+            hits = ctx.batch.models_in(false) & canonical
+            for c, a in cs_universe:
+                if not hits:
+                    break
+                hits &= ~ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
+            if not hits:
+                scanned += canonical.bit_count()
+                continue
+            low = hits & -hits
+            b = low.bit_length() - 1
+            m = shape.model(start + b)
+            w = next(w for i, w in enumerate(m.worlds) if false >> (i * width + b) & 1)
+            one = EvalContext(m)  # independent re-check
+            if holds(one, w, f) or cs_violations(one, cs_universe):
+                raise RuntimeError("countermodel failed re-verification")
+            scanned += (canonical & (low - 1)).bit_count() + 1
+            return SearchReport("countermodel", scanned, sig, m, w)
     return SearchReport("exhausted", scanned, sig)
 
 

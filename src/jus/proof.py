@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .model import ConstantSpec
 from .parse import SourceError, parse_formula, parse_term, print_formula, print_term
+from .semantics import pattern
 from .syntax import (
     App,
     Constant,
@@ -91,16 +92,8 @@ def taut_check(f: Formula) -> bool:
                          % (len(atoms), len(atoms)))
     rows = 1 << len(atoms)
     full = (1 << rows) - 1
-    cols = {}
-    for i, atom in enumerate(atoms):
-        # bit r of the column holds the atom's value in assignment row r
-        block = (1 << (1 << i)) - 1
-        unit = block << (1 << i)
-        width = 2 << i
-        while width < rows:
-            unit |= unit << width
-            width <<= 1
-        cols[atom] = unit
+    # bit r of an atom's column is its value in assignment row r: bit i of r
+    cols = {atom: pattern(i, 1, (1,), 0, rows) for i, atom in enumerate(atoms)}
 
     def col(g: Formula) -> int:
         if isinstance(g, Not):

@@ -42,7 +42,7 @@ leaves its context as usable as before.
 
 from __future__ import annotations
 
-from .model import ConstantSpec, SubsetModel, validate_model, wmp
+from .model import ConstantSpec, SubsetModel, validate_model
 from .syntax import (
     App,
     Formula,
@@ -60,39 +60,60 @@ class Batch:
     """Models packed for bit-sliced evaluation.
 
     With width models, a mask gives each world slot a field of width
-    bits: bit i * width + b stands for world slot i of model b. Packing
-    fixes each world's bit (bits[b] maps model b's worlds to theirs), the
-    masks of each model's worlds (lanes), of the normal worlds, of v0 and
-    v1, and each atomic term's stored evidence. It does not validate the
-    models; EvalContext validates any model handed to it directly, so
-    build a Batch only from models known to be valid.
+    bits: bit i * width + b stands for world slot i of model b. A batch
+    is made of masks: the normal worlds, lanes (every world of every
+    model), v0 per proposition index, v1 per formula, and per atomic term
+    its evidence rows E[t] (row i is the evidence at world slot i); an
+    atomic term without rows is evidence for default, one mask for every
+    slot. Masks may come straight from a layout that has no SubsetModel
+    behind it; Batch.pack packs models, and only a packed batch knows its
+    models and where their worlds sit (models and bits). Neither
+    validates anything; EvalContext validates any model handed to it
+    directly, so pack only models known to be valid.
     """
 
-    __slots__ = ("models", "width", "slots", "full", "bits", "normal", "v0", "v1",
-                 "lanes", "offsets", "_evidence", "_default", "_wmp")
+    __slots__ = ("width", "slots", "full", "offsets", "normal", "lanes", "v0", "v1",
+                 "models", "bits", "_evidence", "_default", "_wmp")
 
-    def __init__(self, models):
-        self.models = models = tuple(models)
+    def __init__(self, width, slots, normal, lanes, v0, v1, evidence, default):
+        self.width = width
+        self.slots = slots
+        self.full = (1 << width) - 1
+        self.offsets = range(0, slots * width, width)
+        self.normal = normal
+        self.lanes = lanes
+        self.v0 = v0
+        self.v1 = v1
+        self._evidence = evidence
+        self._default = default
+        self._wmp = None
+        self.models = ()
+        self.bits = ()
+
+    @classmethod
+    def pack(cls, models) -> "Batch":
+        """The batch of the given models, in order: bits[b] maps model
+        b's worlds to their bits."""
+        models = tuple(models)
         if not models:
             raise ValueError("a batch needs at least one model")
         width = len(models)
-        slots = normal = every = 0
+        slots = max(len(m.worlds) for m in models)
+        normal = lanes = default = 0
         v0 = {}
         v1 = {}
-        evidence = {}
-        self.bits = world_bits = []
-        self.lanes = lanes = []
+        stored = {}
+        world_bits = []
         for b, m in enumerate(models):
-            worlds = m.worlds
             at = {}
+            slot = {}
             lane = 0
             bit = 1 << b
-            for w in worlds:
+            for i, w in enumerate(m.worlds):
                 at[w] = bit
+                slot[w] = i
                 lane |= bit
                 bit <<= width
-            if len(worlds) > slots:
-                slots = len(worlds)
             for w in m.normal:
                 normal |= at[w]
             for (w, q), val in m.v0.items():
@@ -102,24 +123,24 @@ class Batch:
                 if val:
                     v1[f] = v1.get(f, 0) | at[w]
             for (w, t), members in m.evidence.items():
-                bits = 0
+                row = 0
                 for u in members:
-                    bits |= at[u]
-                evidence.setdefault(t, []).append((worlds.index(w), lane, bits))
+                    row |= at[u]
+                stored.setdefault(t, []).append((slot[w], lane, row))
             if m.evidence_default == "all":
-                every |= lane
+                default |= lane
+            lanes |= lane
             world_bits.append(at)
-            lanes.append(lane)
-        self.width = width
-        self.slots = slots
-        self.full = (1 << width) - 1
-        self.normal = normal
-        self.v0 = v0
-        self.v1 = v1
-        self.offsets = range(0, slots * width, width)
-        self._evidence = evidence
-        self._default = every
-        self._wmp = None
+        evidence = {}
+        for t, entries in stored.items():
+            rows = [default] * slots
+            for i, lane, row in entries:
+                rows[i] = rows[i] & ~lane | row
+            evidence[t] = tuple(rows)
+        batch = cls(width, slots, normal, lanes, v0, v1, evidence, default)
+        batch.models = models
+        batch.bits = world_bits
+        return batch
 
     def models_in(self, mask: int) -> int:
         """The models (bit b for model b) with a bit set in some slot."""
@@ -130,23 +151,50 @@ class Batch:
         return mask & self.full
 
     def atomic_evidence(self, t: Term) -> tuple:
-        """E[t][i] for an atomic term: stored entries, else each model's
-        default."""
-        rows = [self._default] * self.slots
-        for i, lane, bits in self._evidence.get(t, ()):
-            rows[i] = rows[i] & ~lane | bits
-        return tuple(rows)
+        """E[t][i] for an atomic term: its rows, else the default."""
+        rows = self._evidence.get(t)
+        return rows if rows is not None else (self._default,) * self.slots
 
     def wmp(self) -> int:
-        """The worlds closed under modus ponens; computed on first use,
-        since only application evidence reads it."""
+        """The worlds closed under modus ponens: every world but the
+        non-normal ones whose v1 asserts A and A -> B without B. Computed
+        on first use, since only application evidence reads it."""
         if self._wmp is None:
-            out = 0
-            for b, m in enumerate(self.models):
-                for w in wmp(m):
-                    out |= self.bits[b][w]
-            self._wmp = out
+            v1 = self.v1
+            broken = 0
+            for f, mask in v1.items():
+                if isinstance(f, Implies) and f.left in v1:
+                    broken |= mask & v1[f.left] & ~v1.get(f.right, 0)
+            self._wmp = self.lanes & ~broken
         return self._wmp
+
+
+def pattern(lo: int, size: int, values, start: int, width: int) -> int:
+    """Bit b, for b < width, is set when the digit of size bits at bit lo
+    of the index start + b is one of values.
+
+    Over consecutive indices that digit runs through its values in runs
+    of 2^lo, so the mask is a periodic pattern, built a run at a time
+    and then doubled. width is a power of two and start a multiple of it,
+    so a window of 2^lo or fewer indices sees one digit value, and a
+    shorter period than width fits into it whole.
+    """
+    run = 1 << lo
+    top = (1 << size) - 1
+    first = start >> lo & top
+    if run >= width:
+        return (1 << width) - 1 if first in values else 0
+    runs = min(width >> lo, top + 1)
+    ones = (1 << run) - 1
+    out = 0
+    for q in range(runs):
+        if first + q in values:
+            out |= ones << (q << lo)
+    span = runs << lo
+    while span < width:
+        out |= out << span
+        span <<= 1
+    return out
 
 
 class EvalContext:
@@ -156,7 +204,8 @@ class EvalContext:
     base is a SubsetModel, a sequence of them, or a Batch. Models are
     checked against validate_model; a Batch is taken as packed. The
     attribute base is the batch's first model (the model, for a batch of
-    one), and batch holds the packed layout.
+    one; None for a batch made of masks alone), and batch holds the
+    packed layout.
     """
 
     __slots__ = ("base", "batch", "chain", "_parent", "_children", "_memo", "_eff")
@@ -169,9 +218,9 @@ class EvalContext:
                     bad = validate_model(m)
                     if bad:
                         raise ValueError("invalid model: " + "; ".join(bad))
-                base = Batch(models)
+                base = Batch.pack(models)
             self.batch = base
-            self.base = base.models[0]
+            self.base = base.models[0] if base.models else None
             self.chain = ()
             state = ({}, {}, {})
         else:
@@ -287,7 +336,7 @@ def cs_violations(ctx: EvalContext, universe, b: int = 0) -> list:
     """(world, constant, formula) triples of model b where constant
     evidence escapes the formula's truth set, in the given context."""
     m = ctx.batch.models[b]
-    lane = ctx.batch.lanes[b]
+    lane = sum(ctx.batch.bits[b].values())
     bad = []
     for c, a in universe:
         outside = lane & ~ctx.truth_mask(a)

@@ -230,6 +230,10 @@ def test_search_simple_prop(capsys):
 def test_search_bad_input(capsys):
     assert run_cli(capsys, "search", "(P1 ->")[0] == 2
     assert run_cli(capsys, "search", "P1", "--max-worlds", "0")[0] == 2
+    # a negative bound would scan nothing and report "exhausted"
+    code, out, err = run_cli(capsys, "search", "P1", "--max-nonnormal", "-1")
+    assert code == 2
+    assert out == "" and "non-normal" in err
 
 
 def test_search_full_cs_with_constant(capsys):
@@ -336,3 +340,19 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_closed_pipe_keeps_exit_code_without_traceback():
+    # the reader is gone before anything is written, as with `| head -1`
+    # on a long answer: no traceback, and the countermodel still exits 1
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jus.cli", "search",
+         "(up(P1) : ~up(P1) : P1 -> [P1] up(P1) : ~up(P1) : P1)", "--human"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

@@ -1,14 +1,18 @@
 """Enumeration, random CS-models, countermodel search, soundness sweeps.
 
-The enumeration oracle here is deliberately dumb: generate every raw
-assignment, canonicalize each by trying all world renamings itself, and
-count distinct classes. The production enumerator must agree exactly.
+The enumeration oracles here are deliberately dumb. One generates every
+raw assignment, canonicalizes each by trying all world renamings itself,
+and counts distinct classes. The other builds every raw model with
+itertools.product and keeps those whose encoding no renaming makes
+smaller, one model at a time. The bit-sliced enumerator must agree with
+both exactly: the same count, the same models, in the same order.
 """
 
 import itertools
 
 import pytest
 
+from jus import explore
 from jus.explore import (
     ModelSignature,
     SearchReport,
@@ -25,7 +29,7 @@ from jus.explore import (
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
-from jus.semantics import EvalContext, cs_violations, evaluate, holds, is_cs_model
+from jus.semantics import EvalContext, cs_violations, evaluate, holds, is_cs_model, pattern
 from jus.syntax import (
     Constant,
     Implies,
@@ -33,6 +37,7 @@ from jus.syntax import (
     Not,
     Prop,
     Up,
+    Update,
     Variable,
     atm,
 )
@@ -46,6 +51,8 @@ def test_signature_validation():
         ModelSignature((), (), 0, 0, ())
     with pytest.raises(ValueError, match="atomic"):
         ModelSignature((), (Justifies,), 1, 0, ())
+    with pytest.raises(ValueError, match="non-normal"):
+        ModelSignature((1,), (), 2, -1, ())
 
 
 def test_signature_for_collects_the_needed_pieces():
@@ -154,6 +161,140 @@ def _oracle_count(sig):
     return total
 
 
+# the generate-and-test enumerator: every raw model in itertools.product
+# order, kept when no world renaming gives a smaller encoding
+
+def _world_names(k, m):
+    return tuple("w%d" % (i + 1) for i in range(k)), tuple("u%d" % (i + 1) for i in range(m))
+
+
+def _encode(m, normal, other, sig, renaming):
+    """Model data under a world renaming (old name -> new name), as a
+    comparable tuple."""
+    order = {w: i for i, w in enumerate(normal + other)}
+    inv = {new: old for old, new in renaming.items()}
+
+    def row(w):
+        old = inv[w]
+        if w in normal:
+            vals = tuple(m.v0[(old, p)] for p in sig.propositions)
+            ev = tuple(
+                tuple(sorted(order[renaming[u]] for u in m.evidence[(old, t)]))
+                for t in sig.atoms
+            )
+            return (vals, ev)
+        return tuple(m.v1[(old, g)] for g in sig.v1_support)
+
+    return tuple(row(w) for w in normal + other)
+
+
+def _raw_shape(sig, k, m):
+    """(model, canonical) for every raw model of the shape, in index order."""
+    normal, other = _world_names(k, m)
+    worlds = normal + other
+    subsets = [frozenset(c) for r in range(len(worlds) + 1)
+               for c in itertools.combinations(worlds, r)]
+    v0_cells = [(w, p) for w in normal for p in sig.propositions]
+    v1_cells = [(w, g) for w in other for g in sig.v1_support]
+    ev_cells = [(w, t) for w in normal for t in sig.atoms]
+    renamings = [
+        {**dict(zip(normal, pn)), **dict(zip(other, po))}
+        for pn in itertools.permutations(normal)
+        for po in itertools.permutations(other)
+    ]
+    for v0_bits in itertools.product((False, True), repeat=len(v0_cells)):
+        for v1_bits in itertools.product((False, True), repeat=len(v1_cells)):
+            for ev_choice in itertools.product(subsets, repeat=len(ev_cells)):
+                model = SubsetModel(worlds, frozenset(normal), dict(zip(v0_cells, v0_bits)),
+                                    dict(zip(v1_cells, v1_bits)),
+                                    dict(zip(ev_cells, ev_choice)), "all")
+                mine = _encode(model, normal, other, sig, renamings[0])
+                yield model, all(mine <= _encode(model, normal, other, sig, r)
+                                 for r in renamings[1:])
+
+
+def _oracle_shapes(sig):
+    for n in range(1, sig.max_worlds + 1):
+        for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
+            yield n - nn, nn
+
+
+def _oracle_models(sig):
+    for k, m in _oracle_shapes(sig):
+        yield from (model for model, canonical in _raw_shape(sig, k, m) if canonical)
+
+
+# every shape up to 3 worlds with up to 2 non-normal ones, and 2 atoms
+# at 2 worlds; v1 supports with an implication and its parts
+SHAPE_SIGS = [
+    ModelSignature((1,), (Variable(1),), 3, 2, (P1,)),
+    ModelSignature((1, 2), (), 3, 2, (P1, Implies(P1, P2))),
+    ModelSignature((), (Constant(1),), 3, 2, (P1, P2, Implies(P1, P2))),
+    ModelSignature((1,), (Variable(1), Up(P1)), 2, 1, (P1, Implies(P1, P1))),
+    ModelSignature((1, 2), (Constant(1), Variable(1)), 2, 1, ()),
+]
+
+
+@pytest.mark.parametrize("sig", SHAPE_SIGS)
+def test_enumerate_models_matches_the_oracle_in_order(sig):
+    assert list(enumerate_models(sig)) == list(_oracle_models(sig))
+
+
+def test_pattern_matches_the_index_digits():
+    for lo, size in ((0, 1), (3, 1), (0, 3), (2, 2), (5, 3), (9, 2)):
+        for values in ((1,), (0, 3), (2, 5, 6), range(1 << size)):
+            values = frozenset(values)
+            for width in (1, 8, 64, 256):
+                for start in (0, width, 3 * width, 1024 - width, 4096):
+                    got = pattern(lo, size, values, start, width)
+                    want = sum(1 << b for b in range(width)
+                               if (start + b) >> lo & ((1 << size) - 1) in values)
+                    assert got == want, (lo, size, sorted(values), start, width)
+
+
+@pytest.mark.parametrize("sig", SHAPE_SIGS[:4])
+def test_windows_match_the_oracle_index_by_index(sig):
+    # the model, canonicity and truth values at each index of a window,
+    # against the generate-and-test enumerator and a batch of one; the
+    # windows straddle the chunk sequence's boundaries
+    formulas = [P1, Justifies(Variable(1), P1), Justifies(Constant(1), Implies(P1, P2)),
+                parse_formula("[P1] up(P1) : P1"), parse_formula("up(P1) : ~ x1 : P1"),
+                parse_formula("((x1 *[P1] c1) : P2 -> x1 : (P1 -> P2))")]
+    for k, m in _oracle_shapes(sig):
+        shape = explore._Shape(sig, k, m)
+        raw = list(_raw_shape(sig, k, m))
+        assert shape.size == len(raw)
+        windows = {(0, min(64, shape.size))}
+        for width in (1, 32, 64, 128, 256):
+            for start in (0, width, shape.size // 2, shape.size - width):
+                if 0 <= start <= shape.size - width and start % width == 0:
+                    windows.add((start, width))
+        for start, width in sorted(windows):
+            canonical = shape.canonical(start, width)
+            ctx = EvalContext(shape.batch(start, width))
+            masks = [ctx.truth_mask(f) for f in formulas]
+            for b in range(width):
+                model, is_canonical = raw[start + b]
+                assert shape.model(start + b) == model
+                assert (canonical >> b & 1) == is_canonical
+                one = EvalContext(model)
+                for f, mask in zip(formulas, masks):
+                    for i, w in enumerate(model.worlds):
+                        assert (mask >> (i * width + b) & 1) == holds(one, w, f)
+
+
+def test_small_chunks_change_nothing(monkeypatch):
+    # many windows at the cap: the same models and the same first hits
+    sig = SHAPE_SIGS[0]
+    models = list(enumerate_models(sig))
+    reports = [find_countermodel(f, signature_for(f, 3, 2))
+               for f in (PERSIST, parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"))]
+    monkeypatch.setattr(explore, "CHUNK", 64)
+    assert list(enumerate_models(sig)) == models
+    assert reports == [find_countermodel(f, signature_for(f, 3, 2))
+                       for f in (PERSIST, parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"))]
+
+
 @pytest.mark.parametrize(
     "sig",
     [
@@ -203,7 +344,7 @@ def test_random_cs_models_force_like_one_at_a_time():
 
 def _first_countermodel(f, sig, universe=()):
     """find_countermodel's answer, one model and one context at a time."""
-    for scanned, m in enumerate(enumerate_models(sig), 1):
+    for scanned, m in enumerate(_oracle_models(sig), 1):
         ctx = EvalContext(m)
         if universe and cs_violations(ctx, universe):
             continue
@@ -255,6 +396,16 @@ def test_find_countermodel_exhausts_on_up_axiom():
     f = parse_formula("[P1] up(P1) : P1")
     report = find_countermodel(f, signature_for(f))
     assert report.outcome == "exhausted"
+
+
+def test_pers_under_the_weaker_proviso_has_no_small_countermodel():
+    # up(A) is not in atm(B) here, but A mentions its own up-term, so the
+    # checker's proviso refuses this Pers instance; search finds no
+    # countermodel among the 9,126,704 models up to 3 worlds
+    a = parse_formula("[P2] up(P2) : P2")
+    f = Implies(Justifies(Up(a), P1), Update(a, Justifies(Up(a), P1)))
+    report = find_countermodel(f, signature_for(f, max_worlds=3, max_nonnormal=2))
+    assert (report.outcome, report.models_scanned) == ("exhausted", 9126704)
 
 
 def test_find_countermodel_respects_cs_universe():

@@ -18,7 +18,7 @@ from jus.explore import (
     random_axiom_instances,
     random_cs_model,
 )
-from jus.model import ConstantSpec, SubsetModel
+from jus.model import ConstantSpec, SubsetModel, wmp
 from jus.parse import parse_formula
 from jus.semantics import (
     EvalContext,
@@ -290,6 +290,15 @@ def _assert_batches_agree(models, formulas, size):
         for b, m in enumerate(chunk):
             alone = _values(EvalContext(m), 0, formulas, terms, announcements)
             assert _values(many, b, formulas, terms, announcements) == alone, m
+
+
+def test_batch_wmp_matches_the_model_definition():
+    sig = ModelSignature((1, 2), (), 3, 2, (P1, P2, Implies(P1, P2), Implies(P2, P1)))
+    models = list(enumerate_models(sig))
+    ctx = EvalContext(models)
+    got = [ctx.unmask(ctx.batch.wmp(), b) for b in range(len(models))]
+    assert got == [wmp(m) for m in models]
+    assert sum(len(w) < len(m.worlds) for w, m in zip(got, models)) > 0
 
 
 # the unrestricted Pers schema, whose instances fail on some models
