@@ -63,10 +63,10 @@ class Batch:
     bits: bit i * width + b stands for world slot i of model b. A batch
     is made of masks: the normal worlds, lanes (every world of every
     model), v0 per proposition index, v1 per formula, and per atomic term
-    its evidence rows E[t] (row i is the evidence at world slot i); an
-    atomic term without rows is evidence for default, one mask for every
-    slot. Masks may come straight from a layout that has no SubsetModel
-    behind it; Batch.pack packs models, and only a packed batch knows its
+    its evidence rows E[t] (row i is the evidence at world slot i). An
+    atomic term without rows has the default mask as its evidence at
+    every slot. The masks may come from a layout with no SubsetModel
+    behind it. Batch.pack packs models, and only a packed batch knows its
     models and where their worlds sit (models and bits). Neither
     validates anything; EvalContext validates any model handed to it
     directly, so pack only models known to be valid.
