@@ -22,7 +22,7 @@ from .proof import (
     prove_ramsey,
     taut_check,
 )
-from .semantics import EvalContext, evaluate, evidence_effective, holds, push_update, truth_set
+from .semantics import EvalContext, evaluate, evidence_effective, holds, truth_set
 from .explore import (
     ModelSignature,
     SearchReport,

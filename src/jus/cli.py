@@ -20,10 +20,11 @@ from .model import (
     cs_from_json,
     model_from_json,
     model_to_json,
+    save_model,
     validate_model,
 )
 from .parse import SourceError, parse_formula, print_formula, print_term
-from .proof import check_proof, match_axiom, proof_from_json, taut_check
+from .proof import check_proof, cs_contains, proof_from_json, taut_check
 from .semantics import EvalContext, cs_violations, evidence_effective, holds
 from .syntax import Constant, Up, constants_in, eval_closure
 
@@ -99,9 +100,7 @@ def cmd_update(args) -> int:
             evidence[(w, Up(c))] = evidence_effective(pushed, w, Up(c))
     updated = SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, m.evidence_default)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(model_to_json(updated), fh, indent=2)
-            fh.write("\n")
+        save_model(updated, args.out)
     except OSError as e:
         raise InputError("cannot write %s: %s" % (args.out, e.strerror or e)) from e
     _emit(args, {"written": args.out}, "wrote %s" % args.out)
@@ -140,12 +139,13 @@ def cmd_search(args) -> int:
         universe = []
     else:
         # the slice of the full CS that can bear on this formula: its own
-        # constants paired with the axiom instances its evaluation touches
+        # constants paired with the formulas its evaluation touches that
+        # the checker's rule licenses for them
         universe = [
             (Constant(i), g)
             for i in sorted(constants_in(f))
             for g in sorted(eval_closure(f), key=print_formula)
-            if match_axiom(g)
+            if cs_contains(cs, Constant(i), g)
         ]
     report = find_countermodel(f, sig, universe)
     payload = report_to_json(report)

@@ -421,7 +421,7 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
     is the set of pairs the proofs' necessitation steps rely on, plus any
     explicit pairs.
     """
-    from .proof import check_proof
+    from .proof import _peel_an, check_proof
 
     if seed is None:
         seed = int(os.environ.get("JUS_SEED", "0"))
@@ -439,10 +439,7 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
         conclusions.append(entry.conclusion)
         for step in entry.steps:
             if step.rule == "an":
-                g = step.formula
-                while isinstance(g, Update):
-                    g = g.body
-                pair = (g.term, g.body)
+                pair = _peel_an(step.formula)
                 if pair not in seen:
                     seen.add(pair)
                     universe.append(pair)

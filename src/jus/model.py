@@ -42,11 +42,24 @@ class ConstantSpec:
     mode "empty" pairs nothing, "explicit" pairs exactly the listed
     (constant, formula) entries, "full" pairs every constant with every
     formula of iterated axiom shape (membership is decided structurally
-    by the proof module; pairs is unused in that mode).
+    by the proof module; pairs is unused in that mode). A malformed
+    specification raises ValueError at construction; whether an explicit
+    pair licenses a step is the proof module's decision, not this one's.
     """
 
     mode: str
     pairs: tuple = ()
+
+    def __post_init__(self):
+        if self.mode not in ("empty", "explicit", "full"):
+            raise ValueError("mode must be one of empty, explicit, full")
+        if self.mode != "explicit" and self.pairs:
+            raise ValueError("pairs are only meaningful in explicit mode")
+        for c, a in self.pairs:
+            if not isinstance(c, Constant):
+                raise ValueError("paired term %r is not a constant" % (c,))
+            if not isinstance(a, Formula):
+                raise ValueError("paired value %r is not a formula" % (a,))
 
 
 def wmp(m: SubsetModel) -> frozenset:
@@ -68,17 +81,6 @@ def wmp(m: SubsetModel) -> frozenset:
         if closed:
             out.add(omega)
     return frozenset(out)
-
-
-def evidence_atomic(m: SubsetModel, omega: str, t: Term) -> frozenset:
-    """Stored evidence set for an atomic term at a normal world, or the
-    model default (everything or nothing) when unlisted."""
-    got = m.evidence.get((omega, t))
-    if got is not None:
-        return got
-    if m.evidence_default == "all":
-        return frozenset(m.worlds)
-    return frozenset()
 
 
 def validate_model(m: SubsetModel) -> list:
@@ -114,23 +116,6 @@ def validate_model(m: SubsetModel) -> list:
             bad.append("evidence set for %r at %r mentions unknown worlds" % (t, w))
     if m.evidence_default not in ("all", "empty"):
         bad.append("evidence_default must be 'all' or 'empty'")
-    return bad
-
-
-def validate_cs_structure(cs: ConstantSpec) -> list:
-    """Structural checks only; the axiom-shape test on explicit pairs
-    lives in the proof module, which owns axiom matching."""
-    bad = []
-    if cs.mode not in ("empty", "explicit", "full"):
-        bad.append("mode must be one of empty, explicit, full")
-    if cs.mode != "explicit" and cs.pairs:
-        bad.append("pairs are only meaningful in explicit mode")
-    for entry in cs.pairs:
-        c, a = entry
-        if not isinstance(c, Constant):
-            bad.append("paired term %r is not a constant" % (c,))
-        if not isinstance(a, Formula):
-            bad.append("paired value %r is not a formula" % (a,))
     return bad
 
 
@@ -245,9 +230,6 @@ _CS_KEYS = {"mode", "pairs"}
 
 def cs_from_json(obj: dict) -> ConstantSpec:
     _require_keys(obj, _CS_KEYS, "constant specification file")
-    mode = obj.get("mode")
-    if mode not in ("empty", "explicit", "full"):
-        raise ValueError("mode must be one of empty, explicit, full")
     raw = obj.get("pairs", [])
     if not isinstance(raw, list):
         raise ValueError("pairs must be a list")
@@ -255,16 +237,9 @@ def cs_from_json(obj: dict) -> ConstantSpec:
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError("each pair must be a [constant, formula] list")
-        c = _parse_inner(entry[0], parse_term, "pairs")
-        a = _parse_inner(entry[1], parse_formula, "pairs")
-        if not isinstance(c, Constant):
-            raise ValueError("paired term %r is not a constant" % entry[0])
-        pairs.append((c, a))
-    cs = ConstantSpec(mode, tuple(pairs))
-    bad = validate_cs_structure(cs)
-    if bad:
-        raise ValueError("invalid constant specification: " + "; ".join(bad))
-    return cs
+        pairs.append((_parse_inner(entry[0], parse_term, "pairs"),
+                      _parse_inner(entry[1], parse_formula, "pairs")))
+    return ConstantSpec(obj.get("mode"), tuple(pairs))
 
 
 def cs_to_json(cs: ConstantSpec) -> dict:

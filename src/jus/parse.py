@@ -95,6 +95,10 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        # term() by start index: (term, end index) or the SourceError. The
+        # "(" of unary tries a term first and backs off, so without it
+        # nested application annotations are re-parsed at every level.
+        self._terms = {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -180,6 +184,24 @@ class _Parser:
         raise SourceError(pos, "expected a formula")
 
     def term(self) -> Term:
+        start = self.i
+        got = self._terms.get(start)
+        if got is None:
+            try:
+                got = (self._term(), self.i)
+            except SourceError as e:
+                # stored without its traceback and never raised itself: a
+                # traceback holds frames, and through them this parser, a
+                # cycle that keeps every failed attempt alive until the
+                # garbage collector runs
+                got = e.with_traceback(None)
+            self._terms[start] = got
+        if isinstance(got, SourceError):
+            raise SourceError(got.position, got.message)
+        term, self.i = got
+        return term
+
+    def _term(self) -> Term:
         kind, value, pos = self.peek()
         if kind == "const":
             self.next()

@@ -297,22 +297,6 @@ def cs_contains(cs: ConstantSpec, c: Constant, f: Formula) -> bool:
     return _iterated_cs_shape(f)
 
 
-def validate_cs(cs: ConstantSpec) -> list:
-    """Violation list; explicit pairs must pair constants with formulas of
-    the iterated shape over an axiom core."""
-    from .model import validate_cs_structure
-
-    bad = validate_cs_structure(cs)
-    if cs.mode == "explicit":
-        for c, a in cs.pairs:
-            if isinstance(a, Formula) and not _iterated_cs_shape(a):
-                bad.append(
-                    "paired formula %r is not built from an axiom by "
-                    "prefixing and constant justification" % print_formula(a)
-                )
-    return bad
-
-
 # -- proofs and checking --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -572,7 +556,7 @@ def _aux_steps(b: ProofBuilder, t: Term, s: Term, a: Formula, bf: Formula, c: Fo
     return b.taut_consequence(premises, goal)
 
 
-def prove_aux(t: Term, s: Term, a: Formula, bf: Formula, c: Formula, cs: ConstantSpec) -> Proof:
+def prove_aux(t: Term, s: Term, a: Formula, bf: Formula, c: Formula) -> Proof:
     """Proof of [c]t:(a->bf) & [c]s:a <-> [c](t *[a] s):bf; with no
     announcement the statement is a bare App instance."""
     b = ProofBuilder()

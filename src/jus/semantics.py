@@ -296,11 +296,6 @@ class EvalContext:
         return frozenset(w for w, bit in self.batch.bits[b].items() if mask & bit)
 
 
-def push_update(ctx: EvalContext, c: Formula) -> EvalContext:
-    """Context extended by announcing c; worlds and valuations are shared."""
-    return ctx.push(c)
-
-
 def evaluate(ctx: EvalContext, omega: str, f: Formula, b: int = 0) -> int:
     """Truth value in {0, 1} of f at a world of model b under the
     context's chain."""

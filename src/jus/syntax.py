@@ -185,10 +185,6 @@ class Update(Formula):
 
 Node = Union[Term, Formula]
 
-# Update sequences are plain tuples of announcement formulas, applied left to
-# right: prefix((C1, C2), A) is [C1][C2]A.
-UpdateSequence = tuple
-
 
 # Derived connectives are not part of the stored syntax. They expand to the
 # fixed shapes below at construction or parse time; which expansion is chosen
@@ -221,29 +217,29 @@ def is_atomic(t: Term) -> bool:
     return isinstance(t, (Constant, Variable, Up))
 
 
+def _walk(x: Node, kind=(Term, Formula)) -> set:
+    """Every node reachable from x through children that are instances of
+    kind, x included. Iterative, and each shared node is visited once, so
+    the cost is linear in the DAG rather than in the tree it unfolds to."""
+    if not isinstance(x, (Term, Formula)):
+        raise TypeError("expected a term or formula, got %r" % (x,))
+    seen = {x}
+    stack = [x]
+    while stack:
+        for y in stack.pop()._args:
+            if isinstance(y, kind) and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def atm(x: Node) -> frozenset:
     """The atomic subterms of a term or formula.
 
     An up-term counts as atomic itself but its announcement body is searched
     too, as are application annotations.
     """
-    if isinstance(x, (Constant, Variable)):
-        return frozenset((x,))
-    if isinstance(x, Up):
-        return frozenset((x,)) | atm(x.body)
-    if isinstance(x, App):
-        return atm(x.left) | atm(x.right) | atm(x.annotation)
-    if isinstance(x, Prop):
-        return frozenset()
-    if isinstance(x, Not):
-        return atm(x.body)
-    if isinstance(x, Implies):
-        return atm(x.left) | atm(x.right)
-    if isinstance(x, Justifies):
-        return atm(x.term) | atm(x.body)
-    if isinstance(x, Update):
-        return atm(x.body) | atm(x.announcement)
-    raise TypeError("expected a term or formula, got %r" % (x,))
+    return frozenset(y for y in _walk(x) if is_atomic(y))
 
 
 def subformulas(f: Formula) -> frozenset:
@@ -252,16 +248,7 @@ def subformulas(f: Formula) -> frozenset:
     Formulas sitting inside terms (up bodies, application annotations) are
     term content: they contribute to atm but are not subformulas.
     """
-    out = {f}
-    if isinstance(f, Not):
-        out |= subformulas(f.body)
-    elif isinstance(f, Implies):
-        out |= subformulas(f.left) | subformulas(f.right)
-    elif isinstance(f, Justifies):
-        out |= subformulas(f.body)
-    elif isinstance(f, Update):
-        out |= subformulas(f.announcement) | subformulas(f.body)
-    return frozenset(out)
+    return frozenset(_walk(f, Formula))
 
 
 def up_independent(f: Formula) -> bool:
@@ -354,31 +341,9 @@ def eval_closure(f: Formula) -> frozenset:
 
 def constants_in(x: Node) -> frozenset:
     """Indices of all constants occurring anywhere in a term or formula."""
-    out = set()
-    for t in atm(x):
-        if isinstance(t, Constant):
-            out.add(t.index)
-        elif isinstance(t, Up):
-            out |= constants_in(t.body)
-    return frozenset(out)
+    return frozenset(y.index for y in _walk(x) if isinstance(y, Constant))
 
 
 def prop_indices(x: Node) -> frozenset:
     """Indices of all propositions occurring anywhere, term content included."""
-    if isinstance(x, Prop):
-        return frozenset((x.index,))
-    if isinstance(x, (Constant, Variable)):
-        return frozenset()
-    if isinstance(x, Up):
-        return prop_indices(x.body)
-    if isinstance(x, App):
-        return prop_indices(x.left) | prop_indices(x.annotation) | prop_indices(x.right)
-    if isinstance(x, Not):
-        return prop_indices(x.body)
-    if isinstance(x, Implies):
-        return prop_indices(x.left) | prop_indices(x.right)
-    if isinstance(x, Justifies):
-        return prop_indices(x.term) | prop_indices(x.body)
-    if isinstance(x, Update):
-        return prop_indices(x.announcement) | prop_indices(x.body)
-    raise TypeError("expected a term or formula, got %r" % (x,))
+    return frozenset(y.index for y in _walk(x) if isinstance(y, Prop))

@@ -43,7 +43,6 @@ from jus.semantics import (
     evaluate,
     evidence_effective,
     holds,
-    push_update,
     truth_set,
 )
 from jus.syntax import (
@@ -77,7 +76,7 @@ def test_criterion_1_two_world_reproduction(two_world):
     assert evaluate(ctx, "w", parse_formula("x1 : ~ up(P1) : P1")) == 1
     assert evaluate(ctx, "w", parse_formula("[P1] x1 : ~ up(P1) : P1")) == 0
     assert evaluate(ctx, "w", parse_formula("[P1] up(P1) : P1")) == 1
-    assert evidence_effective(push_update(ctx, P1), "w", Up(P1)) == frozenset({"w"})
+    assert evidence_effective(ctx.push(P1), "w", Up(P1)) == frozenset({"w"})
     assert time.perf_counter() - start < 1.0
 
 
@@ -417,7 +416,7 @@ def test_criterion_9_update_preserves_cs():
         if cs_violations(ctx, universe):
             continue  # the generator's guarantee failed; criterion untested
         announcement = _rand_formula(rng, 3)
-        pushed = push_update(ctx, announcement)
+        pushed = ctx.push(announcement)
         bad = cs_violations(pushed, universe)
         if bad:
             broken.append((m, announcement, bad[0]))

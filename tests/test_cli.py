@@ -190,6 +190,28 @@ def test_check_proof_refuses_non_axiom_pair(capsys, tmp_path):
     assert "not in the constant specification" in obj["reason"]
 
 
+def test_check_proof_refuses_malformed_cs_file(capsys, tmp_path):
+    # a mode typo is refused at load, not read as some other mode
+    path = write_proof(tmp_path, [{"formula": "c1 : (P1 -> P1)", "rule": "an"}])
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"mode": "emtpy"}))
+    code, _, err = run_cli(capsys, "check-proof", path, str(cs))
+    assert code == 2
+    assert "mode must be one of empty, explicit, full" in err
+
+
+def test_check_proof_and_search_agree_on_iterated_full_cs(capsys, tmp_path):
+    # full pairs c1 with c2 : (P1 -> P1), so the one-step proof checks,
+    # and search must force that pair onto its models and find no refutation
+    f = "c1 : c2 : (P1 -> P1)"
+    path = write_proof(tmp_path, [{"formula": f, "rule": "an"}])
+    code, _, _ = run_cli(capsys, "check-proof", path, "full")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "search", f)
+    assert code == 0
+    assert json.loads(out)["outcome"] == "exhausted"
+
+
 def test_check_proof_ramsey_round_trip(capsys, tmp_path):
     proof = prove_ramsey(Variable(1), P1, Prop(2), ConstantSpec("full"))
     path = write_proof(tmp_path, proof_to_json(proof))

@@ -9,17 +9,15 @@ from jus.model import (
     SubsetModel,
     cs_from_json,
     cs_to_json,
-    evidence_atomic,
     load_cs,
     load_model,
     model_from_json,
     model_to_json,
     save_model,
-    validate_cs_structure,
     validate_model,
     wmp,
 )
-from jus.semantics import is_cs_model
+from jus.semantics import EvalContext, evidence_effective, is_cs_model
 from jus.syntax import Constant, Implies, Prop, Up, Variable
 
 P1, P2 = Prop(1), Prop(2)
@@ -46,17 +44,19 @@ def test_wmp_includes_empty_support():
 
 
 def test_evidence_atomic_stored(two_world):
-    assert evidence_atomic(two_world, "w", Up(P1)) == frozenset({"w", "v"})
-    assert evidence_atomic(two_world, "w", Variable(1)) == frozenset({"w"})
+    ctx = EvalContext(two_world)
+    assert evidence_effective(ctx, "w", Up(P1)) == frozenset({"w", "v"})
+    assert evidence_effective(ctx, "w", Variable(1)) == frozenset({"w"})
 
 
 def test_evidence_atomic_default_all(two_world):
-    assert evidence_atomic(two_world, "w", Constant(9)) == frozenset(two_world.worlds)
+    got = evidence_effective(EvalContext(two_world), "w", Constant(9))
+    assert got == frozenset(two_world.worlds)
 
 
 def test_evidence_atomic_default_empty():
     m = SubsetModel(worlds=("w",), normal=frozenset({"w"}), evidence_default="empty")
-    assert evidence_atomic(m, "w", Constant(9)) == frozenset()
+    assert evidence_effective(EvalContext(m), "w", Constant(9)) == frozenset()
 
 
 def test_validate_model_accepts(two_world):
@@ -129,11 +129,16 @@ def test_is_cs_model_full_needs_universe(two_world):
 
 
 def test_validate_cs_structure():
-    assert validate_cs_structure(ConstantSpec("empty")) == []
-    bad = validate_cs_structure(ConstantSpec("full", ((Constant(1), P1),)))
-    assert any("explicit mode" in v for v in bad)
-    bad = validate_cs_structure(ConstantSpec("explicit", ((Variable(1), P1),)))
-    assert any("not a constant" in v for v in bad)
+    ConstantSpec("empty")
+    ConstantSpec("explicit", ((Constant(1), P1),))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        ConstantSpec("emtpy")
+    with pytest.raises(ValueError, match="explicit mode"):
+        ConstantSpec("full", ((Constant(1), P1),))
+    with pytest.raises(ValueError, match="not a constant"):
+        ConstantSpec("explicit", ((Variable(1), P1),))
+    with pytest.raises(ValueError, match="not a formula"):
+        ConstantSpec("explicit", ((Constant(1), "P1"),))
 
 
 # -- JSON files ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -91,6 +93,19 @@ def test_error_positions_inside_input():
             parse_formula(text)
         assert 1 <= e.value.position <= len(text) + 1
         assert e.value.message
+
+
+def test_nested_annotations_parse_in_linear_time():
+    # each "(" first tries the application-term reading and backs off, so
+    # without memoised terms every level re-parses the levels inside it
+    text = "P1"
+    for _ in range(18):
+        text = "(x1 *[(%s -> P1)] x2) : P1" % text
+    start = time.perf_counter()
+    f = parse_formula(text)
+    assert time.perf_counter() - start < 1.0
+    assert f.term == App(Variable(1), f.term.annotation, Variable(2))
+    assert parse_formula(print_formula(f)) is f
 
 
 @given(formulas(8))

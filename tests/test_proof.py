@@ -36,7 +36,6 @@ from jus.proof import (
     prove_ramsey,
     taut_check,
     up_instance,
-    validate_cs,
 )
 from jus.syntax import (
     App,
@@ -343,13 +342,6 @@ def test_cs_contains_explicit_and_empty():
     assert not cs_contains(cs, Constant(2), Implies(P1, P1))
 
 
-def test_validate_cs_checks_pair_shape():
-    good = ConstantSpec("explicit", ((Constant(1), up_instance(P1)),))
-    assert validate_cs(good) == []
-    bad = ConstantSpec("explicit", ((Constant(1), P1),))
-    assert any("axiom" in v for v in validate_cs(bad))
-
-
 # -- proof checking -------------------------------------------------------
 
 def test_check_proof_single_axiom():
@@ -380,6 +372,7 @@ def test_check_proof_an_needs_cs():
     fail = check_proof(p, ConstantSpec("explicit", ((Constant(1), P1),)))
     assert isinstance(fail, CheckFailure)
     assert fail.index == 1
+    assert "not in the constant specification" in fail.reason
 
 
 def test_check_proof_failure_modes():
@@ -532,7 +525,7 @@ def test_prove_necessitation_explicit_needs_witness():
 
 
 def test_prove_aux_checks():
-    p = prove_aux(Constant(1), Variable(1), P1, P2, P3, FULL)
+    p = prove_aux(Constant(1), Variable(1), P1, P2, P3)
     assert_checks(p)
     want = equiv(
         conj(
@@ -545,7 +538,7 @@ def test_prove_aux_checks():
 
 
 def test_prove_aux_empty_prefix():
-    p = prove_aux(Constant(1), Variable(1), P1, P2, None, FULL)
+    p = prove_aux(Constant(1), Variable(1), P1, P2, None)
     assert_checks(p)
     assert p.conclusion == app_instance(Constant(1), Variable(1), P1, P2)
 

@@ -26,7 +26,6 @@ from jus.semantics import (
     evidence_effective,
     holds,
     is_cs_model,
-    push_update,
     truth_set,
 )
 from jus.syntax import (
@@ -85,12 +84,12 @@ def test_truth_set_splits_by_world_kind():
 
 
 def test_truth_set_after_announcement(ctx):
-    pushed = push_update(ctx, P1)
+    pushed = ctx.push(P1)
     assert "w" in truth_set(pushed, Justifies(Up(P1), P1))
 
 
 def test_evidence_effective_shrinks_on_announcement(ctx):
-    pushed = push_update(ctx, P1)
+    pushed = ctx.push(P1)
     assert evidence_effective(pushed, "w", Up(P1)) == frozenset({"w"})
 
 
@@ -100,7 +99,7 @@ def test_evidence_effective_base_case(ctx, two_world):
 
 
 def test_evidence_effective_other_terms_unchanged(ctx):
-    pushed = push_update(ctx, P2)
+    pushed = ctx.push(P2)
     assert evidence_effective(pushed, "w", Up(P1)) == frozenset({"w", "v"})
     assert evidence_effective(pushed, "w", Variable(1)) == frozenset({"w"})
 
@@ -111,17 +110,17 @@ def test_evidence_effective_rejects_nonnormal(ctx):
 
 
 def test_push_update_extends_chain(ctx):
-    pushed = push_update(ctx, P1)
+    pushed = ctx.push(P1)
     assert pushed.chain == (P1,)
     assert pushed.base is ctx.base
-    twice = push_update(pushed, P1)
+    twice = pushed.push(P1)
     assert twice.chain == (P1, P1)
 
 
 def test_repeated_announcement_shrinks_monotonically(ctx):
     stages = [ctx]
     for _ in range(3):
-        stages.append(push_update(stages[-1], P1))
+        stages.append(stages[-1].push(P1))
     sets = [evidence_effective(s, "w", Up(P1)) for s in stages]
     for earlier, later in zip(sets, sets[1:]):
         assert later <= earlier
@@ -132,7 +131,7 @@ def test_update_formula_agrees_with_push(ctx):
 
     for f in (P1, DISBELIEF, Justifies(Up(P1), P1)):
         assert evaluate(ctx, "w", Update(P1, f)) == evaluate(
-            push_update(ctx, P1), "w", f
+            ctx.push(P1), "w", f
         )
 
 
@@ -220,8 +219,8 @@ def test_announcement_can_break_persistence():
 def test_nonnormal_worlds_ignore_the_chain(two_world, f):
     ctx = EvalContext(two_world)
     base = evaluate(ctx, "v", f)
-    assert evaluate(push_update(ctx, P1), "v", f) == base
-    assert evaluate(push_update(push_update(ctx, P2), P1), "v", f) == base
+    assert evaluate(ctx.push(P1), "v", f) == base
+    assert evaluate(ctx.push(P2).push(P1), "v", f) == base
 
 
 def test_constant_evidence_defaults_all(ctx):
@@ -270,7 +269,7 @@ def _values(ctx, b, formulas, terms, announcements):
     m = ctx.batch.models[b]
     out = [truth_set(ctx, f, b) for f in formulas]
     out += [holds(ctx, w, f, b) for f in formulas for w in m.worlds]
-    for sub in [ctx] + [push_update(ctx, c) for c in announcements]:
+    for sub in [ctx] + [ctx.push(c) for c in announcements]:
         for w in m.worlds:
             if w in m.normal:
                 out += [evidence_effective(sub, w, t, b) for t in terms]

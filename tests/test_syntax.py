@@ -1,3 +1,5 @@
+import time
+
 from hypothesis import given
 
 from jus.syntax import (
@@ -15,9 +17,11 @@ from jus.syntax import (
     disj,
     equiv,
     falsum,
+    constants_in,
     is_atomic,
     length,
     prefix,
+    prop_indices,
     subformulas,
     up_independent,
 )
@@ -130,3 +134,23 @@ def test_up_independent_restricts_to_subformulas(f):
         for g in subformulas(f):
             if isinstance(g, Update):
                 assert up_independent(g)
+
+
+def test_walks_are_linear_in_shared_dags():
+    # every level uses the previous formula twice, so the tree unfolds to
+    # 2^24 copies of P1; the walks must visit each shared node once
+    f = P1
+    for _ in range(24):
+        f = Implies(f, Not(Justifies(x1, Update(P2, f))))
+    for walk, want in ((atm, {x1}), (prop_indices, {1, 2}), (constants_in, set()),
+                       (up_independent, True)):
+        start = time.perf_counter()
+        got = walk(f)
+        assert time.perf_counter() - start < 1.0, walk.__name__
+        assert got == want
+    # counted outside the assert: a failing assert would print the
+    # formulas, and their repr unfolds the whole tree
+    start = time.perf_counter()
+    count = len(subformulas(f))
+    assert time.perf_counter() - start < 1.0
+    assert count == 2 + 24 * 4
