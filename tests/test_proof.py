@@ -2,8 +2,9 @@
 
 The cross-check section re-states the seven schemas from scratch (its own
 expansion helpers, its own peeling, its own truth tables) and compares the
-verdicts with match_axiom on every formula in a bounded universe. The
-checker itself is trusted nowhere else: every transformer's output goes
+verdicts with match_axiom on every formula in a bounded universe, and on
+seeded instances of every schema together with one-node mutations of them.
+The checker itself is trusted nowhere else: every transformer's output goes
 back through check_proof here and in the acceptance suite.
 """
 
@@ -12,9 +13,11 @@ import random
 
 import pytest
 
+from jus.explore import random_axiom_instances
 from jus.model import ConstantSpec
 from jus.parse import parse_formula, print_formula
 from jus.proof import (
+    SCHEMAS,
     CheckFailure,
     Proof,
     ProofBuilder,
@@ -304,23 +307,115 @@ def _brute_schemas(f) -> set:
         depth += 1
 
 
+def _children(x) -> tuple:
+    if isinstance(x, (Not, Up)):
+        return (x.body,)
+    if isinstance(x, Implies):
+        return (x.left, x.right)
+    if isinstance(x, Justifies):
+        return (x.term, x.body)
+    if isinstance(x, Update):
+        return (x.announcement, x.body)
+    if isinstance(x, App):
+        return (x.left, x.annotation, x.right)
+    return ()
+
+
+def _dag(f) -> set:
+    seen = {f}
+    stack = [f]
+    while stack:
+        for y in _children(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _replacements(x, announcements) -> list:
+    """Nodes that may stand in for x: other leaves, an added or dropped
+    negation, and claims by the up-term of an announcement, which is what
+    the Indep and Pers provisos look for."""
+    if isinstance(x, (Constant, Variable, Up, App)):
+        out = [Constant(1), Variable(2), Up(P2)]
+        out += [Up(c) for c in announcements]
+    else:
+        out = [P2, Not(x), Update(P1, x)]
+        out += [Justifies(Up(c), x) for c in announcements]
+        out += [Not(Justifies(Up(c), x)) for c in announcements]
+        if isinstance(x, Not):
+            out.append(x.body)
+    return [y for y in out if y is not x]
+
+
+def _mutate_once(f, rng):
+    """One node changed at one tree position; every other occurrence of
+    that (interned) node is left as it was."""
+    announcements = sorted({g.announcement for g in _dag(f) if isinstance(g, Update)},
+                           key=repr)
+
+    def paths(x, here):
+        yield here
+        for i, y in enumerate(_children(x)):
+            yield from paths(y, here + (i,))
+
+    def rebuild(x, path):
+        if not path:
+            return rng.choice(_replacements(x, announcements))
+        kids = list(_children(x))
+        kids[path[0]] = rebuild(kids[path[0]], path[1:])
+        return type(x)(*kids)
+
+    return rebuild(f, rng.choice(list(paths(f, ()))))
+
+
+def _mutate_shared(f, rng):
+    """One DAG node changed at every position it occupies, so schema shapes
+    built from repeated parts often survive while their parts change."""
+    nodes = sorted(_dag(f), key=repr)
+    old = rng.choice(nodes)
+    announcements = sorted({g.announcement for g in nodes if isinstance(g, Update)},
+                           key=repr)
+    new = rng.choice(_replacements(old, announcements))
+    memo = {old: new}
+
+    def subst(x):
+        if x not in memo:
+            memo[x] = type(x)(*map(subst, _children(x))) if _children(x) else x
+        return memo[x]
+
+    return subst(f)
+
+
+def _seeded_corpus():
+    """Every schema's seeded instances, each with two one-node mutations."""
+    rng = random.Random(5)
+    for k, schema in enumerate(("Taut", "App", "Indep", "Funct", "Norm", "Up", "Pers")):
+        for f in random_axiom_instances(schema, 40, seed=100 + k):
+            yield f
+            yield _mutate_once(f, rng)
+            yield _mutate_shared(f, rng)
+
+
 def test_match_axiom_cross_check():
-    counts = {}
-    checked = 0
-    for f in _universe():
-        checked += 1
-        got = {(i.schema, len(i.prefix)) for i in match_axiom(f)}
-        want = _brute_schemas(f)
-        assert got == want, print_formula(f)
-        for schema, _ in got:
-            counts[schema] = counts.get(schema, 0) + 1
-    assert checked > 30000
-    # the length budget admits Taut, Up, and Pers instances only: the
-    # biconditional expansion alone already costs more than nine
-    assert counts.get("Up", 0) > 0
-    assert counts.get("Pers", 0) > 0
-    for schema in ("App", "Indep", "Funct", "Norm"):
-        assert schema not in counts
+    # the bounded universe admits Taut, Up, and Pers instances only: the
+    # biconditional expansion alone already costs more than nine, so the
+    # seeded corpus and its mutations carry the four biconditional schemas
+    for corpus, at_least, present in (
+        (_universe(), 30000, ("Taut", "Up", "Pers")),
+        (_seeded_corpus(), 840, SCHEMAS),
+    ):
+        counts = {}
+        checked = 0
+        for f in corpus:
+            checked += 1
+            got = {(i.schema, len(i.prefix)) for i in match_axiom(f)}
+            want = _brute_schemas(f)
+            assert got == want, print_formula(f)
+            for schema in {schema for schema, _ in got} or {None}:
+                counts[schema] = counts.get(schema, 0) + 1
+        assert checked >= at_least
+        assert set(counts) == set(present) | {None}
 
 
 # -- constant specifications ----------------------------------------------
