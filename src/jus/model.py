@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .parse import SourceError, parse_formula, parse_term, print_formula, print_term
-from .syntax import Constant, Formula, Implies, Prop, Term, is_atomic
+from .syntax import Constant, Formula, Prop, Term, is_atomic
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,6 @@ class ConstantSpec:
                 raise ValueError("paired term %r is not a constant" % (c,))
             if not isinstance(a, Formula):
                 raise ValueError("paired value %r is not a formula" % (a,))
-
-
-def wmp(m: SubsetModel) -> frozenset:
-    """Worlds closed under modus ponens: all normal ones, plus each
-    non-normal world whose v1 support never asserts A and A -> B without
-    also asserting B. Unlisted formulas count as 0, so only the finite
-    support needs scanning."""
-    out = set(m.normal)
-    for omega in m.worlds:
-        if omega in m.normal:
-            continue
-        asserted = [f for (w, f), val in m.v1.items() if w == omega and val]
-        closed = True
-        for f in asserted:
-            if isinstance(f, Implies) and f.left in asserted:
-                if not m.v1.get((omega, f.right), False):
-                    closed = False
-                    break
-        if closed:
-            out.add(omega)
-    return frozenset(out)
 
 
 def validate_model(m: SubsetModel) -> list:

@@ -18,6 +18,11 @@ Under the proviso B keeps its truth set across the announcement (that is
 Indep), non-normal worlds ignore announcements, and the evidence of up(A)
 only shrinks, so the containment that makes up(A):B true survives.
 
+The instance builders (app_instance ... pers_instance) own each schema's
+shape and proviso. match_axiom accepts a formula as an instance only when
+its builder rebuilds that very formula; a builder's ValueError is a failed
+proviso.
+
 Rules: modus ponens, and axiom necessitation concluding [updates]c:A for
 any (c, A) licensed by the constant specification.
 
@@ -67,12 +72,14 @@ def taut_atoms(f: Formula) -> list:
     stack = [f]
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         if isinstance(g, Not):
             stack.append(g.body)
         elif isinstance(g, Implies):
             stack.extend((g.right, g.left))
-        elif g not in seen:
-            seen.add(g)
+        else:
             out.append(g)
     return out
 
@@ -84,7 +91,8 @@ def taut_check(f: Formula) -> bool:
     """Truth-table validity of the boolean skeleton.
 
     Columns of the table are big integers, one bit per assignment row, so
-    the connectives reduce to bitwise operations.
+    the connectives reduce to bitwise operations. Each shared node's column
+    is computed once.
     """
     atoms = taut_atoms(f)
     if len(atoms) > _MAX_TAUT_ATOMS:
@@ -96,11 +104,14 @@ def taut_check(f: Formula) -> bool:
     cols = {atom: pattern(i, 1, (1,), 0, rows) for i, atom in enumerate(atoms)}
 
     def col(g: Formula) -> int:
-        if isinstance(g, Not):
-            return full & ~col(g.body)
-        if isinstance(g, Implies):
-            return full & (~col(g.left) | col(g.right))
-        return cols[g]
+        got = cols.get(g)
+        if got is None:
+            if isinstance(g, Not):
+                got = full & ~col(g.body)
+            else:
+                got = full & (~col(g.left) | col(g.right))
+            cols[g] = got
+        return got
 
     return col(f) == full
 
@@ -114,99 +125,41 @@ class AxiomInstance:
     body: Formula
 
 
-def _un_equiv(g: Formula):
-    """Destructure the fixed biconditional expansion ~((X->Y) -> ~(Y->X))."""
-    if (
-        isinstance(g, Not)
-        and isinstance(g.body, Implies)
-        and isinstance(g.body.left, Implies)
-        and isinstance(g.body.right, Not)
-        and isinstance(g.body.right.body, Implies)
-    ):
-        fwd = g.body.left
-        bwd = g.body.right.body
-        if fwd.left is bwd.right and fwd.right is bwd.left:
-            return fwd.left, fwd.right
-    return None
-
-
-def _un_conj(g: Formula):
-    """Destructure the fixed conjunction expansion ~(X -> ~Y)."""
-    if (
-        isinstance(g, Not)
-        and isinstance(g.body, Implies)
-        and isinstance(g.body.right, Not)
-    ):
-        return g.body.left, g.body.right.body
-    return None
-
-
-def _core_schemas(g: Formula):
-    """Schemas whose prefix-free shape g matches, Taut excluded."""
-    out = []
-    pair = _un_equiv(g)
-    if pair is not None:
-        x, y = pair
-        both = _un_conj(x)
-        if (
-            both is not None
-            and isinstance(both[0], Justifies)
-            and isinstance(both[1], Justifies)
-            and isinstance(both[0].body, Implies)
-            and isinstance(y, Justifies)
-            and isinstance(y.term, App)
-        ):
-            ts, sa = both
+def _core_schemas(g: Formula) -> list:
+    """Schemas whose prefix-free shape g matches, Taut excluded: g is routed
+    by its outer node kinds, and a schema matches when its builder, given
+    the parameters at their fixed positions in g, rebuilds g itself. The
+    Indep and Pers builders walk g for their proviso, so they are called
+    only once the defining identity of their shape holds."""
+    tries = []
+    if isinstance(g, Update):
+        tries.append(("Up", up_instance, g.announcement))
+    elif isinstance(g, Implies):
+        claim = g.left
+        if (isinstance(claim, Justifies) and isinstance(claim.term, Up)
+                and isinstance(g.right, Update) and g.right.body is claim):
+            tries.append(("Pers", pers_instance, claim.term.body, claim.body))
+    elif isinstance(g, Not) and isinstance(g.body, Implies) and isinstance(g.body.left, Implies):
+        # the biconditional expansion ~((X -> Y) -> ~(Y -> X))
+        x, y = g.body.left.left, g.body.left.right
+        if isinstance(y, Justifies) and isinstance(y.term, App):
             t = y.term
-            if (
-                t.left is ts.term
-                and t.right is sa.term
-                and t.annotation is sa.body
-                and ts.body.left is sa.body
-                and ts.body.right is y.body
-            ):
-                out.append("App")
-        if isinstance(x, Update) and x.body is y and up_independent(x):
-            out.append("Indep")
-        if (
-            isinstance(x, Update)
-            and isinstance(x.body, Not)
-            and isinstance(y, Not)
-            and isinstance(y.body, Update)
-            and y.body.announcement is x.announcement
-            and y.body.body is x.body.body
-        ):
-            out.append("Funct")
-        if (
-            isinstance(x, Update)
-            and isinstance(x.body, Implies)
-            and isinstance(y, Implies)
-            and isinstance(y.left, Update)
-            and isinstance(y.right, Update)
-            and y.left.announcement is x.announcement
-            and y.right.announcement is x.announcement
-            and y.left.body is x.body.left
-            and y.right.body is x.body.right
-        ):
-            out.append("Norm")
-    if (
-        isinstance(g, Update)
-        and isinstance(g.body, Justifies)
-        and isinstance(g.body.term, Up)
-        and g.body.term.body is g.announcement
-        and g.body.body is g.announcement
-    ):
-        out.append("Up")
-    if (
-        isinstance(g, Implies)
-        and isinstance(g.left, Justifies)
-        and isinstance(g.left.term, Up)
-        and isinstance(g.right, Update)
-        and g.right.announcement is g.left.term.body
-        and g.right.body is g.left
-        and up_independent(Update(g.right.announcement, g.left.body))
-    ):
-        out.append("Pers")
+            tries.append(("App", app_instance, t.left, t.right, t.annotation, y.body))
+        if isinstance(x, Update):
+            c, a = x.announcement, x.body
+            if a is y:
+                tries.append(("Indep", indep_instance, c, a))
+            if isinstance(a, Not):
+                tries.append(("Funct", funct_instance, c, a.body))
+            if isinstance(a, Implies):
+                tries.append(("Norm", norm_instance, c, a.left, a.right))
+    out = []
+    for schema, build, *params in tries:
+        try:
+            if build(*params) is g:
+                out.append(schema)
+        except ValueError:  # the builder's proviso failed
+            pass
     return out
 
 
@@ -227,6 +180,16 @@ def match_axiom(f: Formula) -> list:
 
 # -- schema instance builders -------------------------------------------
 
+def _require_up_independent(boxed: Formula) -> Formula:
+    """The proviso of Indep and Pers, on the update [C]A they share."""
+    if not up_independent(boxed):
+        raise ValueError(
+            "the update is not up-independent: an announced formula's own "
+            "up-term occurs under it"
+        )
+    return boxed
+
+
 def app_instance(t: Term, s: Term, a: Formula, b: Formula) -> Formula:
     return equiv(
         conj(Justifies(t, Implies(a, b)), Justifies(s, a)),
@@ -235,10 +198,7 @@ def app_instance(t: Term, s: Term, a: Formula, b: Formula) -> Formula:
 
 
 def indep_instance(c: Formula, a: Formula) -> Formula:
-    boxed = Update(c, a)
-    if not up_independent(boxed):
-        raise ValueError("announced formula's own up-term occurs under the update")
-    return equiv(boxed, a)
+    return equiv(_require_up_independent(Update(c, a)), a)
 
 
 def funct_instance(c: Formula, a: Formula) -> Formula:
@@ -254,8 +214,7 @@ def up_instance(a: Formula) -> Formula:
 
 
 def pers_instance(a: Formula, b: Formula) -> Formula:
-    if not up_independent(Update(a, b)):
-        raise ValueError("announced formula's own up-term occurs under the update")
+    _require_up_independent(Update(a, b))
     claim = Justifies(Up(a), b)
     return Implies(claim, Update(a, claim))
 
@@ -326,6 +285,16 @@ class CheckFailure:
         return "step %d: %s" % (self.index, self.reason)
 
 
+def _mp_premises(p: Proof, step: ProofStep) -> tuple:
+    """An mp step's premises as (i, j), swapped if need be so that step j
+    is an implication whose antecedent is step i."""
+    i, j = step.premises
+    fj = p.steps[j - 1].formula
+    if not (isinstance(fj, Implies) and fj.left is p.steps[i - 1].formula):
+        i, j = j, i
+    return i, j
+
+
 def check_proof(p: Proof, cs: ConstantSpec):
     """None when every step is justified; otherwise the first failure."""
     if not p.steps:
@@ -359,13 +328,10 @@ def check_proof(p: Proof, cs: ConstantSpec):
                 or not all(isinstance(i, int) and 1 <= i < k for i in step.premises)
             ):
                 return CheckFailure(k, "modus ponens needs two earlier step indices")
-            i, j = step.premises
-            fi = p.steps[i - 1].formula
+            i, j = _mp_premises(p, step)
             fj = p.steps[j - 1].formula
-            ok = (isinstance(fj, Implies) and fj.left is fi and fj.right is step.formula) or (
-                isinstance(fi, Implies) and fi.left is fj and fi.right is step.formula
-            )
-            if not ok:
+            if not (isinstance(fj, Implies) and fj.left is p.steps[i - 1].formula
+                    and fj.right is step.formula):
                 return CheckFailure(k, "modus ponens premises do not yield this formula")
         else:
             return CheckFailure(k, "unknown rule %r" % step.rule)
@@ -462,12 +428,7 @@ def prove_box(p: Proof, c: Formula, cs: ConstantSpec) -> Proof:
         elif step.rule == "an":
             new[k] = b.an(g)
         else:
-            i, j = step.premises
-            if not (
-                isinstance(p.steps[j - 1].formula, Implies)
-                and p.steps[j - 1].formula.left is p.steps[i - 1].formula
-            ):
-                i, j = j, i
+            i, j = _mp_premises(p, step)
             x = p.steps[i - 1].formula
             n = b.axiom(norm_instance(c, x, step.formula), "Norm")
             new[k] = b.taut_consequence([n, new[j], new[i]], g)
@@ -513,12 +474,7 @@ def prove_necessitation(p: Proof, cs: ConstantSpec):
             term[k] = d
             new[k] = b.an(Justifies(d, step.formula))
         else:
-            i, j = step.premises
-            if not (
-                isinstance(p.steps[j - 1].formula, Implies)
-                and p.steps[j - 1].formula.left is p.steps[i - 1].formula
-            ):
-                i, j = j, i
+            i, j = _mp_premises(p, step)
             x = p.steps[i - 1].formula
             u, v = term[j], term[i]
             goal = Justifies(App(u, x, v), step.formula)
@@ -574,11 +530,6 @@ def prove_ramsey(s: Term, c: Formula, a: Formula, cs: ConstantSpec) -> Proof:
     to that inside the box yields a, and independence carries s:(c->a)
     itself across the announcement."""
     lhs = Justifies(s, Implies(c, a))
-    if not up_independent(Update(c, lhs)):
-        raise ValueError(
-            "up(%s) occurs in %s: the boxed premise is not up-independent"
-            % (print_formula(c), print_formula(lhs))
-        )
     b = ProofBuilder()
     up_idx = b.axiom(up_instance(c), "Up")
     ind_idx = b.axiom(indep_instance(c, lhs), "Indep")
@@ -602,13 +553,11 @@ def prove_persistence_fo(t: Term, a: Formula, c: Formula, cs: ConstantSpec) -> P
     Beyond the justification-free requirement on a, the recursion is only
     sound when every application annotation inside t is justification-free
     too, when up(c) is not an atomic subterm of any non-up(c) leaf, and
-    when c itself is up-independent, which the provisos of both Indep and
-    Pers require; these are enforced, not assumed.
+    when c itself is up-independent, which the Indep and Pers builders
+    check at each leaf; these are enforced, not assumed.
     """
     if not _justification_free(a):
         raise ValueError("justified formula %s contains a justification" % print_formula(a))
-    if not up_independent(c):
-        raise ValueError("announcement %s is not up-independent" % print_formula(c))
 
     def scan(term: Term):
         if isinstance(term, App):
@@ -632,7 +581,7 @@ def prove_persistence_fo(t: Term, a: Formula, c: Formula, cs: ConstantSpec) -> P
         claim = Justifies(term, body)
         goal = Implies(claim, Update(c, claim))
         if isinstance(term, Up) and term.body is c:
-            return b.axiom(goal, "Pers")
+            return b.axiom(pers_instance(c, body), "Pers")
         if is_atomic(term):
             ind = b.axiom(indep_instance(c, claim), "Indep")
             return b.taut_consequence([ind], goal)

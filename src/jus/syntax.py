@@ -265,30 +265,23 @@ def up_independent(f: Formula) -> bool:
 
 
 def length(x: Node) -> int:
-    """Structural length; atomic terms count 1 regardless of their bodies."""
-    if isinstance(x, Term):
-        if is_atomic(x):
-            return 1
-        return length(x.left) + length(x.right) + length(x.annotation) + 1
-    if isinstance(x, Prop):
-        return 1
-    if isinstance(x, Not):
-        return length(x.body) + 1
-    if isinstance(x, Implies):
-        return length(x.left) + length(x.right) + 1
-    if isinstance(x, Justifies):
-        return length(x.term) + length(x.body) + 1
-    if isinstance(x, Update):
-        return length(x.announcement) + length(x.body) + 1
-    raise TypeError("expected a term or formula, got %r" % (x,))
+    """Structural length; atomic terms count 1 regardless of their bodies.
+    Each shared node is measured once, so the cost is linear in the DAG."""
+    memo = {}
 
+    def measure(y: Node) -> int:
+        n = memo.get(y)
+        if n is None:
+            if isinstance(y, Prop) or (isinstance(y, Term) and is_atomic(y)):
+                n = 1
+            elif isinstance(y, (Term, Formula)):
+                n = 1 + sum(map(measure, y._args))
+            else:
+                raise TypeError("expected a term or formula, got %r" % (y,))
+            memo[y] = n
+        return n
 
-def prefix(updates, f: Formula) -> Formula:
-    """Wrap f in a sequence of announcements: prefix((C1, C2), A) = [C1][C2]A."""
-    out = f
-    for c in reversed(tuple(updates)):
-        out = Update(c, out)
-    return out
+    return measure(x)
 
 
 def prefix_splits(f: Formula) -> Iterator[tuple]:

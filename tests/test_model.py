@@ -15,12 +15,16 @@ from jus.model import (
     model_to_json,
     save_model,
     validate_model,
-    wmp,
 )
 from jus.semantics import EvalContext, evidence_effective, is_cs_model
 from jus.syntax import Constant, Implies, Prop, Up, Variable
 
 P1, P2 = Prop(1), Prop(2)
+
+
+def wmp(m: SubsetModel) -> frozenset:
+    ctx = EvalContext(m)
+    return ctx.unmask(ctx.batch.wmp())
 
 
 def test_wmp_contains_normal_worlds():

@@ -40,6 +40,15 @@ def test_parse_error_position():
     assert e.value.position == 7  # dangling operator: offset one past the last byte
 
 
+def test_parse_error_reports_the_reading_that_got_further():
+    # "(" is read as an application term, which fails at the "]" where its
+    # annotation needs a formula, and as a parenthesized formula, which
+    # fails already at the "*" after x1
+    with pytest.raises(SourceError) as e:
+        parse_formula("(x1 *[(] -> P1)] x2) : P1")
+    assert (e.value.position, e.value.message) == (8, "expected a formula")
+
+
 def test_parse_term_examples():
     assert parse_term("c1") == Constant(1)
     assert parse_term("(c1 *[P1] x2)") == App(Constant(1), P1, Variable(2))

@@ -20,7 +20,6 @@ from jus.syntax import (
     constants_in,
     is_atomic,
     length,
-    prefix,
     prop_indices,
     subformulas,
     up_independent,
@@ -81,13 +80,6 @@ def test_length_update():
     assert length(Not(P1)) == 2
 
 
-def test_prefix():
-    assert prefix((), P1) is P1
-    assert prefix((P1,), P2) == Update(P1, P2)
-    f = Justifies(x1, P1)
-    assert prefix((P1, P2), f) == Update(P1, Update(P2, f))
-
-
 def test_sugar_expansions():
     assert conj(P1, P2) == Not(Implies(P1, Not(P2)))
     assert disj(P1, P2) == Implies(Not(P1), P2)
@@ -118,7 +110,7 @@ def test_atm_elements_are_atomic(f):
 
 @given(formulas(3), formulas(2), formulas(2))
 def test_atm_of_prefix_is_union(f, c1_, c2_):
-    assert atm(prefix((c1_, c2_), f)) == atm(f) | atm(c1_) | atm(c2_)
+    assert atm(Update(c1_, Update(c2_, f))) == atm(f) | atm(c1_) | atm(c2_)
 
 
 @given(formulas(4))
@@ -137,15 +129,17 @@ def test_up_independent_restricts_to_subformulas(f):
 
 
 def test_walks_are_linear_in_shared_dags():
-    # every level uses the previous formula twice, so the tree unfolds to
+    # every level uses the previous formula twice, so the trees unfold to
     # 2^24 copies of P1; the walks must visit each shared node once
-    f = P1
+    f = g = P1
     for _ in range(24):
         f = Implies(f, Not(Justifies(x1, Update(P2, f))))
-    for walk, want in ((atm, {x1}), (prop_indices, {1, 2}), (constants_in, set()),
-                       (up_independent, True)):
+        g = Implies(g, Not(g))
+    for walk, x, want in ((atm, f, {x1}), (prop_indices, f, {1, 2}),
+                          (constants_in, f, set()), (up_independent, f, True),
+                          (length, f, 7 * 2 ** 24 - 6), (length, g, 3 * 2 ** 24 - 2)):
         start = time.perf_counter()
-        got = walk(f)
+        got = walk(x)
         assert time.perf_counter() - start < 1.0, walk.__name__
         assert got == want
     # counted outside the assert: a failing assert would print the
