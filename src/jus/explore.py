@@ -15,6 +15,12 @@ smaller (lex-leader symmetry breaking). Search and enumeration share that
 one scan; a SubsetModel is built only for a reported countermodel and for
 the models enumerate_models yields.
 
+A soundness sweep packs each batch of random trials once and forces the
+CS on its masks: a constant's evidence rows become the meet of its paired
+formulas' truth masks until the meets stop changing. A SubsetModel is
+decoded from the forced batch only for a trial with a reported violation
+and for random_cs_model's answer.
+
 Nothing here certifies validity: an exhausted search means only that no
 countermodel exists within the stated bounds.
 """
@@ -22,13 +28,15 @@ countermodel exists within the stated bounds.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 
-from .model import ConstantSpec, SubsetModel
+from .model import ConstantSpec, SubsetModel, model_to_json
 from .parse import print_formula, print_term
-from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, pattern, truth_set
+from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
+                    norm_instance, pers_instance, up_instance)
+from .semantics import (Batch, EvalContext, cs_violations, evidence_effective, false_at_normal,
+                        holds, pattern)
 from .syntax import (
     App,
     Constant,
@@ -67,6 +75,10 @@ class ModelSignature:
             raise ValueError("the number of non-normal worlds cannot be negative")
         if not all(is_atomic(t) for t in self.atoms):
             raise ValueError("signature atoms must be atomic terms")
+        if not all(isinstance(p, int) and p >= 1 for p in self.propositions):
+            raise ValueError("signature propositions must be indices >= 1")
+        if not all(isinstance(g, Formula) for g in self.v1_support):
+            raise ValueError("the signature's v1 support must be formulas")
 
 
 def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> ModelSignature:
@@ -272,18 +284,14 @@ def enumerate_models(sig: ModelSignature):
 
 def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     """A random model over the signature, with each listed constant's
-    evidence forced into its paired formulas' truth sets.
-
-    The forcing assignment can shift truth sets that mention the constants
-    being forced, so it is repeated until a fixed point; interdependent
-    universes that oscillate are reported rather than half-applied.
-    """
-    return random_cs_models(sig, cs_universe, [seed])[0]
+    evidence forced into its paired formulas' truth sets; RuntimeError if
+    the forcing never settles (see _forced)."""
+    return _decoded(_forced(sig, cs_universe, [seed]), cs_universe, 0)
 
 
 def _random_model(sig: ModelSignature, constants, seed: int) -> SubsetModel:
     """A random model over the signature, the given constants' evidence
-    being every world until forced."""
+    being every world until forced. Valid by construction."""
     rng = random.Random(seed)
     n = rng.randint(1, sig.max_worlds)
     nn = rng.randint(0, min(sig.max_nonnormal, n - 1))
@@ -302,42 +310,47 @@ def _random_model(sig: ModelSignature, constants, seed: int) -> SubsetModel:
     return SubsetModel(worlds, frozenset(normal), v0, v1, evidence, "all")
 
 
-def random_cs_models(sig: ModelSignature, cs_universe, seeds) -> list:
-    """random_cs_model for each seed, forced as one batch. Evaluation never
-    mixes the models of a batch, so each model takes the same forcing
-    rounds to the same fixed point as it would alone."""
+def _forced(sig: ModelSignature, cs_universe, seeds) -> EvalContext:
+    """The random models of the seeds packed as one batch, each listed
+    constant's evidence forced to the meet of its paired formulas' truth
+    masks.
+
+    Forcing can shift truth sets that mention the constants being forced,
+    so it is repeated until the meets stop changing; interdependent
+    universes that oscillate are reported rather than half-applied.
+    Evaluation never mixes the models of a batch, so each model reaches
+    the fixed point it would reach alone. The batch's models keep their
+    drawn constant evidence; the forced evidence is in the rows.
+    """
     constants = {c for c, _ in cs_universe}
-    models = [_random_model(sig, constants, seed) for seed in seeds]
-    if not cs_universe:
-        return models
-    pending = list(range(len(models)))
+    if not all(is_atomic(c) for c in constants):
+        raise ValueError("only atomic terms carry forced evidence")
+    ctx = EvalContext(Batch.pack([_random_model(sig, constants, seed) for seed in seeds]))
+    met = {}  # what only an empty universe's meets equal
     for _ in range(len(cs_universe) + 2):
-        ctx = EvalContext([models[k] for k in pending])
-        shifted = []
-        for b, k in enumerate(pending):
-            m = models[k]
-            forced = {}
-            for c in constants:
-                members = set(m.worlds)
-                for d, a in cs_universe:
-                    if d is c:
-                        members &= truth_set(ctx, a, b)
-                forced[c] = frozenset(members)
-            new_evidence = dict(m.evidence)
-            for w in m.worlds:
-                if w in m.normal:
-                    for c in constants:
-                        new_evidence[(w, c)] = forced[c]
-            if new_evidence != m.evidence:
-                models[k] = SubsetModel(m.worlds, m.normal, m.v0, m.v1, new_evidence, "all")
-                shifted.append(k)
-        pending = shifted
-        if not pending:
-            return models
+        meets = {}
+        for c, a in cs_universe:
+            meets[c] = meets.get(c, ctx.batch.lanes) & ctx.truth_mask(a)
+        if meets == met:
+            return ctx
+        met = meets
+        slots = ctx.batch.slots
+        ctx = EvalContext(ctx.batch.with_evidence({c: (meet,) * slots
+                                                   for c, meet in meets.items()}))
     raise RuntimeError(
         "constant evidence kept shifting; the specification universe is "
         "too self-referential to force by fixed point"
     )
+
+
+def _decoded(ctx: EvalContext, cs_universe, b: int) -> SubsetModel:
+    """Model b of a forced batch, with its constants' forced evidence."""
+    m = ctx.batch.models[b]
+    evidence = dict(m.evidence)
+    for c, _ in cs_universe:
+        for w in m.normal:
+            evidence[w, c] = evidence_effective(ctx, w, c, b)
+    return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, "all")
 
 
 # models per evaluation batch of the sweep: a bit of every mask each, so
@@ -357,13 +370,6 @@ class SearchReport:
     bounds: ModelSignature
     model: SubsetModel = None
     world: str = None
-
-
-def _batches(items):
-    """Consecutive lists of BATCH items."""
-    it = iter(items)
-    while batch := list(itertools.islice(it, BATCH)):
-        yield batch
 
 
 def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> SearchReport:
@@ -410,7 +416,7 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
     return SearchReport("exhausted", scanned, sig)
 
 
-def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int, seed=None):
+def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int, seed: int = 0):
     """Evaluates each theorem's conclusion at every normal world of random
     CS-models; returns (formula, model, world) triples that came out false.
 
@@ -421,10 +427,6 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
     is the set of pairs the proofs' necessitation steps rely on, plus any
     explicit pairs.
     """
-    from .proof import _peel_an, check_proof
-
-    if seed is None:
-        seed = int(os.environ.get("JUS_SEED", "0"))
     universe = []
     seen = set()
     conclusions = []
@@ -449,12 +451,14 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
                 seen.add(pair)
                 universe.append(pair)
     violations = []
-    for seeds in _batches(range(seed, seed + trials)):
-        batch = random_cs_models(sig, universe, seeds)
-        ctx = EvalContext(batch)
-        masks = [(f, false_at_normal(ctx, f)) for f in conclusions]
-        false = [(f, mask) for f, mask in masks if mask]
-        for b, m in enumerate(batch):
+    for start in range(seed, seed + trials, BATCH):
+        ctx = _forced(sig, universe, range(start, min(start + BATCH, seed + trials)))
+        false = [(f, mask) for f in conclusions if (mask := false_at_normal(ctx, f))]
+        refuted = 0
+        for _, mask in false:
+            refuted |= mask
+        for b in _set_bits(ctx.batch.models_in(refuted)):
+            m = _decoded(ctx, universe, b)
             for f, mask in false:
                 refuting = ctx.unmask(mask, b)
                 violations.extend((f, m, w) for w in m.worlds if w in refuting)
@@ -498,9 +502,6 @@ def random_axiom_instances(schema: str, count: int, seed: int):
     redrawn until their up-independence proviso holds, so their bodies
     never mention the up-term of their own announcement.
     """
-    from .proof import (app_instance, funct_instance, indep_instance,
-                        norm_instance, pers_instance, up_instance)
-
     rng = random.Random(seed)
     pool = [_rand_formula(rng, 2) for _ in range(10)] + [Prop(1), Prop(2)]
     terms = [_rand_term(rng, 2) for _ in range(6)] + [Constant(1)]
@@ -572,8 +573,6 @@ def signature_to_json(sig: ModelSignature) -> dict:
 
 
 def report_to_json(report: SearchReport) -> dict:
-    from .model import model_to_json
-
     out = {"outcome": report.outcome, "models_scanned": report.models_scanned}
     if report.outcome == "countermodel":
         out["world"] = report.world

@@ -167,18 +167,19 @@ class _Parser:
             return Justifies(term, self.unary())
         if kind == "(":
             # Either a parenthesized formula or an application term followed
-            # by ':'. Try the term reading first and back off on failure;
-            # when both fail, report the one that got further. Only the
-            # (position, message) of a failure is kept: the exception's
-            # traceback holds this parser's frames, a cycle that keeps them
-            # alive until the garbage collector runs.
+            # by ':'. Try the term reading first and back off when it fails
+            # or no ':' follows it; when both readings fail, report the one
+            # that got further. Only the (position, message) of a failure is
+            # kept: the exception's traceback holds this parser's frames, a
+            # cycle that keeps them alive until the garbage collector runs.
             mark = self.i
-            term_fault = None
             try:
                 term = self.term()
+                tok = self.peek()
+                term_fault = None if tok[0] == ":" else (tok[2], "expected ':' after a term")
             except SourceError as e:
-                term, term_fault = None, (e.position, e.message)
-            if term is not None and self.peek()[0] == ":":
+                term_fault = (e.position, e.message)
+            if term_fault is None:
                 self.next()
                 return Justifies(term, self.unary())
             self.i = mark
@@ -189,9 +190,7 @@ class _Parser:
                 return inner
             except SourceError as e:
                 fault = (e.position, e.message)
-            if term_fault is not None and term_fault[0] > fault[0]:
-                fault = term_fault
-            raise SourceError(*fault)
+            raise SourceError(*max(fault, term_fault, key=lambda f: f[0]))
         raise SourceError(pos, "expected a formula")
 
     def term(self) -> Term:

@@ -42,7 +42,7 @@ leaves its context as usable as before.
 
 from __future__ import annotations
 
-from .model import ConstantSpec, SubsetModel, validate_model
+from .model import SubsetModel, validate_model
 from .syntax import (
     App,
     Formula,
@@ -66,10 +66,13 @@ class Batch:
     its evidence rows E[t] (row i is the evidence at world slot i). An
     atomic term without rows has the default mask as its evidence at
     every slot. The masks may come from a layout with no SubsetModel
-    behind it. Batch.pack packs models, and only a packed batch knows its
-    models and where their worlds sit (models and bits). Neither
-    validates anything; EvalContext validates any model handed to it
-    directly, so pack only models known to be valid.
+    behind it. Batch.pack packs models, and only a packed batch names
+    worlds: models[b] gives model b's worlds and which are normal, and
+    bits[b] where they sit. Evidence is read from the rows
+    (evidence_effective), not from models: with_evidence replaces rows
+    but keeps the models, stored evidence and all. Neither validates
+    anything; EvalContext validates any model handed to it directly, so
+    pack only models known to be valid.
     """
 
     __slots__ = ("width", "slots", "full", "offsets", "normal", "lanes", "v0", "v1",
@@ -142,6 +145,15 @@ class Batch:
         batch.bits = world_bits
         return batch
 
+    def with_evidence(self, rows: dict) -> "Batch":
+        """This batch with the evidence rows of the given atomic terms
+        replaced."""
+        batch = Batch(self.width, self.slots, self.normal, self.lanes, self.v0, self.v1,
+                      {**self._evidence, **rows}, self._default)
+        batch.models = self.models
+        batch.bits = self.bits
+        return batch
+
     def models_in(self, mask: int) -> int:
         """The models (bit b for model b) with a bit set in some slot."""
         step = self.width
@@ -203,12 +215,10 @@ class EvalContext:
 
     base is a SubsetModel, a sequence of them, or a Batch. Models are
     checked against validate_model; a Batch is taken as packed. The
-    attribute base is the batch's first model (the model, for a batch of
-    one; None for a batch made of masks alone), and batch holds the
-    packed layout.
+    attribute batch holds the packed layout.
     """
 
-    __slots__ = ("base", "batch", "chain", "_parent", "_children", "_memo", "_eff")
+    __slots__ = ("batch", "chain", "_parent", "_children", "_memo", "_eff")
 
     def __init__(self, base, _parent: "EvalContext" = None, _c: Formula = None):
         if _parent is None:
@@ -220,12 +230,10 @@ class EvalContext:
                         raise ValueError("invalid model: " + "; ".join(bad))
                 base = Batch.pack(models)
             self.batch = base
-            self.base = base.models[0] if base.models else None
             self.chain = ()
             state = ({}, {}, {})
         else:
             self.batch = _parent.batch
-            self.base = _parent.base
             self.chain = _parent.chain + (_c,)
             # a pushed context's memos live in its parent's _children, so
             # no context refers to its children: without a reference cycle
@@ -237,7 +245,7 @@ class EvalContext:
         self._memo, self._eff, self._children = state
 
     def push(self, c: Formula) -> "EvalContext":
-        return EvalContext(self.base, self, c)
+        return EvalContext(self.batch, self, c)
 
     def truth_mask(self, f: Formula) -> int:
         got = self._memo.get(f)
@@ -328,30 +336,11 @@ def evidence_effective(ctx: EvalContext, omega: str, t: Term, b: int = 0) -> fro
 
 
 def cs_violations(ctx: EvalContext, universe, b: int = 0) -> list:
-    """(world, constant, formula) triples of model b where constant
-    evidence escapes the formula's truth set, in the given context."""
-    m = ctx.batch.models[b]
-    lane = sum(ctx.batch.bits[b].values())
+    """(world, constant, formula) triples of model b where c : A fails at
+    a normal world for a pair (c, A) of the universe, that is where the
+    constant's evidence escapes A's truth set, in the given context."""
     bad = []
     for c, a in universe:
-        outside = lane & ~ctx.truth_mask(a)
-        rows = ctx.evidence_mask(c)
-        for i, w in enumerate(m.worlds):
-            if w in m.normal and rows[i] & outside:
-                bad.append((w, c, a))
+        false = false_at_normal(ctx, Justifies(c, a))
+        bad.extend((w, c, a) for w, bit in ctx.batch.bits[b].items() if false & bit)
     return bad
-
-
-def is_cs_model(m: SubsetModel, cs: ConstantSpec, universe=None) -> bool:
-    """Whether every constant's evidence sits inside its paired formula's
-    truth set. Explicit mode defaults the universe to the stored pairs;
-    full mode pairs infinitely many formulas, so a finite universe of the
-    pairs relevant to the queries at hand must be supplied."""
-    if cs.mode == "empty":
-        return True
-    if universe is None:
-        if cs.mode == "explicit":
-            universe = cs.pairs
-        else:
-            raise ValueError("full mode needs a finite universe of pairs to check")
-    return not cs_violations(EvalContext(m), universe)

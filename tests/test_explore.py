@@ -20,7 +20,6 @@ from jus.explore import (
     find_countermodel,
     random_axiom_instances,
     random_cs_model,
-    random_cs_models,
     report_to_json,
     signature_for,
     signature_to_json,
@@ -29,8 +28,9 @@ from jus.explore import (
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
-from jus.semantics import EvalContext, cs_violations, evaluate, holds, is_cs_model, pattern
+from jus.semantics import EvalContext, cs_violations, evaluate, holds, pattern
 from jus.syntax import (
+    App,
     Constant,
     Implies,
     Justifies,
@@ -40,6 +40,7 @@ from jus.syntax import (
     Update,
     Variable,
     atm,
+    falsum,
 )
 
 P1, P2 = Prop(1), Prop(2)
@@ -53,6 +54,12 @@ def test_signature_validation():
         ModelSignature((), (Justifies,), 1, 0, ())
     with pytest.raises(ValueError, match="non-normal"):
         ModelSignature((1,), (), 2, -1, ())
+    # random draws and enumerated models are packed unvalidated, so the
+    # signature must rule out every invalid model it could describe
+    with pytest.raises(ValueError, match="propositions"):
+        ModelSignature((0,), (), 1, 0, ())
+    with pytest.raises(ValueError, match="formulas"):
+        ModelSignature((1,), (), 2, 1, ("P1",))
 
 
 def test_signature_for_collects_the_needed_pieces():
@@ -323,11 +330,12 @@ def test_random_cs_model_guarantee():
         (Constant(1), Implies(P1, P1)),
         (Constant(2), P1),
     ]
-    cs = ConstantSpec("full")
     for seed in range(25):
         m = random_cs_model(sig, uni, seed)
         assert validate_model(m) == []
-        assert is_cs_model(m, cs, uni)
+        assert cs_violations(EvalContext(m), uni) == []
+    with pytest.raises(ValueError, match="atomic"):
+        random_cs_model(sig, [(App(Constant(1), P1, Constant(2)), P1)], 0)
 
 
 def test_random_cs_models_force_like_one_at_a_time():
@@ -339,7 +347,28 @@ def test_random_cs_models_force_like_one_at_a_time():
         (Constant(2), P1),
     ]
     seeds = range(100, 170)
-    assert random_cs_models(sig, uni, seeds) == [random_cs_model(sig, uni, s) for s in seeds]
+    ctx = explore._forced(sig, uni, seeds)
+    got = [explore._decoded(ctx, uni, b) for b in range(len(seeds))]
+    assert got == [random_cs_model(sig, uni, s) for s in seeds]
+
+
+def test_forcing_that_never_settles_raises():
+    # c1 : P1 needs c1's evidence inside the worlds where c1 : P1 holds,
+    # which shrinks as the evidence does: some draws oscillate
+    c1 = Constant(1)
+    sig = ModelSignature((1,), (), 2, 1, (P1,))
+    uni = [(c1, Justifies(c1, P1))]
+    raised = set()
+    for seed in range(20):
+        try:
+            random_cs_model(sig, uni, seed)
+        except RuntimeError:
+            raised.add(seed)
+    assert raised == {5, 6, 8, 12, 13, 15, 17, 18, 19}
+    cs = ConstantSpec("explicit", tuple(uni))
+    soundness_sweep([P1], cs, sig, 5, seed=0)
+    with pytest.raises(RuntimeError, match="kept shifting"):
+        soundness_sweep([P1], cs, sig, 6, seed=0)
 
 
 def _first_countermodel(f, sig, universe=()):
@@ -460,13 +489,26 @@ def test_soundness_sweep_collects_an_universe():
     assert soundness_sweep([p], cs, sig, 40, seed=4) == []
 
 
-def test_soundness_sweep_reads_seed_env(monkeypatch):
-    sig = signature_for(parse_formula("up(P1) : P1"))
-    bad = parse_formula("up(P1) : P1")
-    monkeypatch.setenv("JUS_SEED", "2")
-    from_env = soundness_sweep([bad], ConstantSpec("empty"), sig, 10)
-    explicit = soundness_sweep([bad], ConstantSpec("empty"), sig, 10, seed=2)
-    assert [(f, m, w) for f, m, w in from_env] == [(f, m, w) for f, m, w in explicit]
+def test_soundness_sweep_reports_the_models_random_cs_model_draws():
+    # the sweep evaluates packed, forced batches and decodes only the
+    # models it reports; each must be its trial's random_cs_model, and
+    # the reported worlds those where one model alone says false. The
+    # falsum fails in every trial, so no trial of either batch is missed
+    pair = (Constant(1), parse_formula("[P1] up(P1) : P1"))
+    cs = ConstantSpec("explicit", (pair,))
+    bogus = parse_formula("up(P1) : P1")
+    claims = [bogus, Justifies(*pair), Implies(P2, Justifies(Constant(1), P1)), falsum()]
+    sig = ModelSignature((1, 2), (Constant(1), Up(P1)), 3, 1, (P1, P2))
+    seed, trials = 11, 100
+    got = soundness_sweep(claims, cs, sig, trials, seed=seed)
+    want = []
+    for r in range(trials):
+        m = random_cs_model(sig, [pair], seed + r)
+        ctx = EvalContext(m)
+        want += [(f, m, w) for f in claims for w in m.worlds
+                 if w in m.normal and not holds(ctx, w, f)]
+    assert got == want
+    assert {f for f, _, _ in got} == {bogus, claims[2], falsum()}
 
 
 def test_random_axiom_instances_match_their_schema():

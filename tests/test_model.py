@@ -16,7 +16,7 @@ from jus.model import (
     save_model,
     validate_model,
 )
-from jus.semantics import EvalContext, evidence_effective, is_cs_model
+from jus.semantics import EvalContext, cs_violations, evidence_effective
 from jus.syntax import Constant, Implies, Prop, Up, Variable
 
 P1, P2 = Prop(1), Prop(2)
@@ -97,10 +97,6 @@ def test_validate_model_more_shapes():
     assert any("evidence_default" in v for v in bad)
 
 
-def test_is_cs_model_empty_mode(two_world):
-    assert is_cs_model(two_world, ConstantSpec("empty"))
-
-
 def test_is_cs_model_explicit_failure():
     # c1's evidence includes a non-normal world that falsifies the axiom.
     ax = Implies(P1, Implies(P2, P1))
@@ -110,8 +106,7 @@ def test_is_cs_model_explicit_failure():
         v1={},  # u reads v1, default 0, so ax is false at u
         evidence={("w", Constant(1)): frozenset({"w", "u"})},
     )
-    cs = ConstantSpec("explicit", ((Constant(1), ax),))
-    assert not is_cs_model(m, cs)
+    assert cs_violations(EvalContext(m), [(Constant(1), ax)]) == [("w", Constant(1), ax)]
 
 
 def test_is_cs_model_explicit_success():
@@ -122,14 +117,7 @@ def test_is_cs_model_explicit_success():
         v1={("u", ax): True},
         evidence={("w", Constant(1)): frozenset({"w", "u"})},
     )
-    cs = ConstantSpec("explicit", ((Constant(1), ax),))
-    assert is_cs_model(m, cs)
-
-
-def test_is_cs_model_full_needs_universe(two_world):
-    with pytest.raises(ValueError):
-        is_cs_model(two_world, ConstantSpec("full"))
-    assert is_cs_model(two_world, ConstantSpec("full"), universe=())
+    assert cs_violations(EvalContext(m), [(Constant(1), ax)]) == []
 
 
 def test_validate_cs_structure():

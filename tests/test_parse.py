@@ -47,6 +47,11 @@ def test_parse_error_reports_the_reading_that_got_further():
     with pytest.raises(SourceError) as e:
         parse_formula("(x1 *[(] -> P1)] x2) : P1")
     assert (e.value.position, e.value.message) == (8, "expected a formula")
+    # the term reading succeeds but no ':' follows it
+    for text in ("(x1 *[P1] x2) P1", "(x1 *[P1] x2) -> P1"):
+        with pytest.raises(SourceError) as e:
+            parse_formula(text)
+        assert (e.value.position, e.value.message) == (15, "expected ':' after a term")
 
 
 def test_parse_term_examples():

@@ -18,14 +18,13 @@ from jus.explore import (
     random_axiom_instances,
     random_cs_model,
 )
-from jus.model import ConstantSpec, SubsetModel
+from jus.model import SubsetModel
 from jus.parse import parse_formula
 from jus.semantics import (
     EvalContext,
     evaluate,
     evidence_effective,
     holds,
-    is_cs_model,
     truth_set,
 )
 from jus.syntax import (
@@ -112,7 +111,7 @@ def test_evidence_effective_rejects_nonnormal(ctx):
 def test_push_update_extends_chain(ctx):
     pushed = ctx.push(P1)
     assert pushed.chain == (P1,)
-    assert pushed.base is ctx.base
+    assert pushed.batch is ctx.batch
     twice = pushed.push(P1)
     assert twice.chain == (P1, P1)
 
@@ -146,7 +145,6 @@ def test_holds_nonnormal_reads_v1(ctx):
 def test_holds_theorems_at_cs_model(ctx):
     # Sound schemas hold at normal worlds of any model; empty CS suffices
     # for these instances since no axiom-necessitation constant appears.
-    assert is_cs_model(ctx.base, ConstantSpec("empty"))
     for text in (
         "(P1 -> (P2 -> P1))",
         "[P1] up(P1) : P1",
@@ -228,7 +226,7 @@ def test_constant_evidence_defaults_all(ctx):
     # the formulas true everywhere.
     assert not holds(ctx, "w", Justifies(Constant(9), P1))
     assert holds(ctx, "w", Justifies(Constant(9), Implies(P1, P1))) == (
-        truth_set(ctx, Implies(P1, P1)) == frozenset(ctx.base.worlds)
+        truth_set(ctx, Implies(P1, P1)) == frozenset(ctx.batch.models[0].worlds)
     )
 
 
