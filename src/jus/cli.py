@@ -16,7 +16,6 @@ import sys
 from .explore import find_countermodel, report_to_json, signature_for
 from .model import (
     ConstantSpec,
-    SubsetModel,
     cs_from_json,
     model_from_json,
     model_to_json,
@@ -25,7 +24,7 @@ from .model import (
 )
 from .parse import SourceError, parse_formula, print_formula, print_term
 from .proof import check_proof, cs_contains, proof_from_json, taut_check
-from .semantics import EvalContext, cs_violations, evidence_effective, holds
+from .semantics import EvalContext, cs_violations, decoded, holds
 from .syntax import Constant, Up, constants_in, eval_closure
 
 
@@ -41,6 +40,8 @@ def _read_json(path: str):
         raise InputError("cannot read %s: %s" % (path, e.strerror or e)) from e
     except json.JSONDecodeError as e:
         raise InputError("%s is not valid JSON: %s" % (path, e)) from e
+    except RecursionError as e:
+        raise InputError("%s nests too deeply to read" % path) from e
 
 
 def _model_arg(path: str, validate: bool = True):
@@ -93,12 +94,7 @@ def cmd_eval(args) -> int:
 def cmd_update(args) -> int:
     m = _model_arg(args.model)
     c = _formula_arg(args.formula)
-    pushed = EvalContext(m).push(c)
-    evidence = dict(m.evidence)
-    for w in m.worlds:
-        if w in m.normal:
-            evidence[(w, Up(c))] = evidence_effective(pushed, w, Up(c))
-    updated = SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, m.evidence_default)
+    updated = decoded(EvalContext(m).push(c), [Up(c)])
     try:
         save_model(updated, args.out)
     except OSError as e:
@@ -114,7 +110,10 @@ def cmd_check_proof(args) -> int:
     except ValueError as e:
         raise InputError("%s: %s" % (args.proof, e)) from e
     cs = _cs_arg(args.cs)
-    fail = check_proof(p, cs)
+    try:
+        fail = check_proof(p, cs)
+    except ValueError as e:  # taut_check's refusal of a too-large table
+        raise InputError("%s: %s" % (args.proof, e)) from e
     if fail is None:
         _emit(args, {"ok": True}, "ok")
         return 0
@@ -191,7 +190,10 @@ def cmd_validate(args) -> int:
 
 def cmd_taut(args) -> int:
     f = _formula_arg(args.formula)
-    value = taut_check(f)
+    try:
+        value = taut_check(f)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     _emit(args, value, "tautology" if value else "not a tautology")
     return 0 if value else 1
 

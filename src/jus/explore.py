@@ -35,8 +35,8 @@ from .model import ConstantSpec, SubsetModel, model_to_json
 from .parse import print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     norm_instance, pers_instance, up_instance)
-from .semantics import (Batch, EvalContext, cs_violations, evidence_effective, false_at_normal,
-                        holds, pattern)
+from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
+                        pattern)
 from .syntax import (
     App,
     Constant,
@@ -286,7 +286,7 @@ def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     """A random model over the signature, with each listed constant's
     evidence forced into its paired formulas' truth sets; RuntimeError if
     the forcing never settles (see _forced)."""
-    return _decoded(_forced(sig, cs_universe, [seed]), cs_universe, 0)
+    return decoded(_forced(sig, cs_universe, [seed]), {c for c, _ in cs_universe})
 
 
 def _random_model(sig: ModelSignature, constants, seed: int) -> SubsetModel:
@@ -341,16 +341,6 @@ def _forced(sig: ModelSignature, cs_universe, seeds) -> EvalContext:
         "constant evidence kept shifting; the specification universe is "
         "too self-referential to force by fixed point"
     )
-
-
-def _decoded(ctx: EvalContext, cs_universe, b: int) -> SubsetModel:
-    """Model b of a forced batch, with its constants' forced evidence."""
-    m = ctx.batch.models[b]
-    evidence = dict(m.evidence)
-    for c, _ in cs_universe:
-        for w in m.normal:
-            evidence[w, c] = evidence_effective(ctx, w, c, b)
-    return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, "all")
 
 
 # models per evaluation batch of the sweep: a bit of every mask each, so
@@ -450,6 +440,7 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
             if pair not in seen:
                 seen.add(pair)
                 universe.append(pair)
+    constants = {c for c, _ in universe}
     violations = []
     for start in range(seed, seed + trials, BATCH):
         ctx = _forced(sig, universe, range(start, min(start + BATCH, seed + trials)))
@@ -458,7 +449,7 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
         for _, mask in false:
             refuted |= mask
         for b in _set_bits(ctx.batch.models_in(refuted)):
-            m = _decoded(ctx, universe, b)
+            m = decoded(ctx, constants, b)
             for f, mask in false:
                 refuting = ctx.unmask(mask, b)
                 violations.extend((f, m, w) for w in m.worlds if w in refuting)

@@ -15,6 +15,21 @@ core connectives; the three prefix forms bind to the following unary operand):
 
 Derived connectives (&, |, <->, _|_) are expanded while parsing and the
 printer never emits them, so printing is injective on stored shapes.
+
+A "(" in formula position (an application term or a parenthesized
+formula) is read once. Its first operand is a term, a formula, or a
+nested "(" read the same way. After a term, the next token decides: "*"
+continues an application term, ":" opens a justification that the
+parenthesized formula continues from, and anything else is "expected ':'
+after a term" at that token.
+
+Nesting is capped at MAX_NESTING levels, so the parser's stack and the
+depth of what it returns stay bounded. Each unary, "(" and term reading
+with a part inside (all but P1, _|_, c1 and x1) opens a level until it
+is read, and each binary operator until its chain ends; one level more
+is a SourceError at the token that opens it. Printing parenthesizes
+implications and expands derived connectives, so a chain near the cap
+can print deeper than the cap.
 """
 
 from __future__ import annotations
@@ -40,6 +55,9 @@ from .syntax import (
 )
 
 
+MAX_NESTING = 100  # see the module docstring
+
+
 class SourceError(Exception):
     """Rejected input. The offset is 1-based, counting bytes from the start
     of the text; end-of-input faults point one past the last byte."""
@@ -61,32 +79,28 @@ _TOKEN = re.compile(
   | (?P<arrow>->)
   | (?P<bottom>_\|_)
   | (?P<punct>[()\[\]:~&|*])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise SourceError(pos + 1, "unexpected character %r" % text[pos])
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value = m.group()
-        if kind == "ws":
-            pass
-        elif kind in ("prop", "const", "var"):
-            n = int(value[1:])
-            if n < 1:
-                raise SourceError(pos + 1, "index must be >= 1 in %r" % value)
-            tokens.append((kind, n, pos + 1))
+        pos = m.start() + 1
+        if kind in ("prop", "const", "var"):
+            if int(value[1:]) < 1:
+                raise SourceError(pos, "index must be >= 1 in %r" % value)
+            value = int(value[1:])
         elif kind == "punct":
-            tokens.append((value, value, pos + 1))
-        else:
-            tokens.append((kind, value, pos + 1))
-        pos = m.end()
+            kind = value
+        elif kind == "bad":
+            raise SourceError(pos, "unexpected character %r" % value)
+        if kind != "ws":
+            tokens.append((kind, value, pos))
     tokens.append(("eof", None, len(text) + 1))
     return tokens
 
@@ -95,10 +109,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        # term() by start index: (term, end index) or the SourceError. The
-        # "(" of unary tries a term first and backs off, so without it
-        # nested application annotations are re-parsed at every level.
-        self._terms = {}
+        # open levels; a failed parse is never resumed, so only returns close them
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -112,148 +124,133 @@ class _Parser:
         tok = self.next()
         if tok[0] != kind:
             raise SourceError(tok[2], "expected %s" % what)
-        return tok
 
-    def at_end(self):
-        return self.peek()[0] == "eof"
+    def open(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SourceError(pos, "nested more than %d levels deep" % MAX_NESTING)
 
-    def formula(self) -> Formula:
-        left = self.impl()
-        if self.peek()[0] == "iff":
-            self.next()
-            return equiv(left, self.formula())
-        return left
+    def close(self, node):
+        self.depth -= 1
+        return node
 
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return Implies(left, self.impl())
-        return left
+    def formula(self, first=None) -> Formula:
+        left = self.impl(first)
+        if self.peek()[0] != "iff":
+            return left
+        self.open(self.next()[2])
+        return self.close(equiv(left, self.formula()))
 
-    def disj(self) -> Formula:
-        out = self.conj()
+    def impl(self, first=None) -> Formula:
+        left = self.disj(first)
+        if self.peek()[0] != "arrow":
+            return left
+        self.open(self.next()[2])
+        return self.close(Implies(left, self.impl()))
+
+    def disj(self, first=None) -> Formula:
+        out = self.conj(first)
+        depth = self.depth
         while self.peek()[0] == "|":
-            self.next()
+            self.open(self.next()[2])
             out = disj(out, self.conj())
+        self.depth = depth
         return out
 
-    def conj(self) -> Formula:
-        out = self.unary()
+    def conj(self, first=None) -> Formula:
+        out = self.unary() if first is None else first
+        depth = self.depth
         while self.peek()[0] == "&":
-            self.next()
+            self.open(self.next()[2])
             out = conj(out, self.unary())
+        self.depth = depth
         return out
 
     def unary(self) -> Formula:
         kind, value, pos = self.peek()
+        if kind in ("prop", "bottom"):
+            self.next()
+            return Prop(value) if kind == "prop" else falsum()
+        self.open(pos)
         if kind == "~":
             self.next()
-            return Not(self.unary())
+            return self.close(Not(self.unary()))
         if kind == "[":
             self.next()
             announcement = self.formula()
             self.expect("]", "']'")
-            return Update(announcement, self.unary())
-        if kind == "prop":
-            self.next()
-            return Prop(value)
-        if kind == "bottom":
-            self.next()
-            return falsum()
-        if kind in ("const", "var", "up"):
-            term = self.term()
-            self.expect(":", "':' after a term")
-            return Justifies(term, self.unary())
+            return self.close(Update(announcement, self.unary()))
+        got = self.operand()
+        if got is None:
+            raise SourceError(pos, "expected a formula")
+        return self.close(self.justified(got) if isinstance(got, Term) else got)
+
+    def operand(self):
+        """A term, or what group reads; None when neither starts here."""
+        kind = self.peek()[0]
         if kind == "(":
-            # Either a parenthesized formula or an application term followed
-            # by ':'. Try the term reading first and back off when it fails
-            # or no ':' follows it; when both readings fail, report the one
-            # that got further. Only the (position, message) of a failure is
-            # kept: the exception's traceback holds this parser's frames, a
-            # cycle that keeps them alive until the garbage collector runs.
-            mark = self.i
-            try:
-                term = self.term()
-                tok = self.peek()
-                term_fault = None if tok[0] == ":" else (tok[2], "expected ':' after a term")
-            except SourceError as e:
-                term_fault = (e.position, e.message)
-            if term_fault is None:
-                self.next()
-                return Justifies(term, self.unary())
-            self.i = mark
-            self.next()
-            try:
-                inner = self.formula()
-                self.expect(")", "')'")
-                return inner
-            except SourceError as e:
-                fault = (e.position, e.message)
-            raise SourceError(*max(fault, term_fault, key=lambda f: f[0]))
-        raise SourceError(pos, "expected a formula")
+            return self.group()
+        if kind in ("const", "var", "up"):
+            return self.term()
+        return None
+
+    def justified(self, term: Term) -> Formula:
+        self.expect(":", "':' after a term")
+        return Justifies(term, self.unary())
+
+    def group(self):
+        """A "(" in formula position, read once (see the module docstring)."""
+        self.open(self.next()[2])
+        first = self.operand()
+        if isinstance(first, Term):
+            if self.peek()[0] == "*":
+                return self.close(self.application(first))
+            first = self.justified(first)
+        inner = self.formula(first)
+        self.expect(")", "')'")
+        return self.close(inner)
 
     def term(self) -> Term:
-        start = self.i
-        got = self._terms.get(start)
-        if got is None:
-            try:
-                got = (self._term(), self.i)
-            except SourceError as e:
-                # stored without its traceback and never raised itself: a
-                # traceback holds frames, and through them this parser, a
-                # cycle that keeps every failed attempt alive until the
-                # garbage collector runs
-                got = e.with_traceback(None)
-            self._terms[start] = got
-        if isinstance(got, SourceError):
-            raise SourceError(got.position, got.message)
-        term, self.i = got
-        return term
-
-    def _term(self) -> Term:
-        kind, value, pos = self.peek()
-        if kind == "const":
-            self.next()
-            return Constant(value)
-        if kind == "var":
-            self.next()
-            return Variable(value)
+        kind, value, pos = self.next()
+        if kind in ("const", "var"):
+            return Constant(value) if kind == "const" else Variable(value)
+        self.open(pos)
         if kind == "up":
-            self.next()
             self.expect("(", "'(' after up")
             body = self.formula()
             self.expect(")", "')'")
-            return Up(body)
+            return self.close(Up(body))
         if kind == "(":
-            self.next()
-            left = self.term()
-            self.expect("*", "'*'")
-            self.expect("[", "'['")
-            annotation = self.formula()
-            self.expect("]", "']'")
-            right = self.term()
-            self.expect(")", "')'")
-            return App(left, annotation, right)
+            return self.close(self.application(self.term()))
         raise SourceError(pos, "expected a term")
+
+    def application(self, left: Term) -> Term:
+        """The rest of an application term after its left operand."""
+        self.expect("*", "'*'")
+        self.expect("[", "'['")
+        annotation = self.formula()
+        self.expect("]", "']'")
+        right = self.term()
+        self.expect(")", "')'")
+        return App(left, annotation, right)
+
+
+def _whole(text: str, read):
+    p = _Parser(text)
+    got = read(p)
+    if p.peek()[0] != "eof":
+        raise SourceError(p.peek()[2], "unexpected trailing input")
+    return got
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; raises SourceError with a 1-based offset on bad input."""
-    p = _Parser(text)
-    f = p.formula()
-    if not p.at_end():
-        raise SourceError(p.peek()[2], "unexpected trailing input")
-    return f
+    return _whole(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
     """Parse a bare term (as used in evidence keys and constant specs)."""
-    p = _Parser(text)
-    t = p.term()
-    if not p.at_end():
-        raise SourceError(p.peek()[2], "unexpected trailing input")
-    return t
+    return _whole(text, _Parser.term)
 
 
 def print_term(t: Term) -> str:

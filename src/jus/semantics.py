@@ -335,6 +335,18 @@ def evidence_effective(ctx: EvalContext, omega: str, t: Term, b: int = 0) -> fro
     return ctx.unmask(ctx.evidence_mask(t)[ctx.batch.models[b].worlds.index(omega)], b)
 
 
+def decoded(ctx: EvalContext, terms, b: int = 0) -> SubsetModel:
+    """Model b of a packed batch, with the evidence of the given atomic
+    terms at its normal worlds read back after the whole chain; every
+    other entry is the model's own."""
+    m = ctx.batch.models[b]
+    evidence = dict(m.evidence)
+    for t in terms:
+        for w in m.normal:
+            evidence[w, t] = evidence_effective(ctx, w, t, b)
+    return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, m.evidence_default)
+
+
 def cs_violations(ctx: EvalContext, universe, b: int = 0) -> list:
     """(world, constant, formula) triples of model b where c : A fails at
     a normal world for a pair (c, A) of the universe, that is where the

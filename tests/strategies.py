@@ -36,3 +36,30 @@ def formulas(depth):
         st.tuples(terms(depth - 1), sub).map(lambda x: Justifies(*x)),
         st.tuples(sub, sub).map(lambda x: Update(*x)),
     )
+
+
+# opening text, core, closing text; a family nests its opening n times
+_DEEP = {
+    "~": ("~", "P1", ""),
+    "(": ("(", "P1", ")"),
+    "->": ("(P1 -> ", "P1", ")"),
+    "[C]": ("[P1] ", "P1", ""),
+    "[[C]...]": ("[", "P1", "] P1"),
+    "t :": ("x1 : ", "P1", ""),
+    "up(": ("up(", "P1", ") : P1"),
+    "application left": ("(", "x1", " *[P1] x2)"),
+    "application annotation": ("(x1 *[", "P1", "] x2) : P1"),
+    "-> chain": ("P1 -> ", "P1", ""),
+    "&": ("P1 & ", "P1", ""),
+    "|": ("P1 | ", "P1", ""),
+}
+
+
+def deep(family, n):
+    """The text of a formula that nests one construct of the family n
+    times: "->" nests printed implications, "[C]" chains announcements,
+    "[[C]...]" nests them in announcements, and "-> chain", "&" and "|"
+    chain their operator without parentheses."""
+    opening, core, closing = _DEEP[family]
+    text = opening * n + core + closing * n
+    return text + " : P1" if family == "application left" else text

@@ -345,6 +345,49 @@ def test_taut_verdicts(capsys):
     assert code == 1 and out.strip() == "not a tautology"
 
 
+def test_taut_refuses_too_many_atoms(capsys):
+    code, out, err = run_cli(capsys, "taut", " -> ".join("P%d" % i for i in range(1, 27)))
+    assert (code, out) == (2, "")
+    assert err == "formula has 26 boolean atoms; refusing the 2^26-row table\n"
+
+
+def test_check_proof_refuses_too_many_atoms(capsys, tmp_path):
+    formula = " -> ".join("P%d" % i for i in range(1, 27))
+    path = write_proof(tmp_path, [{"formula": formula, "rule": "axiom"}])
+    code, out, err = run_cli(capsys, "check-proof", path, "full")
+    assert (code, out) == (2, "")
+    assert err == "%s: formula has 26 boolean atoms; refusing the 2^26-row table\n" % path
+
+
+# -- deep input ----------------------------------------------------------------
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = str(tmp_path / "deep.json")
+    with open(deep, "w") as fh:
+        fh.write("[" * 200000)
+    proof = write_proof(tmp_path, [{"formula": "[P1] up(P1) : P1", "rule": "axiom"}])
+    for argv in (["eval", deep, "w", "P1"],
+                 ["update", deep, "P1", "--out", str(tmp_path / "out.json")],
+                 ["validate", deep],
+                 ["check-proof", deep, "full"],
+                 ["check-proof", proof, deep]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "%s nests too deeply to read\n" % deep
+
+
+def test_deep_formulas_exit_2(capsys, two_world_path, tmp_path):
+    code, out, err = run_cli(capsys, "eval", two_world_path, "w", "~" * 3000 + "P1")
+    assert (code, out) == (2, "")
+    assert err == "formula does not parse: at offset 101: nested more than 100 levels deep\n"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"worlds": ["w", "v"], "normal": ["w"], "v1": {"v": {"~" * 3000 + "P1": True}}}))
+    code, out, err = run_cli(capsys, "eval", str(model), "w", "P1")
+    assert (code, out) == (2, "")
+    assert "nested more than 100 levels deep" in err and err.count("\n") == 1
+
+
 # -- entry point ---------------------------------------------------------------
 
 def test_module_entry_point(two_world_path):

@@ -28,7 +28,7 @@ from jus.explore import (
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
-from jus.semantics import EvalContext, cs_violations, evaluate, holds, pattern
+from jus.semantics import EvalContext, cs_violations, decoded, evaluate, holds, pattern
 from jus.syntax import (
     App,
     Constant,
@@ -348,7 +348,7 @@ def test_random_cs_models_force_like_one_at_a_time():
     ]
     seeds = range(100, 170)
     ctx = explore._forced(sig, uni, seeds)
-    got = [explore._decoded(ctx, uni, b) for b in range(len(seeds))]
+    got = [decoded(ctx, {c for c, _ in uni}, b) for b in range(len(seeds))]
     assert got == [random_cs_model(sig, uni, s) for s in seeds]
 
 

@@ -3,7 +3,16 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from jus.parse import SourceError, parse_formula, parse_term, print_formula, print_term
+from jus.cli import main
+from jus.parse import (
+    MAX_NESTING,
+    SourceError,
+    parse_formula,
+    parse_term,
+    print_formula,
+    print_term,
+)
+from jus.semantics import EvalContext, holds
 from jus.syntax import (
     App,
     Constant,
@@ -20,7 +29,7 @@ from jus.syntax import (
     falsum,
 )
 
-from strategies import formulas
+from strategies import deep, formulas
 
 P1, P2 = Prop(1), Prop(2)
 
@@ -41,13 +50,12 @@ def test_parse_error_position():
 
 
 def test_parse_error_reports_the_reading_that_got_further():
-    # "(" is read as an application term, which fails at the "]" where its
-    # annotation needs a formula, and as a parenthesized formula, which
-    # fails already at the "*" after x1
+    # "*" after x1 makes the "(" an application term, which fails at the
+    # "]" where its annotation needs a formula
     with pytest.raises(SourceError) as e:
         parse_formula("(x1 *[(] -> P1)] x2) : P1")
     assert (e.value.position, e.value.message) == (8, "expected a formula")
-    # the term reading succeeds but no ':' follows it
+    # a whole application term, but no ':' follows it
     for text in ("(x1 *[P1] x2) P1", "(x1 *[P1] x2) -> P1"):
         with pytest.raises(SourceError) as e:
             parse_formula(text)
@@ -110,8 +118,7 @@ def test_error_positions_inside_input():
 
 
 def test_nested_annotations_parse_in_linear_time():
-    # each "(" first tries the application-term reading and backs off, so
-    # without memoised terms every level re-parses the levels inside it
+    # every "(" is read once, whatever nests inside its annotation
     text = "P1"
     for _ in range(18):
         text = "(x1 *[(%s -> P1)] x2) : P1" % text
@@ -120,6 +127,91 @@ def test_nested_annotations_parse_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert f.term == App(Variable(1), f.term.annotation, Variable(2))
     assert parse_formula(print_formula(f)) is f
+
+
+# Each branch of the "(" decision and the ties between its two readings:
+# the printed result, or the (offset, message) of the error
+PAREN_CASES = [
+    # a term, then "*": an application term
+    ("(x1 *[P1] x2) : P1", "(x1 *[P1] x2) : P1"),
+    ("((x1 *[P1] x2) *[P2] c1) : P2", "((x1 *[P1] x2) *[P2] c1) : P2"),
+    # a term, then ":": a justification the parenthesized formula goes on from
+    ("(x1 : P1)", "x1 : P1"),
+    ("(x1 : P1 -> P2)", "(x1 : P1 -> P2)"),
+    ("((x1 *[P1] x2) : P1 -> P1)", "((x1 *[P1] x2) : P1 -> P1)"),
+    ("(up(P1) : P1 | P2)", "(~up(P1) : P1 -> P2)"),
+    # a formula first: a parenthesized formula
+    ("(~P1 & P2)", "~(~P1 -> ~P2)"),
+    ("((P1) -> P2)", "(P1 -> P2)"),
+    # a term, then anything else
+    ("(x1)", (4, "expected ':' after a term")),
+    ("(x1 P1", (5, "expected ':' after a term")),
+    ("((x1 *[P1] x2) P1)", (16, "expected ':' after a term")),
+    ("(x1 *[P1] x2)", (14, "expected ':' after a term")),
+    # a formula, then "*"
+    ("((P1) *[P2] x1) : P1", (7, "expected ')'")),
+    ("((x1 : P1) *[P2] x1)", (12, "expected ')'")),
+    # neither
+    ("()", (2, "expected a formula")),
+    ("(x1 *", (6, "expected '['")),
+]
+
+
+@pytest.mark.parametrize("text, want", PAREN_CASES)
+def test_paren_decision(text, want):
+    if isinstance(want, str):
+        assert print_formula(parse_formula(text)) == want
+        return
+    with pytest.raises(SourceError) as e:
+        parse_formula(text)
+    assert (e.value.position, e.value.message) == want
+
+
+# The most levels of each family under MAX_NESTING. A level is an open
+# unary, "(" or term reading with a part inside, or a binary operator:
+# the outermost "(" sits in one more unary level, "up(" and an application
+# annotation cost two levels each (the term or "(", and the unary reading
+# inside), and a printed implication "(A -> B)" three (unary, "(", "->").
+AT_CAP = [
+    ("~", MAX_NESTING),
+    ("(", MAX_NESTING - 1),
+    ("->", MAX_NESTING // 3),
+    ("[C]", MAX_NESTING),
+    ("[[C]...]", MAX_NESTING),
+    ("t :", MAX_NESTING),
+    ("up(", MAX_NESTING // 2),
+    ("application left", MAX_NESTING - 1),
+    ("application annotation", MAX_NESTING // 2),
+    ("-> chain", MAX_NESTING),
+    ("&", MAX_NESTING),
+    ("|", MAX_NESTING),
+]
+
+
+@pytest.mark.parametrize("family, levels", AT_CAP)
+def test_nesting_cap(family, levels, two_world, two_world_path, capsys):
+    f = parse_formula(deep(family, levels))
+    if family not in ("-> chain", "&", "|"):
+        # printing adds the parentheses and connectives a chain leaves
+        # out, so only these texts print within the cap
+        assert parse_formula(print_formula(f)) is f
+    value = holds(EvalContext(two_world), "w", f)  # P1 holds at w
+    if family == "~":
+        assert value == (levels % 2 == 0)
+    with pytest.raises(SourceError, match="nested more than %d levels" % MAX_NESTING):
+        parse_formula(deep(family, levels + 1))
+    assert main(["eval", two_world_path, "w", deep(family, levels + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("formula does not parse: ") and "Traceback" not in err
+
+
+def test_nesting_counts_one_path():
+    # each reading closes its levels when it is read, so three texts five
+    # levels short of the cap fit side by side
+    for family, levels in AT_CAP:
+        text = deep(family, levels - 5)
+        parse_formula("[%s] [%s] %s" % (text, text, text))
 
 
 @given(formulas(8))
