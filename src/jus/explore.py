@@ -15,11 +15,14 @@ smaller (lex-leader symmetry breaking). Search and enumeration share that
 one scan; a SubsetModel is built only for a reported countermodel and for
 the models enumerate_models yields.
 
-A soundness sweep packs each batch of random trials once and forces the
-CS on its masks: a constant's evidence rows become the meet of its paired
-formulas' truth masks until the meets stop changing. A SubsetModel is
-decoded from the forced batch only for a trial with a reported violation
-and for random_cs_model's answer.
+A soundness sweep uses the same encoding. Its random trial is a shape
+drawn by world counts and a uniform raw index of that shape, and a batch
+of trials of mixed shapes packs by one transpose of their indices' bits.
+The CS is forced on the batch's masks: a constant's evidence rows become
+the meet of its paired formulas' truth masks until the meets stop
+changing. A SubsetModel is decoded from a raw index, as enumeration and
+search decode theirs, only for a trial with a reported violation and for
+random_cs_model's answer, which is a sweep's trial packed alone.
 
 Nothing here certifies validity: an exhausted search means only that no
 countermodel exists within the stated bounds.
@@ -27,6 +30,7 @@ countermodel exists within the stated bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -35,8 +39,7 @@ from .model import ConstantSpec, SubsetModel, model_to_json
 from .parse import print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     norm_instance, pers_instance, up_instance)
-from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
-                        pattern)
+from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, pattern
 from .syntax import (
     App,
     Constant,
@@ -99,10 +102,17 @@ def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> Mo
     )
 
 
-def _world_names(n_normal: int, n_nonnormal: int):
-    normal = tuple("w%d" % (i + 1) for i in range(n_normal))
-    other = tuple("u%d" % (i + 1) for i in range(n_nonnormal))
-    return normal, other
+@functools.cache
+def _world_sets(k: int, m: int) -> tuple:
+    """The normal worlds and all the worlds of k normal and m non-normal
+    ones, then every set of worlds in itertools.combinations order, as
+    member bits (bit u for world slot u) and as world names."""
+    normal = tuple("w%d" % (i + 1) for i in range(k))
+    worlds = normal + tuple("u%d" % (i + 1) for i in range(m))
+    subsets = tuple(sum(1 << u for u in c) for r in range(k + m + 1)
+                    for c in itertools.combinations(range(k + m), r))
+    sets = tuple(frozenset(w for u, w in enumerate(worlds) if s >> u & 1) for s in subsets)
+    return normal, worlds, subsets, sets
 
 
 # the values of a one-bit digit that set its column
@@ -119,7 +129,8 @@ class _Shape:
     the evidence set from subsets, all the sets of worlds in
     itertools.combinations order. Over a window of indices each digit is
     a periodic pattern (semantics.pattern), so a window of models packs
-    into a Batch without building any of them.
+    into a Batch without building any of them. A sweep's random trial is
+    a raw index too, and _pack packs any list of them.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -132,33 +143,39 @@ class _Shape:
     """
 
     def __init__(self, sig: ModelSignature, k: int, m: int):
-        self.normal, other = _world_names(k, m)
-        self.worlds = worlds = self.normal + other
+        self.normal, self.worlds, self.subsets, self.sets = _world_sets(k, m)
         self.k = k
-        self.n = n = len(worlds)
+        self.n = n = k + m
         self.sig = sig
-        self.subsets = [sum(1 << i for i in c)
-                        for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-        self.cells = ([("v0", i, p, 1) for i in range(k) for p in sig.propositions]
-                      + [("v1", i, g, 1) for i in range(k, n) for g in sig.v1_support]
-                      + [("ev", i, t, n) for i in range(k) for t in sig.atoms])
-        self.lo = {}  # each cell's lowest bit in the index
+        cells = ([("v0", i, p, 1) for i in range(k) for p in sig.propositions]
+                 + [("v1", i, g, 1) for i in range(k, n) for g in sig.v1_support]
+                 + [("ev", i, t, n) for i in range(k) for t in sig.atoms])
+        self.cells = []  # (kind, slot, x, size, lo): each cell's lowest bit is lo
         lo = 0
-        for kind, i, x, size in reversed(self.cells):
-            self.lo[kind, i, x] = lo
+        for kind, i, x, size in reversed(cells):
+            self.cells.append((kind, i, x, size, lo))
             lo += size
+        self.cells.reverse()
+        self.bits = lo
         self.size = 1 << lo
-        # digits whose set contains world slot u
-        self.members = [frozenset(d for d, s in enumerate(self.subsets) if s >> u & 1)
-                        for u in range(n)]
+        self.lo = {(kind, i, x): lo for kind, i, x, _, lo in self.cells}
+        # the lowest bits of the evidence digits, which _pack rewrites from a
+        # set's rank to its member bits; none where the two always agree
+        self.ranked = ([lo for kind, *_, lo in self.cells if kind == "ev"]
+                       if any(d != s for d, s in enumerate(self.subsets)) else [])
+        self.pairs = None  # built on the first canonical call
+
+    def _renaming_pairs(self) -> list:
+        """Per renaming but the identity, the (own, renamed) column pairs
+        that can differ."""
+        n, k = self.n, self.k
         by_tuple = sorted(self.subsets, key=lambda s: [u for u in range(n) if s >> u & 1])
         rank = {s: r for r, s in enumerate(by_tuple)}
         perms = [pn + po for pn in itertools.permutations(range(k))
                  for po in itertools.permutations(range(k, n))]
         mine = self._encoding(perms[0], rank)
-        # per renaming, the (own, renamed) column pairs that can differ
-        self.pairs = [[(a, b) for a, b in zip(mine, self._encoding(p, rank)) if a != b]
-                      for p in perms[1:]]
+        return [[(a, b) for a, b in zip(mine, self._encoding(p, rank)) if a != b]
+                for p in perms[1:]]
 
     def _encoding(self, perm, rank) -> list:
         """The encoding of the model renamed by perm (slot i to slot
@@ -200,6 +217,8 @@ class _Shape:
                 got = cols[spec] = pattern(*spec, start, width)
             return got
 
+        if self.pairs is None:
+            self.pairs = self._renaming_pairs()
         keep = (1 << width) - 1
         for pairs in self.pairs:
             tied = keep
@@ -220,12 +239,15 @@ class _Shape:
         """The window's models packed for evaluation, in index order."""
         n = self.n
         lanes = (1 << n * width) - 1
+        # the digits whose set contains world slot u
+        members = [frozenset(d for d, s in enumerate(self.subsets) if s >> u & 1)
+                   for u in range(n)]
         v0 = {}
         v1 = {}
-        for kind, i, x, _ in self.cells:
+        for kind, i, x, _, lo in self.cells:
             if kind != "ev":
                 table = v0 if kind == "v0" else v1
-                col = pattern(self.lo[kind, i, x], 1, _ONE, start, width) << i * width
+                col = pattern(lo, 1, _ONE, start, width) << i * width
                 table[x] = table.get(x, 0) | col
         evidence = {}
         for t in self.sig.atoms:
@@ -234,7 +256,7 @@ class _Shape:
                 lo = self.lo["ev", i, t]
                 rows[i] = 0
                 for u in range(n):
-                    rows[i] |= pattern(lo, n, self.members[u], start, width) << u * width
+                    rows[i] |= pattern(lo, n, members[u], start, width) << u * width
             evidence[t] = tuple(rows)
         normal = (1 << self.k * width) - 1  # normal worlds take the first slots
         return Batch(width, n, normal, lanes, v0, v1, evidence, lanes)
@@ -244,16 +266,15 @@ class _Shape:
         v0 = {}
         v1 = {}
         evidence = {}
-        for kind, i, x, size in self.cells:
-            digit = index >> self.lo[kind, i, x] & (1 << size) - 1
-            w = self.worlds[i]
+        for kind, i, x, size, lo in self.cells:
+            digit = index >> lo & (1 << size) - 1
+            key = self.worlds[i], x
             if kind == "v0":
-                v0[w, x] = digit == 1
+                v0[key] = digit == 1
             elif kind == "v1":
-                v1[w, x] = digit == 1
+                v1[key] = digit == 1
             else:
-                s = self.subsets[digit]
-                evidence[w, x] = frozenset(u for j, u in enumerate(self.worlds) if s >> j & 1)
+                evidence[key] = self.sets[digit]
         return SubsetModel(self.worlds, frozenset(self.normal), v0, v1, evidence, "all")
 
 
@@ -285,47 +306,86 @@ def enumerate_models(sig: ModelSignature):
 def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     """A random model over the signature, with each listed constant's
     evidence forced into its paired formulas' truth sets; RuntimeError if
-    the forcing never settles (see _forced)."""
-    return decoded(_forced(sig, cs_universe, [seed]), {c for c, _ in cs_universe})
+    the forcing never settles (see _forced). It is the trial seeded with
+    seed of any soundness_sweep over the signature and universe."""
+    trial = _draw(sig, seed, {})
+    return _decoded(_forced(_pack([trial]), cs_universe), trial, 0,
+                    {c for c, _ in cs_universe})
 
 
-def _random_model(sig: ModelSignature, constants, seed: int) -> SubsetModel:
-    """A random model over the signature, the given constants' evidence
-    being every world until forced. Valid by construction."""
+def _draw(sig: ModelSignature, seed: int, shapes: dict) -> tuple:
+    """The random trial of a seed: (shape, raw index). The world counts
+    come first, then a uniform raw index of their shape, which is a fair
+    coin per truth value and a uniform set of worlds per evidence cell.
+    shapes holds the shapes built so far, by world counts."""
     rng = random.Random(seed)
     n = rng.randint(1, sig.max_worlds)
     nn = rng.randint(0, min(sig.max_nonnormal, n - 1))
-    normal, other = _world_names(n - nn, nn)
-    worlds = normal + other
-    v0 = {(w, p): rng.random() < 0.5 for w in normal for p in sig.propositions}
-    v1 = {(w, g): rng.random() < 0.5 for w in other for g in sig.v1_support}
-    evidence = {
-        (w, t): frozenset(u for u in worlds if rng.random() < 0.5)
-        for w in normal
-        for t in sig.atoms
-    }
-    for w in normal:
-        for c in constants:
-            evidence.setdefault((w, c), frozenset(worlds))
-    return SubsetModel(worlds, frozenset(normal), v0, v1, evidence, "all")
+    shape = shapes.get((n, nn))
+    if shape is None:
+        shape = shapes[n, nn] = _Shape(sig, n - nn, nn)
+    return shape, rng.getrandbits(shape.bits)
 
 
-def _forced(sig: ModelSignature, cs_universe, seeds) -> EvalContext:
-    """The random models of the seeds packed as one batch, each listed
-    constant's evidence forced to the meet of its paired formulas' truth
-    masks.
+def _pack(trials) -> Batch:
+    """Trials, (shape, raw index) pairs of any shapes over one signature,
+    packed as one Batch: lane b is trial b.
+
+    Each index becomes a binary row of one width, its evidence digits
+    rewritten from a set's rank to the set's member bits, and one
+    transpose of all rows puts raw bit j of trial b at bit j * width + b of
+    one integer. A cell of lo and size bits is then a field of size *
+    width bits there, which the cell's shape takes under its own lanes.
+    Evidence is stored at normal slots only, since it is read nowhere
+    else.
+    """
+    width = len(trials)
+    slots = max(shape.n for shape, _ in trials)
+    form = "0%db" % max(shape.bits for shape, _ in trials)
+    rows = []
+    for shape, index in reversed(trials):
+        top = (1 << shape.n) - 1
+        for lo in shape.ranked:
+            d = index >> lo & top
+            index ^= (d ^ shape.subsets[d]) << lo
+        rows.append(format(index, form))
+    raw = int("".join(map("".join, zip(*rows))), 2)
+    own = {}
+    for b, (shape, _) in enumerate(trials):
+        own[shape] = own.get(shape, 0) | 1 << b
+    normal = lanes = 0
+    v0 = {}
+    v1 = {}
+    stored = {t: [0] * slots for t in trials[0][0].sig.atoms}
+    for shape, mine in own.items():
+        # the shape's lanes in each of its world slots, the first k normal
+        spread = sum(mine << i * width for i in range(shape.n))
+        normal |= spread & (1 << shape.k * width) - 1
+        lanes |= spread
+        for kind, i, x, _, lo in shape.cells:
+            field = raw >> lo * width
+            if kind == "ev":
+                stored[x][i] |= field & spread
+            else:
+                table = v0 if kind == "v0" else v1
+                table[x] = table.get(x, 0) | (field & mine) << i * width
+    evidence = {t: tuple(rows) for t, rows in stored.items()}
+    return Batch(width, slots, normal, lanes, v0, v1, evidence, lanes)
+
+
+def _forced(batch: Batch, cs_universe) -> EvalContext:
+    """A context over the batch, each listed constant's evidence forced to
+    the meet of its paired formulas' truth masks.
 
     Forcing can shift truth sets that mention the constants being forced,
     so it is repeated until the meets stop changing; interdependent
     universes that oscillate are reported rather than half-applied.
     Evaluation never mixes the models of a batch, so each model reaches
-    the fixed point it would reach alone. The batch's models keep their
-    drawn constant evidence; the forced evidence is in the rows.
+    the fixed point it would reach alone.
     """
-    constants = {c for c, _ in cs_universe}
-    if not all(is_atomic(c) for c in constants):
+    if not all(is_atomic(c) for c, _ in cs_universe):
         raise ValueError("only atomic terms carry forced evidence")
-    ctx = EvalContext(Batch.pack([_random_model(sig, constants, seed) for seed in seeds]))
+    ctx = EvalContext(batch)
     met = {}  # what only an empty universe's meets equal
     for _ in range(len(cs_universe) + 2):
         meets = {}
@@ -341,6 +401,25 @@ def _forced(sig: ModelSignature, cs_universe, seeds) -> EvalContext:
         "constant evidence kept shifting; the specification universe is "
         "too self-referential to force by fixed point"
     )
+
+
+def _worlds_in(mask: int, shape: _Shape, width: int, b: int) -> list:
+    """The worlds of lane b, of the given shape, whose bit is set in the
+    mask of a batch of the given width."""
+    return [w for i, w in enumerate(shape.worlds) if mask >> i * width + b & 1]
+
+
+def _decoded(ctx: EvalContext, trial: tuple, b: int, terms) -> SubsetModel:
+    """The trial at lane b of the context's batch as a SubsetModel, with
+    the evidence of the given atomic terms at its normal worlds read back
+    from the context; every other entry is the raw model's own."""
+    shape, index = trial
+    m = shape.model(index)
+    evidence = dict(m.evidence)
+    for t in terms:
+        for w, row in zip(shape.normal, ctx.evidence_mask(t)):
+            evidence[w, t] = frozenset(_worlds_in(row, shape, ctx.batch.width, b))
+    return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, "all")
 
 
 # models per evaluation batch of the sweep: a bit of every mask each, so
@@ -441,18 +520,20 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
                 seen.add(pair)
                 universe.append(pair)
     constants = {c for c, _ in universe}
+    shapes = {}
     violations = []
     for start in range(seed, seed + trials, BATCH):
-        ctx = _forced(sig, universe, range(start, min(start + BATCH, seed + trials)))
+        drawn = [_draw(sig, s, shapes) for s in range(start, min(start + BATCH, seed + trials))]
+        ctx = _forced(_pack(drawn), universe)
         false = [(f, mask) for f in conclusions if (mask := false_at_normal(ctx, f))]
         refuted = 0
         for _, mask in false:
             refuted |= mask
         for b in _set_bits(ctx.batch.models_in(refuted)):
-            m = decoded(ctx, constants, b)
+            m = _decoded(ctx, drawn[b], b, constants)
             for f, mask in false:
-                refuting = ctx.unmask(mask, b)
-                violations.extend((f, m, w) for w in m.worlds if w in refuting)
+                violations.extend((f, m, w)
+                                  for w in _worlds_in(mask, drawn[b][0], ctx.batch.width, b))
     return violations
 
 

@@ -169,13 +169,30 @@ def match_axiom(f: Formula) -> list:
     Each decomposition f = [C1]...[Ck]G with k >= 0 is tried against each
     schema; an empty result means f is not an axiom.
     """
-    out = []
+    return list(_instances(f))
+
+
+def _instances(f: Formula, schema: str = None):
+    """match_axiom's instances one at a time, or only those of the given
+    schema, so that a caller that needs the first suitable one stops there
+    and tries no other schema."""
     for lead, g in prefix_splits(f):
-        if taut_check(g):
-            out.append(AxiomInstance("Taut", lead, g))
-        for schema in _core_schemas(g):
-            out.append(AxiomInstance(schema, lead, g))
-    return out
+        if schema in (None, "Taut") and taut_check(g):
+            yield AxiomInstance("Taut", lead, g)
+        if schema != "Taut":
+            for core in _core_schemas(g):
+                if schema in (None, core):
+                    yield AxiomInstance(core, lead, g)
+
+
+def _axiom_failure(f: Formula, schema: str = None):
+    """None when f is an instance of the schema, or of any schema when
+    none is given; otherwise why it is not."""
+    if next(_instances(f, schema), None) is not None:
+        return None
+    if schema is not None and next(_instances(f), None) is not None:
+        return "not an instance of schema %s" % schema
+    return "not an axiom instance"
 
 
 # -- schema instance builders -------------------------------------------
@@ -235,7 +252,7 @@ def _iterated_cs_shape(f: Formula) -> bool:
     """[tau1]c1 : [tau2]c2 : ... : A with n >= 0 and A an axiom."""
     g = f
     while True:
-        if match_axiom(g):
+        if next(_instances(g), None) is not None:
             return True
         peeled = _peel_an(g)
         if peeled is None:
@@ -301,11 +318,9 @@ def check_proof(p: Proof, cs: ConstantSpec):
         return CheckFailure(0, "a proof needs at least one step")
     for k, step in enumerate(p.steps, 1):
         if step.rule == "axiom":
-            insts = match_axiom(step.formula)
-            if not insts:
-                return CheckFailure(k, "not an axiom instance")
-            if step.schema is not None and all(i.schema != step.schema for i in insts):
-                return CheckFailure(k, "not an instance of schema %s" % step.schema)
+            reason = _axiom_failure(step.formula, step.schema)
+            if reason is not None:
+                return CheckFailure(k, reason)
         elif step.rule == "an":
             peeled = _peel_an(step.formula)
             if peeled is None:
@@ -360,14 +375,9 @@ class ProofBuilder:
         return self._steps[idx - 1].formula
 
     def axiom(self, f: Formula, schema: str = None) -> int:
-        insts = match_axiom(f)
-        if schema is None:
-            if not insts:
-                raise ValueError("%s is not an axiom instance" % print_formula(f))
-        elif all(i.schema != schema for i in insts):
-            raise ValueError(
-                "%s is not an instance of schema %s" % (print_formula(f), schema)
-            )
+        reason = _axiom_failure(f, schema)
+        if reason is not None:
+            raise ValueError("%s is %s" % (print_formula(f), reason))
         return self._add(ProofStep(f, "axiom", schema=schema))
 
     def an(self, f: Formula) -> int:

@@ -66,13 +66,15 @@ class Batch:
     its evidence rows E[t] (row i is the evidence at world slot i). An
     atomic term without rows has the default mask as its evidence at
     every slot. The masks may come from a layout with no SubsetModel
-    behind it. Batch.pack packs models, and only a packed batch names
-    worlds: models[b] gives model b's worlds and which are normal, and
-    bits[b] where they sit. Evidence is read from the rows
-    (evidence_effective), not from models: with_evidence replaces rows
-    but keeps the models, stored evidence and all. Neither validates
-    anything; EvalContext validates any model handed to it directly, so
-    pack only models known to be valid.
+    behind it: the search's windows and the sweep's trials are packed
+    from raw indices (jus.explore), and their batches carry no models
+    and no bits. Batch.pack packs models, as from model files, and only
+    a packed batch names worlds: models[b] gives model b's worlds and
+    which are normal, and bits[b] where they sit. Evidence is read from
+    the rows (evidence_effective), not from models: with_evidence
+    replaces rows but keeps the models, stored evidence and all. Neither
+    validates anything; EvalContext validates any model handed to it
+    directly, so pack only models known to be valid.
     """
 
     __slots__ = ("width", "slots", "full", "offsets", "normal", "lanes", "v0", "v1",

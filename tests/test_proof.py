@@ -429,6 +429,38 @@ def test_match_axiom_cross_check():
         assert set(counts) == set(present) | {None}
 
 
+def test_axiom_checks_stop_at_the_first_suitable_instance():
+    # check_proof, ProofBuilder.axiom and cs_contains look only as far as
+    # the first instance they need; their verdicts and reasons must be
+    # those that the whole match_axiom list gives
+    def iterated(g):
+        while not match_axiom(g):
+            if not (isinstance(g, Justifies) and isinstance(g.term, Constant)):
+                return False
+            g = g.body
+        return True
+
+    for f in _seeded_corpus():
+        insts = match_axiom(f)
+        for schema in (None,) + SCHEMAS:
+            if not insts:
+                want = "not an axiom instance"
+            elif schema is not None and all(i.schema != schema for i in insts):
+                want = "not an instance of schema %s" % schema
+            else:
+                want = None
+            got = check_proof(Proof((ProofStep(f, "axiom", schema=schema),)), EMPTY)
+            assert (got.reason if got else None) == want, (print_formula(f), schema)
+            b = ProofBuilder()
+            if want is None:
+                b.axiom(f, schema)
+            else:
+                with pytest.raises(ValueError, match=want):
+                    b.axiom(f, schema)
+        for g in (f, Justifies(Constant(2), f)):
+            assert cs_contains(FULL, Constant(1), g) == iterated(g)
+
+
 # -- constant specifications ----------------------------------------------
 
 def test_cs_contains_full_taut():
