@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
 def cmd_update(args) -> int:
     m = _model_arg(args.model)
     c = _formula_arg(args.formula)
-    updated = decoded(EvalContext(m).push(c), [Up(c)])
+    updated = decoded(EvalContext(m).push(c), m, [Up(c)])
     try:
         save_model(updated, args.out)
     except OSError as e:

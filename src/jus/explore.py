@@ -12,17 +12,19 @@ model is a periodic bit pattern. So a window is evaluated bit-sliced, as
 one Batch, without building a model, and the representatives are a mask
 too: the models whose encoding no renaming makes lexicographically
 smaller (lex-leader symmetry breaking). Search and enumeration share that
-one scan; a SubsetModel is built only for a reported countermodel and for
-the models enumerate_models yields.
+one scan (_windows); a SubsetModel is built only for a reported
+countermodel and for the models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape, and a batch
 of trials of mixed shapes packs by one transpose of their indices' bits.
-The CS is forced on the batch's masks: a constant's evidence rows become
-the meet of its paired formulas' truth masks until the meets stop
-changing. A SubsetModel is decoded from a raw index, as enumeration and
-search decode theirs, only for a trial with a reported violation and for
-random_cs_model's answer, which is a sweep's trial packed alone.
+A window and a batch of trials write their masks through one assembler,
+_assemble, in the lane layout of semantics.Batch. The CS is forced on
+the batch's masks: a constant's evidence rows become the meet of its
+paired formulas' truth masks until the meets stop changing. Only a trial
+with a reported violation, and random_cs_model's answer, which is a
+sweep's trial packed alone, becomes a SubsetModel: its raw model, with
+the forced evidence read back by semantics.decoded.
 
 Nothing here certifies validity: an exhausted search means only that no
 countermodel exists within the stated bounds.
@@ -39,7 +41,8 @@ from .model import ConstantSpec, SubsetModel, model_to_json
 from .parse import print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     norm_instance, pers_instance, up_instance)
-from .semantics import Batch, EvalContext, cs_violations, false_at_normal, holds, pattern
+from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
+                        pattern, worlds_in)
 from .syntax import (
     App,
     Constant,
@@ -106,13 +109,16 @@ def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> Mo
 def _world_sets(k: int, m: int) -> tuple:
     """The normal worlds and all the worlds of k normal and m non-normal
     ones, then every set of worlds in itertools.combinations order, as
-    member bits (bit u for world slot u) and as world names."""
+    member bits (bit u for world slot u) and as world names, and per world
+    slot u the digits (indices into the sets) whose set contains u."""
     normal = tuple("w%d" % (i + 1) for i in range(k))
     worlds = normal + tuple("u%d" % (i + 1) for i in range(m))
     subsets = tuple(sum(1 << u for u in c) for r in range(k + m + 1)
                     for c in itertools.combinations(range(k + m), r))
     sets = tuple(frozenset(w for u, w in enumerate(worlds) if s >> u & 1) for s in subsets)
-    return normal, worlds, subsets, sets
+    members = tuple(frozenset(d for d, s in enumerate(subsets) if s >> u & 1)
+                    for u in range(k + m))
+    return normal, worlds, subsets, sets, members
 
 
 # the values of a one-bit digit that set its column
@@ -130,7 +136,8 @@ class _Shape:
     itertools.combinations order. Over a window of indices each digit is
     a periodic pattern (semantics.pattern), so a window of models packs
     into a Batch without building any of them. A sweep's random trial is
-    a raw index too, and _pack packs any list of them.
+    a raw index too, and _pack packs any list of them; both go through
+    _assemble.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -143,7 +150,7 @@ class _Shape:
     """
 
     def __init__(self, sig: ModelSignature, k: int, m: int):
-        self.normal, self.worlds, self.subsets, self.sets = _world_sets(k, m)
+        self.normal, self.worlds, self.subsets, self.sets, self.members = _world_sets(k, m)
         self.k = k
         self.n = n = k + m
         self.sig = sig
@@ -197,15 +204,6 @@ class _Shape:
             out += [(self.lo["v1", old[w], g], 1, _ONE) for g in sig.v1_support]
         return out
 
-    def chunks(self):
-        """(start, width) windows covering the raw index: 64 models, then
-        doubling up to CHUNK, each start a multiple of its width."""
-        start, width = 0, min(64, self.size)
-        while start < self.size:
-            yield start, width
-            start += width
-            width = min(start, CHUNK)
-
     def canonical(self, start: int, width: int) -> int:
         """The mask of the window's canonical models: the AND over
         renamings of encoding <= renamed encoding."""
@@ -237,29 +235,16 @@ class _Shape:
 
     def batch(self, start: int, width: int) -> Batch:
         """The window's models packed for evaluation, in index order."""
-        n = self.n
-        lanes = (1 << n * width) - 1
-        # the digits whose set contains world slot u
-        members = [frozenset(d for d, s in enumerate(self.subsets) if s >> u & 1)
-                   for u in range(n)]
-        v0 = {}
-        v1 = {}
-        for kind, i, x, _, lo in self.cells:
-            if kind != "ev":
-                table = v0 if kind == "v0" else v1
-                col = pattern(lo, 1, _ONE, start, width) << i * width
-                table[x] = table.get(x, 0) | col
-        evidence = {}
-        for t in self.sig.atoms:
-            rows = [lanes] * n
-            for i in range(self.k):
-                lo = self.lo["ev", i, t]
-                rows[i] = 0
-                for u in range(n):
-                    rows[i] |= pattern(lo, n, members[u], start, width) << u * width
-            evidence[t] = tuple(rows)
-        normal = (1 << self.k * width) - 1  # normal worlds take the first slots
-        return Batch(width, n, normal, lanes, v0, v1, evidence, lanes)
+        def field(lo, size):
+            # a one-bit digit, truth value or one-world set, has member bit 1
+            if size == 1:
+                return pattern(lo, 1, _ONE, start, width)
+            out = 0
+            for u, values in enumerate(self.members):
+                out |= pattern(lo, size, values, start, width) << u * width
+            return out
+
+        return _assemble(width, {self: (1 << width) - 1}, field)
 
     def model(self, index: int) -> SubsetModel:
         """The raw model at an index."""
@@ -278,10 +263,18 @@ class _Shape:
         return SubsetModel(self.worlds, frozenset(self.normal), v0, v1, evidence, "all")
 
 
-def _shapes(sig: ModelSignature):
+def _windows(sig: ModelSignature):
+    """(shape, start, width, canonical mask) per window of each shape, in
+    enumeration order: 64 models, then doubling up to CHUNK, each start a
+    multiple of its width."""
     for n in range(1, sig.max_worlds + 1):
         for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
-            yield _Shape(sig, n - nn, nn)
+            shape = _Shape(sig, n - nn, nn)
+            start, width = 0, min(64, shape.size)
+            while start < shape.size:
+                yield shape, start, width, shape.canonical(start, width)
+                start += width
+                width = min(start, CHUNK)
 
 
 def _set_bits(mask: int):
@@ -297,10 +290,9 @@ def enumerate_models(sig: ModelSignature):
     """Every model over the signature with total assignments, one per
     renaming class, worlds named w1.. (normal) and u1.. (non-normal):
     shape by shape, the canonical models in raw index order."""
-    for shape in _shapes(sig):
-        for start, width in shape.chunks():
-            for b in _set_bits(shape.canonical(start, width)):
-                yield shape.model(start + b)
+    for shape, start, _, canonical in _windows(sig):
+        for b in _set_bits(canonical):
+            yield shape.model(start + b)
 
 
 def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
@@ -308,9 +300,9 @@ def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     evidence forced into its paired formulas' truth sets; RuntimeError if
     the forcing never settles (see _forced). It is the trial seeded with
     seed of any soundness_sweep over the signature and universe."""
-    trial = _draw(sig, seed, {})
-    return _decoded(_forced(_pack([trial]), cs_universe), trial, 0,
-                    {c for c, _ in cs_universe})
+    shape, index = trial = _draw(sig, seed, {})
+    return decoded(_forced(_pack([trial]), cs_universe), shape.model(index),
+                   {c for c, _ in cs_universe})
 
 
 def _draw(sig: ModelSignature, seed: int, shapes: dict) -> tuple:
@@ -335,12 +327,9 @@ def _pack(trials) -> Batch:
     rewritten from a set's rank to the set's member bits, and one
     transpose of all rows puts raw bit j of trial b at bit j * width + b of
     one integer. A cell of lo and size bits is then a field of size *
-    width bits there, which the cell's shape takes under its own lanes.
-    Evidence is stored at normal slots only, since it is read nowhere
-    else.
+    width bits there, which _assemble takes under the cell's own lanes.
     """
     width = len(trials)
-    slots = max(shape.n for shape, _ in trials)
     form = "0%db" % max(shape.bits for shape, _ in trials)
     rows = []
     for shape, index in reversed(trials):
@@ -353,22 +342,36 @@ def _pack(trials) -> Batch:
     own = {}
     for b, (shape, _) in enumerate(trials):
         own[shape] = own.get(shape, 0) | 1 << b
+    return _assemble(width, own, lambda lo, size: raw >> lo * width)
+
+
+def _assemble(width: int, own: dict, field) -> Batch:
+    """The Batch of width lanes in which own maps each shape, over one
+    signature, to its lanes (bit b for lane b). field(lo, size) is the
+    cell whose digit has size bits from bit lo of the raw index, as a
+    mask whose bit u * width + b is member bit u of lane b's digit: the
+    truth value itself, or whether the evidence set holds world slot u.
+    Evidence is stored at normal slots only, since it is read nowhere
+    else."""
+    slots = max(shape.n for shape in own)
     normal = lanes = 0
     v0 = {}
     v1 = {}
-    stored = {t: [0] * slots for t in trials[0][0].sig.atoms}
+    stored = {t: [0] * slots for t in next(iter(own)).sig.atoms}
     for shape, mine in own.items():
         # the shape's lanes in each of its world slots, the first k normal
-        spread = sum(mine << i * width for i in range(shape.n))
+        spread = 0
+        for i in range(shape.n):
+            spread |= mine << i * width
         normal |= spread & (1 << shape.k * width) - 1
         lanes |= spread
-        for kind, i, x, _, lo in shape.cells:
-            field = raw >> lo * width
+        for kind, i, x, size, lo in shape.cells:
+            got = field(lo, size)
             if kind == "ev":
-                stored[x][i] |= field & spread
+                stored[x][i] |= got & spread
             else:
                 table = v0 if kind == "v0" else v1
-                table[x] = table.get(x, 0) | (field & mine) << i * width
+                table[x] = table.get(x, 0) | (got & mine) << i * width
     evidence = {t: tuple(rows) for t, rows in stored.items()}
     return Batch(width, slots, normal, lanes, v0, v1, evidence, lanes)
 
@@ -401,25 +404,6 @@ def _forced(batch: Batch, cs_universe) -> EvalContext:
         "constant evidence kept shifting; the specification universe is "
         "too self-referential to force by fixed point"
     )
-
-
-def _worlds_in(mask: int, shape: _Shape, width: int, b: int) -> list:
-    """The worlds of lane b, of the given shape, whose bit is set in the
-    mask of a batch of the given width."""
-    return [w for i, w in enumerate(shape.worlds) if mask >> i * width + b & 1]
-
-
-def _decoded(ctx: EvalContext, trial: tuple, b: int, terms) -> SubsetModel:
-    """The trial at lane b of the context's batch as a SubsetModel, with
-    the evidence of the given atomic terms at its normal worlds read back
-    from the context; every other entry is the raw model's own."""
-    shape, index = trial
-    m = shape.model(index)
-    evidence = dict(m.evidence)
-    for t in terms:
-        for w, row in zip(shape.normal, ctx.evidence_mask(t)):
-            evidence[w, t] = frozenset(_worlds_in(row, shape, ctx.batch.width, b))
-    return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, "all")
 
 
 # models per evaluation batch of the sweep: a bit of every mask each, so
@@ -458,30 +442,28 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
     logic.
     """
     scanned = 0
-    for shape in _shapes(sig):
-        for start, width in shape.chunks():
-            canonical = shape.canonical(start, width)
-            if not canonical:
-                continue
-            ctx = EvalContext(shape.batch(start, width))
-            false = false_at_normal(ctx, f)
-            hits = ctx.batch.models_in(false) & canonical
-            for c, a in cs_universe:
-                if not hits:
-                    break
-                hits &= ~ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
+    for shape, start, width, canonical in _windows(sig):
+        if not canonical:
+            continue
+        ctx = EvalContext(shape.batch(start, width))
+        false = false_at_normal(ctx, f)
+        hits = ctx.batch.models_in(false) & canonical
+        for c, a in cs_universe:
             if not hits:
-                scanned += canonical.bit_count()
-                continue
-            low = hits & -hits
-            b = low.bit_length() - 1
-            m = shape.model(start + b)
-            w = next(w for i, w in enumerate(m.worlds) if false >> (i * width + b) & 1)
-            one = EvalContext(m)  # independent re-check
-            if holds(one, w, f) or cs_violations(one, cs_universe):
-                raise RuntimeError("countermodel failed re-verification")
-            scanned += (canonical & (low - 1)).bit_count() + 1
-            return SearchReport("countermodel", scanned, sig, m, w)
+                break
+            hits &= ~ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
+        if not hits:
+            scanned += canonical.bit_count()
+            continue
+        low = hits & -hits
+        b = low.bit_length() - 1
+        m = shape.model(start + b)
+        w = worlds_in(false, m.worlds, width, b)[0]
+        one = EvalContext(m)  # independent re-check
+        if holds(one, w, f) or cs_violations(one, cs_universe):
+            raise RuntimeError("countermodel failed re-verification")
+        scanned += (canonical & (low - 1)).bit_count() + 1
+        return SearchReport("countermodel", scanned, sig, m, w)
     return SearchReport("exhausted", scanned, sig)
 
 
@@ -530,10 +512,10 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
         for _, mask in false:
             refuted |= mask
         for b in _set_bits(ctx.batch.models_in(refuted)):
-            m = _decoded(ctx, drawn[b], b, constants)
+            shape, index = drawn[b]
+            m = decoded(ctx, shape.model(index), constants, b)
             for f, mask in false:
-                violations.extend((f, m, w)
-                                  for w in _worlds_in(mask, drawn[b][0], ctx.batch.width, b))
+                violations.extend((f, m, w) for w in worlds_in(mask, m.worlds, ctx.batch.width, b))
     return violations
 
 

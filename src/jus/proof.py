@@ -185,12 +185,24 @@ def _instances(f: Formula, schema: str = None):
                     yield AxiomInstance(core, lead, g)
 
 
+def _is_axiom(f: Formula) -> bool:
+    """Whether match_axiom(f) is non-empty. Every prefix split is tried
+    against the core schemas, a few node tests each, before any truth
+    table of up to 2^24 rows: so a core instance is an axiom however many
+    boolean atoms it has."""
+    splits = list(prefix_splits(f))
+    return (any(_core_schemas(g) for _, g in splits)
+            or any(taut_check(g) for _, g in splits))
+
+
 def _axiom_failure(f: Formula, schema: str = None):
     """None when f is an instance of the schema, or of any schema when
     none is given; otherwise why it is not."""
+    if schema is None:
+        return None if _is_axiom(f) else "not an axiom instance"
     if next(_instances(f, schema), None) is not None:
         return None
-    if schema is not None and next(_instances(f), None) is not None:
+    if _is_axiom(f):
         return "not an instance of schema %s" % schema
     return "not an axiom instance"
 
@@ -252,7 +264,7 @@ def _iterated_cs_shape(f: Formula) -> bool:
     """[tau1]c1 : [tau2]c2 : ... : A with n >= 0 and A an axiom."""
     g = f
     while True:
-        if next(_instances(g), None) is not None:
+        if _is_axiom(g):
             return True
         peeled = _peel_an(g)
         if peeled is None:

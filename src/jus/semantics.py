@@ -7,11 +7,12 @@ has a field of one bit per model: with B models, bit i*B + b stands for
 slot i of model b, and slot i is the model's i-th world in file order.
 Slots run up to the batch's largest world count; a model with fewer
 worlds leaves its missing slots out of every set. For a batch of one, bit
-i is just the i-th world. A context also carries a chain of announcements
-applied left to right. Contexts form a tree rooted at the plain batch;
-pushing the same announcement twice gives contexts that share one memo.
-Truth values and evidence are memoized per chain, since the update
-recursion revisits the same formulas often.
+i is just the i-th world. worlds_in is the one reader of this layout,
+and decoded the one decoder of a lane. A context also carries a chain of
+announcements applied left to right. Contexts form a tree rooted at the
+plain batch; pushing the same announcement twice gives contexts that
+share one memo. Truth values and evidence are memoized per chain, since
+the update recursion revisits the same formulas often.
 
 Non-normal worlds read v1 for the whole formula, whatever its shape, so
 their bits never depend on the chain: f holds in V1[f] | (normal &
@@ -67,18 +68,18 @@ class Batch:
     atomic term without rows has the default mask as its evidence at
     every slot. The masks may come from a layout with no SubsetModel
     behind it: the search's windows and the sweep's trials are packed
-    from raw indices (jus.explore), and their batches carry no models
-    and no bits. Batch.pack packs models, as from model files, and only
-    a packed batch names worlds: models[b] gives model b's worlds and
-    which are normal, and bits[b] where they sit. Evidence is read from
-    the rows (evidence_effective), not from models: with_evidence
-    replaces rows but keeps the models, stored evidence and all. Neither
-    validates anything; EvalContext validates any model handed to it
-    directly, so pack only models known to be valid.
+    from raw indices (jus.explore), and their batches carry no models.
+    Batch.pack packs models, as from model files, and only a packed
+    batch names worlds: models[b] is model b, whose worlds sit in slot
+    order (worlds_in). Evidence is read from the rows
+    (evidence_effective), not from models: with_evidence replaces rows
+    but keeps the models, stored evidence and all. Neither validates
+    anything; EvalContext validates any model handed to it directly, so
+    pack only models known to be valid.
     """
 
     __slots__ = ("width", "slots", "full", "offsets", "normal", "lanes", "v0", "v1",
-                 "models", "bits", "_evidence", "_default", "_wmp")
+                 "models", "_evidence", "_default", "_wmp")
 
     def __init__(self, width, slots, normal, lanes, v0, v1, evidence, default):
         self.width = width
@@ -93,12 +94,10 @@ class Batch:
         self._default = default
         self._wmp = None
         self.models = ()
-        self.bits = ()
 
     @classmethod
     def pack(cls, models) -> "Batch":
-        """The batch of the given models, in order: bits[b] maps model
-        b's worlds to their bits."""
+        """The batch of the given models, in order: model b is lane b."""
         models = tuple(models)
         if not models:
             raise ValueError("a batch needs at least one model")
@@ -108,7 +107,6 @@ class Batch:
         v0 = {}
         v1 = {}
         stored = {}
-        world_bits = []
         for b, m in enumerate(models):
             at = {}
             slot = {}
@@ -135,7 +133,6 @@ class Batch:
             if m.evidence_default == "all":
                 default |= lane
             lanes |= lane
-            world_bits.append(at)
         evidence = {}
         for t, entries in stored.items():
             rows = [default] * slots
@@ -144,7 +141,6 @@ class Batch:
             evidence[t] = tuple(rows)
         batch = cls(width, slots, normal, lanes, v0, v1, evidence, default)
         batch.models = models
-        batch.bits = world_bits
         return batch
 
     def with_evidence(self, rows: dict) -> "Batch":
@@ -153,7 +149,6 @@ class Batch:
         batch = Batch(self.width, self.slots, self.normal, self.lanes, self.v0, self.v1,
                       {**self._evidence, **rows}, self._default)
         batch.models = self.models
-        batch.bits = self.bits
         return batch
 
     def models_in(self, mask: int) -> int:
@@ -303,16 +298,23 @@ class EvalContext:
 
     def unmask(self, mask: int, b: int = 0) -> frozenset:
         """The worlds of model b whose bit is set in the mask."""
-        return frozenset(w for w, bit in self.batch.bits[b].items() if mask & bit)
+        return frozenset(worlds_in(mask, self.batch.models[b].worlds, self.batch.width, b))
+
+
+def worlds_in(mask: int, worlds, width: int, b: int) -> list:
+    """The worlds of lane b, in slot order, whose bit is set in a mask of
+    a batch of the given width: worlds[i] sits at slot i, bit
+    i * width + b."""
+    return [w for i, w in enumerate(worlds) if mask >> i * width + b & 1]
 
 
 def evaluate(ctx: EvalContext, omega: str, f: Formula, b: int = 0) -> int:
     """Truth value in {0, 1} of f at a world of model b under the
     context's chain."""
-    bit = ctx.batch.bits[b].get(omega)
-    if bit is None:
+    worlds = ctx.batch.models[b].worlds
+    if omega not in worlds:
         raise ValueError("unknown world %r" % omega)
-    return 1 if ctx.truth_mask(f) & bit else 0
+    return ctx.truth_mask(f) >> worlds.index(omega) * ctx.batch.width + b & 1
 
 
 def holds(ctx: EvalContext, omega: str, f: Formula, b: int = 0) -> bool:
@@ -337,15 +339,16 @@ def evidence_effective(ctx: EvalContext, omega: str, t: Term, b: int = 0) -> fro
     return ctx.unmask(ctx.evidence_mask(t)[ctx.batch.models[b].worlds.index(omega)], b)
 
 
-def decoded(ctx: EvalContext, terms, b: int = 0) -> SubsetModel:
-    """Model b of a packed batch, with the evidence of the given atomic
-    terms at its normal worlds read back after the whole chain; every
-    other entry is the model's own."""
-    m = ctx.batch.models[b]
+def decoded(ctx: EvalContext, m: SubsetModel, terms, b: int = 0) -> SubsetModel:
+    """m with the evidence of the given atomic terms at its normal worlds
+    read back from lane b after the whole chain; every other entry is m's
+    own. m is lane b's base model, with its worlds in slot order: a
+    packed model, or the raw model of a sweep's trial."""
     evidence = dict(m.evidence)
     for t in terms:
-        for w in m.normal:
-            evidence[w, t] = evidence_effective(ctx, w, t, b)
+        for w, row in zip(m.worlds, ctx.evidence_mask(t)):
+            if w in m.normal:
+                evidence[w, t] = frozenset(worlds_in(row, m.worlds, ctx.batch.width, b))
     return SubsetModel(m.worlds, m.normal, m.v0, m.v1, evidence, m.evidence_default)
 
 
@@ -353,8 +356,9 @@ def cs_violations(ctx: EvalContext, universe, b: int = 0) -> list:
     """(world, constant, formula) triples of model b where c : A fails at
     a normal world for a pair (c, A) of the universe, that is where the
     constant's evidence escapes A's truth set, in the given context."""
+    worlds = ctx.batch.models[b].worlds
     bad = []
     for c, a in universe:
         false = false_at_normal(ctx, Justifies(c, a))
-        bad.extend((w, c, a) for w, bit in ctx.batch.bits[b].items() if false & bit)
+        bad.extend((w, c, a) for w in worlds_in(false, worlds, ctx.batch.width, b))
     return bad

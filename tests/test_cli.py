@@ -6,17 +6,24 @@ wires up the same way.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jus
 from jus.cli import main
 from jus.model import ConstantSpec, model_from_json
 from jus.proof import proof_to_json, prove_ramsey
 from jus.syntax import Prop, Variable
 
 P1 = Prop(1)
+
+# a subprocess imports the same jus as this process, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(jus.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +366,18 @@ def test_check_proof_refuses_too_many_atoms(capsys, tmp_path):
     assert err == "%s: formula has 26 boolean atoms; refusing the 2^26-row table\n" % path
 
 
+def test_check_proof_licenses_big_core_schema_instances(capsys, tmp_path):
+    # an Indep instance whose skeleton has 31 atoms: the core schemas are
+    # tried before any truth table, both for an axiom step with no schema
+    # and for the body of a necessitation step
+    body = "(%s)" % " -> ".join("P%d" % i for i in range(1, 31))
+    indep = "([P31] %s <-> %s)" % (body, body)
+    path = write_proof(tmp_path, [{"formula": indep, "rule": "axiom"},
+                                  {"formula": "c1 : %s" % indep, "rule": "an"}])
+    code, out, _ = run_cli(capsys, "check-proof", path, "full")
+    assert (code, json.loads(out)) == (0, {"ok": True})
+
+
 # -- deep input ----------------------------------------------------------------
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
@@ -395,6 +414,7 @@ def test_module_entry_point(two_world_path):
         [sys.executable, "-m", "jus.cli", "eval", two_world_path, "w", "[P1] up(P1) : P1"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) is True
@@ -415,6 +435,7 @@ def test_closed_pipe_keeps_exit_code_without_traceback():
          "(up(P1) : ~up(P1) : P1 -> [P1] up(P1) : ~up(P1) : P1)", "--human"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=SUBPROCESS_ENV,
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()

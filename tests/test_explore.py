@@ -29,7 +29,8 @@ from jus.explore import (
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
-from jus.semantics import Batch, EvalContext, cs_violations, evaluate, holds, pattern
+from jus.semantics import (Batch, EvalContext, cs_violations, decoded, evaluate, holds,
+                           pattern)
 from jus.syntax import (
     App,
     Constant,
@@ -351,8 +352,8 @@ def test_random_cs_models_force_like_one_at_a_time():
     shapes = {}
     trials = [explore._draw(sig, s, shapes) for s in seeds]
     ctx = explore._forced(explore._pack(trials), uni)
-    got = [explore._decoded(ctx, trial, b, {c for c, _ in uni})
-           for b, trial in enumerate(trials)]
+    got = [decoded(ctx, shape.model(index), {c for c, _ in uni}, b)
+           for b, (shape, index) in enumerate(trials)]
     assert got == [random_cs_model(sig, uni, s) for s in seeds]
 
 
@@ -375,7 +376,35 @@ def _seeded_signatures():
     return sigs
 
 
-def test_packed_trials_match_packed_models():
+def _assert_read_alike(got, want, atoms):
+    """Two batches agree wherever evaluation reads them: every mask, and
+    each atomic term's evidence rows at the slots where a model is normal."""
+    assert ((got.width, got.slots, got.normal, got.lanes)
+            == (want.width, want.slots, want.normal, want.lanes))
+    for table, other in ((got.v0, want.v0), (got.v1, want.v1)):
+        for x in set(table) | set(other):
+            assert table.get(x, 0) == other.get(x, 0), x
+    for t in set(atoms) | {Constant(9)}:
+        for i, (row, other) in enumerate(zip(got.atomic_evidence(t),
+                                             want.atomic_evidence(t))):
+            # the models in which slot i is normal, at every slot
+            read = got.normal >> i * got.width & got.full
+            read = got.lanes & sum(read << offset for offset in got.offsets)
+            assert row & read == other & read, (t, i)
+
+
+def _scan_windows(size):
+    """The first, a middle and the last window of a raw index of the
+    given size, as the scan lays them out: 64 models, then doubling up
+    to CHUNK, each start a multiple of its width."""
+    if size <= 64:
+        return [(0, size)]
+    middle = max(64, min(size // 4, explore.CHUNK))
+    last = min(size // 2, explore.CHUNK)
+    return sorted({(0, 64), (size // 2 - middle, middle), (size - last, last)})
+
+
+def test_packed_trials_match_packed_models(monkeypatch):
     # lane b of a packed trial list is the raw model of trial b, as
     # Batch.pack lays it out: mixed shapes, first and last raw indices
     rng = random.Random(3)
@@ -387,20 +416,17 @@ def test_packed_trials_match_packed_models():
             for shape in list(shapes.values()):
                 trials[rng.randrange(len(trials))] = (shape, 0)
                 trials[rng.randrange(len(trials))] = (shape, shape.size - 1)
-            got = explore._pack(trials)
             want = Batch.pack([shape.model(index) for shape, index in trials])
-            assert ((got.width, got.slots, got.normal, got.lanes)
-                    == (want.width, want.slots, want.normal, want.lanes))
-            for table, other in ((got.v0, want.v0), (got.v1, want.v1)):
-                for x in set(table) | set(other):
-                    assert table.get(x, 0) == other.get(x, 0), x
-            for t in set(sig.atoms) | {Constant(9)}:
-                for i, (row, other) in enumerate(zip(got.atomic_evidence(t),
-                                                     want.atomic_evidence(t))):
-                    # the models in which slot i is normal, at every slot
-                    read = got.normal >> i * got.width & got.full
-                    read = got.lanes & sum(read << offset for offset in got.offsets)
-                    assert row & read == other & read, (t, i)
+            _assert_read_alike(explore._pack(trials), want, sig.atoms)
+    # and lane b of a window is its raw model start + b; windows of 128
+    # models at most keep the reference packing cheap
+    monkeypatch.setattr(explore, "CHUNK", 128)
+    for sig in _seeded_signatures():
+        for k, m in _oracle_shapes(sig):
+            shape = explore._Shape(sig, k, m)
+            for start, width in _scan_windows(shape.size):
+                want = Batch.pack([shape.model(start + b) for b in range(width)])
+                _assert_read_alike(shape.batch(start, width), want, sig.atoms)
 
 
 def test_trials_draw_the_shape_then_a_uniform_index():

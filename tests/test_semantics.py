@@ -68,6 +68,20 @@ def test_eval_unknown_world(ctx):
         evaluate(ctx, "nope", P1)
 
 
+def test_eval_unknown_world_on_a_later_lane(two_world):
+    # each lane names its own model's worlds: "v" is only model 0's, and
+    # model 1's one world sits at the same slot as model 0's "w"
+    other = SubsetModel(worlds=("u",), normal=frozenset({"u"}), v0={("u", 1): True})
+    ctx = EvalContext([two_world, other])
+    assert evaluate(ctx, "u", P1, 1) == 1
+    assert evaluate(ctx, "w", P1, 0) == 1
+    for omega in ("v", "w"):
+        with pytest.raises(ValueError, match="unknown world"):
+            evaluate(ctx, omega, P1, 1)
+    with pytest.raises(ValueError, match="unknown world"):
+        evaluate(ctx, "u", P1, 0)
+
+
 def test_truth_set_prop(ctx):
     assert truth_set(ctx, P1) == frozenset({"w"})
 
