@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, recursive-descent parser, canonical printer.
+"""Concrete syntax: lexer, recursive-descent parser, canonical printer.
 
 Grammar sketch (implication is right-associative and binds loosest among the
 core connectives; the three prefix forms bind to the following unary operand):
@@ -16,6 +16,14 @@ core connectives; the three prefix forms bind to the following unary operand):
 Derived connectives (&, |, <->, _|_) are expanded while parsing and the
 printer never emits them, so printing is injective on stored shapes.
 
+Lexing is one findall of the re module over the whole text, which yields
+every lexeme and any other non-space character alone; the parser works
+on that list of strings. Only the distinct matches are checked in
+Python, so a text with a fault costs one more pass, which finds the
+first fault in text order: a character no lexeme starts with, or an
+index of value 0 (digits of other scripts are read with int). Offsets
+are worked out only when an error is raised, by counting lexemes again.
+
 A "(" in formula position (an application term or a parenthesized
 formula) is read once. Its first operand is a term, a formula, or a
 nested "(" read the same way. After a term, the next token decides: "*"
@@ -30,11 +38,26 @@ is read, and each binary operator until its chain ends; one level more
 is a SourceError at the token that opens it. Printing parenthesizes
 implications and expands derived connectives, so a chain near the cap
 can print deeper than the cap.
+
+Printed formulas repeat their subformulas, so each "(" in formula
+position whose matching ")" exists is first looked up by its lexemes,
+joined, in a group memo: what the text between them parsed to, and the
+most levels it opened. A hit that fits under the cap at the current depth is taken and
+the parser jumps past the ")"; any other "(" is read as above, and a
+group read to its ")" is stored. A group's reading depends only on its
+lexemes, so a hit gives the node a reading would; only reads that
+succeed are stored, so a failed parse leaves the memo sound. A jump
+raises the enclosing group's level count as the reading it replaces
+would, and a hit that would not fit is read instead, so nesting errors
+point where they would without the memo. parse_formula and parse_term
+use a fresh memo per call; proof_from_json shares one across the steps
+of one file, and it dies with that call.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, islice, repeat
 
 from .syntax import (
     App,
@@ -59,8 +82,9 @@ MAX_NESTING = 100  # see the module docstring
 
 
 class SourceError(Exception):
-    """Rejected input. The offset is 1-based, counting bytes from the start
-    of the text; end-of-input faults point one past the last byte."""
+    """Rejected input. The offset is 1-based, counting characters from the
+    start of the text; end-of-input faults point one past the last
+    character."""
 
     def __init__(self, position: int, message: str):
         super().__init__("at offset %d: %s" % (position, message))
@@ -68,67 +92,69 @@ class SourceError(Exception):
         self.message = message
 
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<prop>P\d+)
-  | (?P<const>c\d+)
-  | (?P<var>x\d+)
-  | (?P<up>up)
-  | (?P<iff><->)
-  | (?P<arrow>->)
-  | (?P<bottom>_\|_)
-  | (?P<punct>[()\[\]:~&|*])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# every lexeme of the language, and any other non-space character alone
+_LEXEMES = re.compile(r"[Pcx]\d+|up|<->|->|_\|_|\S")
+_SYMBOLS = frozenset(["up", "<->", "->", "_|_", "(", ")", "[", "]", ":", "~", "&", "|", "*"])
+_PAREN_STEP = {"(": 1, ")": -1}
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value = m.group()
-        pos = m.start() + 1
-        if kind in ("prop", "const", "var"):
-            if int(value[1:]) < 1:
-                raise SourceError(pos, "index must be >= 1 in %r" % value)
-            value = int(value[1:])
-        elif kind == "punct":
-            kind = value
-        elif kind == "bad":
-            raise SourceError(pos, "unexpected character %r" % value)
-        if kind != "ws":
-            tokens.append((kind, value, pos))
-    tokens.append(("eof", None, len(text) + 1))
-    return tokens
+def _fault(lexeme: str):
+    """Why a match of _LEXEMES is no lexeme of the language, or None."""
+    if lexeme in _SYMBOLS:
+        return None
+    if len(lexeme) == 1:
+        return "unexpected character %r" % lexeme
+    if int(lexeme[1:]) < 1:
+        return "index must be >= 1 in %r" % lexeme
+    return None
+
+
+def _lex(text: str) -> list:
+    """The lexemes of text, then "" for end-of-input; the first lexical
+    fault in text order is a SourceError."""
+    lexemes = _LEXEMES.findall(text)
+    if any(map(_fault, set(lexemes))):
+        for m in _LEXEMES.finditer(text):
+            why = _fault(m[0])
+            if why is not None:
+                raise SourceError(m.start() + 1, why)
+    lexemes.append("")
+    return lexemes
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, groups: dict):
+        self.text = text
+        self.tokens = _lex(text)
+        # parentheses open after each token; a "(" whose count is k is
+        # closed by the next token whose count is k - 1
+        self.parens = list(accumulate(map(_PAREN_STEP.get, self.tokens, repeat(0))))
+        self.groups = groups  # a group's lexemes, joined -> (node, most levels it opens)
         self.i = 0
         # open levels; a failed parse is never resumed, so only returns close them
         self.depth = 0
+        self.peak = 0  # the most levels open since the innermost group began
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, i: int, message: str):
+        """Raise at token i; offsets are only worked out here."""
+        if i < len(self.tokens) - 1:
+            pos = next(islice(_LEXEMES.finditer(self.text), i, None)).start() + 1
+        else:
+            pos = len(self.text) + 1
+        raise SourceError(pos, message)
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def expect(self, lexeme, what):
+        i = self.i
+        if self.tokens[i] != lexeme:
+            self.fail(i, "expected %s" % what)
+        self.i = i + 1
 
-    def expect(self, kind, what):
-        tok = self.next()
-        if tok[0] != kind:
-            raise SourceError(tok[2], "expected %s" % what)
-
-    def open(self, pos):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise SourceError(pos, "nested more than %d levels deep" % MAX_NESTING)
+    def open(self, i):
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            if depth > MAX_NESTING:
+                self.fail(i, "nested more than %d levels deep" % MAX_NESTING)
+            self.peak = depth
 
     def close(self, node):
         self.depth -= 1
@@ -136,23 +162,26 @@ class _Parser:
 
     def formula(self, first=None) -> Formula:
         left = self.impl(first)
-        if self.peek()[0] != "iff":
+        if self.tokens[self.i] != "<->":
             return left
-        self.open(self.next()[2])
+        self.open(self.i)
+        self.i += 1
         return self.close(equiv(left, self.formula()))
 
     def impl(self, first=None) -> Formula:
         left = self.disj(first)
-        if self.peek()[0] != "arrow":
+        if self.tokens[self.i] != "->":
             return left
-        self.open(self.next()[2])
+        self.open(self.i)
+        self.i += 1
         return self.close(Implies(left, self.impl()))
 
     def disj(self, first=None) -> Formula:
         out = self.conj(first)
         depth = self.depth
-        while self.peek()[0] == "|":
-            self.open(self.next()[2])
+        while self.tokens[self.i] == "|":
+            self.open(self.i)
+            self.i += 1
             out = disj(out, self.conj())
         self.depth = depth
         return out
@@ -160,37 +189,42 @@ class _Parser:
     def conj(self, first=None) -> Formula:
         out = self.unary() if first is None else first
         depth = self.depth
-        while self.peek()[0] == "&":
-            self.open(self.next()[2])
+        while self.tokens[self.i] == "&":
+            self.open(self.i)
+            self.i += 1
             out = conj(out, self.unary())
         self.depth = depth
         return out
 
     def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind in ("prop", "bottom"):
-            self.next()
-            return Prop(value) if kind == "prop" else falsum()
-        self.open(pos)
-        if kind == "~":
-            self.next()
+        i = self.i
+        tok = self.tokens[i]
+        if tok[:1] == "P":
+            self.i = i + 1
+            return Prop(int(tok[1:]))
+        if tok == "_|_":
+            self.i = i + 1
+            return falsum()
+        self.open(i)
+        if tok == "~":
+            self.i = i + 1
             return self.close(Not(self.unary()))
-        if kind == "[":
-            self.next()
+        if tok == "[":
+            self.i = i + 1
             announcement = self.formula()
             self.expect("]", "']'")
             return self.close(Update(announcement, self.unary()))
         got = self.operand()
         if got is None:
-            raise SourceError(pos, "expected a formula")
+            self.fail(i, "expected a formula")
         return self.close(self.justified(got) if isinstance(got, Term) else got)
 
     def operand(self):
         """A term, or what group reads; None when neither starts here."""
-        kind = self.peek()[0]
-        if kind == "(":
+        tok = self.tokens[self.i]
+        if tok == "(":
             return self.group()
-        if kind in ("const", "var", "up"):
+        if tok[:1] in ("c", "x") or tok == "up":
             return self.term()
         return None
 
@@ -199,30 +233,55 @@ class _Parser:
         return Justifies(term, self.unary())
 
     def group(self):
-        """A "(" in formula position, read once (see the module docstring)."""
-        self.open(self.next()[2])
+        """A "(" in formula position, read once or found in the group memo
+        (see the module docstring)."""
+        i = self.i
+        try:
+            j = self.parens.index(self.parens[i] - 1, i)
+        except ValueError:  # never closed: read on to the fault
+            key = None
+        else:
+            key = "".join(self.tokens[i:j + 1])
+            hit = self.groups.get(key)
+            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+                self.i = j + 1
+                self.peak = max(self.peak, self.depth + hit[1])
+                return hit[0]
+        depth, peak = self.depth, self.peak
+        self.peak = depth
+        self.open(i)
+        self.i = i + 1
         first = self.operand()
-        if isinstance(first, Term):
-            if self.peek()[0] == "*":
-                return self.close(self.application(first))
-            first = self.justified(first)
-        inner = self.formula(first)
-        self.expect(")", "')'")
-        return self.close(inner)
+        if isinstance(first, Term) and self.tokens[self.i] == "*":
+            node = self.application(first)
+        else:
+            if isinstance(first, Term):
+                first = self.justified(first)
+            node = self.formula(first)
+            self.expect(")", "')'")
+        self.depth = depth
+        if key is not None:
+            self.groups[key] = (node, self.peak - depth)
+        self.peak = max(peak, self.peak)
+        return node
 
     def term(self) -> Term:
-        kind, value, pos = self.next()
-        if kind in ("const", "var"):
-            return Constant(value) if kind == "const" else Variable(value)
-        self.open(pos)
-        if kind == "up":
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        if tok[:1] == "c":
+            return Constant(int(tok[1:]))
+        if tok[:1] == "x":
+            return Variable(int(tok[1:]))
+        self.open(i)
+        if tok == "up":
             self.expect("(", "'(' after up")
             body = self.formula()
             self.expect(")", "')'")
             return self.close(Up(body))
-        if kind == "(":
+        if tok == "(":
             return self.close(self.application(self.term()))
-        raise SourceError(pos, "expected a term")
+        self.fail(i, "expected a term")
 
     def application(self, left: Term) -> Term:
         """The rest of an application term after its left operand."""
@@ -235,22 +294,25 @@ class _Parser:
         return App(left, annotation, right)
 
 
-def _whole(text: str, read):
-    p = _Parser(text)
+def _whole(text: str, read, groups: dict):
+    p = _Parser(text, groups)
     got = read(p)
-    if p.peek()[0] != "eof":
-        raise SourceError(p.peek()[2], "unexpected trailing input")
+    if p.tokens[p.i]:
+        p.fail(p.i, "unexpected trailing input")
     return got
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a formula; raises SourceError with a 1-based offset on bad input."""
-    return _whole(text, _Parser.formula)
+def parse_formula(text: str, *, _groups: dict = None) -> Formula:
+    """Parse a formula; raises SourceError with a 1-based offset on bad input.
+
+    `_groups` is proof_from_json's group memo for the steps of one file;
+    every other call reads through a fresh one."""
+    return _whole(text, _Parser.formula, {} if _groups is None else _groups)
 
 
 def parse_term(text: str) -> Term:
     """Parse a bare term (as used in evidence keys and constant specs)."""
-    return _whole(text, _Parser.term)
+    return _whole(text, _Parser.term, {})
 
 
 def print_term(t: Term) -> str:

@@ -407,7 +407,9 @@ class ProofBuilder:
 
     def taut_consequence(self, premise_indices, goal: Formula) -> int:
         """One Taut instance premise1 -> (... -> goal) plus a modus ponens
-        per premise. Rejected unless goal is a boolean consequence."""
+        per premise. Rejected unless goal is a boolean consequence; the
+        chain's own truth table is its check as an axiom, since a
+        tautology is a Taut instance under the empty prefix split."""
         formulas = [self.formula_at(i) for i in premise_indices]
         chain = goal
         for f in reversed(formulas):
@@ -417,7 +419,7 @@ class ProofBuilder:
                 "%s is not a tautological consequence of the premises"
                 % print_formula(goal)
             )
-        idx = self.axiom(chain, "Taut")
+        idx = self._add(ProofStep(chain, "axiom", schema="Taut"))
         for i in premise_indices:
             idx = self.mp(i, idx)
         return idx
@@ -630,6 +632,7 @@ def proof_from_json(obj) -> Proof:
     if not isinstance(obj, list) or not obj:
         raise ValueError("a proof file is a nonempty JSON array of steps")
     steps = []
+    groups = {}  # printed steps repeat their subformulas: read each once
     for n, raw in enumerate(obj, 1):
         if not isinstance(raw, dict):
             raise ValueError("step %d must be a JSON object" % n)
@@ -641,7 +644,7 @@ def proof_from_json(obj) -> Proof:
         if not isinstance(raw.get("formula"), str):
             raise ValueError("step %d needs a formula string" % n)
         try:
-            f = parse_formula(raw["formula"])
+            f = parse_formula(raw["formula"], _groups=groups)
         except SourceError as e:
             raise ValueError("step %d formula: %s" % (n, e.message))
         rule = raw.get("rule")

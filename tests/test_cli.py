@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import jus
+from jus import parse
 from jus.cli import main
 from jus.model import ConstantSpec, model_from_json
-from jus.proof import proof_to_json, prove_ramsey
+from jus.proof import proof_to_json, prove_necessitation, prove_ramsey
 from jus.syntax import Prop, Variable
 
 P1 = Prop(1)
@@ -225,6 +226,28 @@ def test_check_proof_ramsey_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-proof", path, "full")
     assert code == 0
     assert json.loads(out) == {"ok": True}
+
+
+def test_check_proof_calls_share_no_parse_memo(capsys, tmp_path, monkeypatch):
+    # the group memo lives for one reading of one file, so a second call
+    # on the same file in the same process reads as much as the first
+    full = ConstantSpec("full")
+    _, proof = prove_necessitation(prove_ramsey(Variable(1), P1, Prop(2), full), full)
+    path = write_proof(tmp_path, proof_to_json(proof))
+    reads = []
+    unary = parse._Parser.unary
+
+    def counted(self):
+        reads.append(self.i)
+        return unary(self)
+
+    monkeypatch.setattr(parse._Parser, "unary", counted)
+    work = []
+    for _ in range(2):
+        reads.clear()
+        assert run_cli(capsys, "check-proof", path, "full")[0] == 0
+        work.append(len(reads))
+    assert work[0] == work[1] > 0
 
 
 # -- search ----------------------------------------------------------------

@@ -1,8 +1,10 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 
+from jus import parse
 from jus.cli import main
 from jus.parse import (
     MAX_NESTING,
@@ -218,3 +220,171 @@ def test_nesting_counts_one_path():
 @settings(max_examples=300)
 def test_round_trip(f):
     assert parse_formula(print_formula(f)) is f
+
+
+# -- lexing and the group memo ----------------------------------------------
+
+def test_offsets_count_characters():
+    # 6 characters, 7 bytes in UTF-8: end-of-input is offset 7
+    with pytest.raises(SourceError) as e:
+        parse_formula("P\u0661 -> ")
+    assert (e.value.position, e.value.message) == (7, "expected a formula")
+
+
+def test_lexical_faults_come_before_grammar_faults():
+    for text, want in [
+        ("(P1 -> ) P0", (10, "index must be >= 1 in 'P0'")),
+        ("P1 # (", (4, "unexpected character '#'")),
+        ("P0 #", (1, "index must be >= 1 in 'P0'")),
+        ("# P0", (1, "unexpected character '#'")),
+        ("P1 -> P\u0660", (7, "index must be >= 1 in 'P\u0660'")),
+    ]:
+        with pytest.raises(SourceError) as e:
+            parse_formula(text)
+        assert (e.value.position, e.value.message) == want, text
+    # a digit of another script is read by its value
+    assert parse_formula("P\u0661 -> P10") == Implies(P1, Prop(10))
+
+
+def _outcome(text, groups=None):
+    """The node parse_formula returns, or the (offset, message) it raises."""
+    try:
+        if groups is None:
+            return parse_formula(text)
+        return parse_formula(text, _groups=groups)
+    except SourceError as e:
+        return (e.position, e.message)
+
+
+def _assert_same(got, want, text):
+    if isinstance(want, tuple):
+        assert got == want, text
+    else:
+        assert got is want, text
+
+
+def _random_formula(rng, depth):
+    def term(d):
+        k = rng.randrange(4 if d > 0 else 2)
+        if k == 0:
+            return Constant(rng.randint(1, 2))
+        if k == 1:
+            return Variable(rng.randint(1, 2))
+        if k == 2:
+            return Up(formula(d - 1))
+        return App(term(d - 1), formula(d - 1), term(d - 1))
+
+    def formula(d):
+        k = rng.randrange(5 if d > 0 else 1)
+        if k == 0:
+            return Prop(rng.randint(1, 3))
+        if k == 1:
+            return Not(formula(d - 1))
+        if k == 2:
+            return Implies(formula(d - 1), formula(d - 1))
+        if k == 3:
+            return Justifies(term(d - 1), formula(d - 1))
+        return Update(formula(d - 1), formula(d - 1))
+
+    return formula(depth)
+
+
+def _mutated(rng, text):
+    """text with one to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        new = rng.choice("()[]:~&|*-<>_Pcxup01 ")
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(chars):
+            del chars[at]
+        elif edit == 1 or at == len(chars):
+            chars.insert(at, new)
+        else:
+            chars[at] = new
+    return "".join(chars)
+
+
+def test_shared_group_memo_agrees_with_fresh_parses():
+    # one memo over the whole corpus: every string parses to the same node,
+    # or fails at the same offset with the same message, as on its own.
+    # The strings are built from a small pool so that their groups repeat,
+    # some printed as they are and 50,000 mutated; a run of "~" puts some
+    # of them near the cap
+    rng = random.Random(13)
+    pool = [_random_formula(rng, rng.randint(2, 4)) for _ in range(300)]
+    texts = []
+    for _ in range(50000):
+        f = rng.choice(pool)
+        f = rng.choice([f, Not(f), Implies(rng.choice(pool), f), Update(rng.choice(pool), f)])
+        printed = print_formula(f)
+        texts += [printed] if rng.random() < 0.3 else []
+        texts.append(_mutated(rng, printed))
+        if rng.random() < 0.1:
+            texts[-1] = "~" * rng.randint(80, MAX_NESTING) + texts[-1]
+    for family, levels in AT_CAP:
+        texts += [deep(family, levels), deep(family, levels + 1)]
+    groups = {}
+    for text in texts:
+        _assert_same(_outcome(text, groups), _outcome(text), text)
+    assert sum(isinstance(_outcome(t), tuple) for t in texts[:1000]) > 500
+
+
+def test_group_memo_hits_keep_the_nesting_cap():
+    group = "((P1 -> P2))"
+    # the group opens 3 levels, so the one enclosing it opens 6
+    enclosing = "(~%s)" % group
+    groups = {}
+    assert _outcome(group, groups) is Implies(P1, P2)
+    assert _outcome(enclosing, groups) is Not(Implies(P1, P2))
+    texts = ["~" * 98 + group, "(%s -> P3)" % ("~" * 96 + group)]
+    texts += ["~" * n + enclosing for n in range(90, MAX_NESTING)]
+    for text in texts:
+        _assert_same(_outcome(text, groups), _outcome(text), text)
+    # the last fit, and the first that does not, read through the memo
+    assert isinstance(_outcome("~" * 93 + enclosing, groups), Not)
+    with pytest.raises(SourceError, match="nested more than"):
+        parse_formula("~" * 94 + enclosing, _groups=groups)
+    with pytest.raises(SourceError) as e:
+        parse_formula("~" * 98 + group, _groups=groups)
+    assert e.value.position == 100  # the inner "(", as without the memo
+
+
+def test_each_parse_reads_through_a_fresh_memo(monkeypatch):
+    reads = []
+    unary = parse._Parser.unary
+
+    def counted(self):
+        reads.append(self.i)
+        return unary(self)
+
+    monkeypatch.setattr(parse._Parser, "unary", counted)
+    text = "((P1 -> P2) -> (P1 -> P2))"
+    for _ in range(2):
+        reads.clear()
+        assert parse_formula(text) is Implies(Implies(P1, P2), Implies(P1, P2))
+        # the second "(P1 -> P2)", from token 7, is a hit within the call,
+        # so its P1 and P2 are not read; the first is read in every call
+        assert reads == [0, 2, 4, 7]
+
+
+def test_failed_parses_leave_the_group_memo_sound():
+    groups = {}
+    failing = [
+        "((P1 -> P2) -> )",
+        "((P1 -> P2) -> (x1 *[P1] x2)",
+        "((x1 *[P1] x2) P1)",
+        "~" * 99 + "((P1 -> P2) -> P3)",
+        "((P1 -> P2) -> P0)",
+    ]
+    for text in failing:
+        assert isinstance(_outcome(text, groups), tuple)
+    later = [
+        "((P1 -> P2) -> P3)",
+        "(P1 -> P2)",
+        "((x1 *[P1] x2) : P1 -> (P1 -> P2))",
+        "~" * 96 + "((P1 -> P2) -> P3)",
+        "~" * 97 + "((P1 -> P2) -> P3)",
+    ] + failing
+    for text in later:
+        _assert_same(_outcome(text, groups), _outcome(text), text)

@@ -14,9 +14,11 @@ import time
 
 import pytest
 
+from jus import parse as parse_module
+from jus import proof as proof_module
 from jus.explore import random_axiom_instances
 from jus.model import ConstantSpec
-from jus.parse import parse_formula, print_formula
+from jus.parse import SourceError, parse_formula, print_formula
 from jus.proof import (
     SCHEMAS,
     CheckFailure,
@@ -574,6 +576,29 @@ def test_taut_consequence_rejects_non_consequence():
         b.taut_consequence([], P1)
 
 
+def test_taut_consequence_builds_one_truth_table(monkeypatch):
+    # the chain's own check licenses it as a Taut axiom: no second table
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return taut_check(f)
+
+    b = ProofBuilder()
+    a = Implies(P1, P1)
+    i = b.axiom(a)
+    monkeypatch.setattr(proof_module, "taut_check", counted)
+    j = b.taut_consequence([i], Implies(P2, a))
+    assert len(calls) == 1
+    b.taut_consequence([i, j], conj(a, Implies(P2, a)))
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="tautological consequence"):
+        b.taut_consequence([i], P1)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert_checks(b.proof(), EMPTY)
+
+
 def test_builder_validates_axioms_eagerly():
     b = ProofBuilder()
     with pytest.raises(ValueError, match="not an axiom"):
@@ -743,6 +768,70 @@ def test_proof_json_round_trip():
     again = proof_from_json(proof_to_json(p))
     assert [s.formula for s in again.steps] == [s.formula for s in p.steps]
     assert_checks(again)
+
+
+def _necessitated_ramsey():
+    """A proof whose printed steps repeat large groups of earlier steps."""
+    return prove_necessitation(prove_ramsey(Variable(1), P1, P2, FULL), FULL)[1]
+
+
+def test_proof_json_round_trip_gives_the_same_nodes():
+    p = _necessitated_ramsey()
+    again = proof_from_json(proof_to_json(p))
+    assert len(again.steps) == len(p.steps)
+    assert all(a.formula is b.formula for a, b in zip(again.steps, p.steps))
+    assert_checks(again)
+
+
+def test_proof_json_reads_repeated_groups_once(monkeypatch):
+    # one group memo serves the whole file, so the steps together read far
+    # less than each step read on its own
+    steps = proof_to_json(_necessitated_ramsey())
+    reads = []
+    unary = parse_module._Parser.unary
+
+    def counted(self):
+        reads.append(self.i)
+        return unary(self)
+
+    monkeypatch.setattr(parse_module._Parser, "unary", counted)
+    proof_from_json(steps)
+    together = len(reads)
+    reads.clear()
+    for step in steps:
+        parse_formula(step["formula"])
+    assert 0 < together * 10 < len(reads)
+
+
+def test_proof_json_malformed_step_after_shared_groups():
+    steps = proof_to_json(_necessitated_ramsey())
+    # the last step that contains an earlier step's printed group, the
+    # longest such group
+    k, shared = max(
+        (k, len(early["formula"]), early["formula"])
+        for k, step in enumerate(steps, 1)
+        for early in steps[:k - 1]
+        if early["formula"].startswith("(") and early["formula"] in step["formula"]
+    )[::2]
+    assert len(shared) > 100
+    steps = steps[:k]
+    text = steps[-1]["formula"]
+    at = text.index(shared) + len(shared) - 1  # that group's ")"
+    bad = text[:at] + " ~" + text[at:]
+    with pytest.raises(SourceError) as alone:
+        parse_formula(bad)
+    # read after the earlier steps, through their group memo
+    groups = {}
+    for step in steps[:-1]:
+        parse_formula(step["formula"], _groups=groups)
+    with pytest.raises(SourceError) as e:
+        parse_formula(bad, _groups=groups)
+    assert (e.value.position, e.value.message) == (alone.value.position, alone.value.message)
+    assert (e.value.position, e.value.message) == (at + 2, "expected ')'")  # the "~"
+    steps[-1]["formula"] = bad
+    with pytest.raises(ValueError) as e:
+        proof_from_json(steps)
+    assert str(e.value) == "step %d formula: %s" % (k, alone.value.message)
 
 
 def test_proof_json_rejections():
