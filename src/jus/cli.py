@@ -4,11 +4,14 @@ Subcommands: eval, update, check-proof, search, validate, taut. Output is
 JSON unless --human asks for prose. Exit codes are a contract shared by
 every subcommand: 0 affirmative, 1 negative (false / failed / countermodel
 / violations), 2 malformed input. Nothing else is ever returned.
+The argparse parser is built on the first main() call and kept for the
+rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -198,7 +201,11 @@ def cmd_taut(args) -> int:
     return 0 if value else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Parsing leaves it as it was: each
+    call gets a fresh Namespace, and usage, help and errors go to the
+    streams current at that call."""
     top = argparse.ArgumentParser(
         prog="jus",
         description="Evaluate, update, prove, and refute over subset models.",

@@ -20,9 +20,11 @@ Lexing is one findall of the re module over the whole text, which yields
 every lexeme and any other non-space character alone; the parser works
 on that list of strings. Only the distinct matches are checked in
 Python, so a text with a fault costs one more pass, which finds the
-first fault in text order: a character no lexeme starts with, or an
-index of value 0 (digits of other scripts are read with int). Offsets
-are worked out only when an error is raised, by counting lexemes again.
+first fault in text order: a character no lexeme starts with, an index
+of value 0, or one of more digits than int converts. Indices are read
+with int, so digits of other scripts count by their value, and the
+parser's own reads cannot fail on a text that lexed. Offsets are worked
+out only when an error is raised, by counting lexemes again.
 
 A "(" in formula position (an application term or a parenthesized
 formula) is read once. Its first operand is a term, a formula, or a
@@ -104,7 +106,11 @@ def _fault(lexeme: str):
         return None
     if len(lexeme) == 1:
         return "unexpected character %r" % lexeme
-    if int(lexeme[1:]) < 1:
+    try:
+        index = int(lexeme[1:])
+    except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
+        return "index of %d digits is too long" % (len(lexeme) - 1)
+    if index < 1:
         return "index must be >= 1 in %r" % lexeme
     return None
 

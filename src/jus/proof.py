@@ -177,12 +177,16 @@ def _instances(f: Formula, schema: str = None):
     schema, so that a caller that needs the first suitable one stops there
     and tries no other schema."""
     for lead, g in prefix_splits(f):
-        if schema in (None, "Taut") and taut_check(g):
+        cores = [] if schema == "Taut" else _core_schemas(g)
+        # no core instance is a tautology: its skeleton is one atom, X -> Y
+        # with atoms X and Y distinct, or X <-> B with an atom X that B
+        # lacks. So a split with a core schema builds no table, however
+        # many atoms it has
+        if schema in (None, "Taut") and not cores and taut_check(g):
             yield AxiomInstance("Taut", lead, g)
-        if schema != "Taut":
-            for core in _core_schemas(g):
-                if schema in (None, core):
-                    yield AxiomInstance(core, lead, g)
+        for core in cores:
+            if schema in (None, core):
+                yield AxiomInstance(core, lead, g)
 
 
 def _is_axiom(f: Formula) -> bool:

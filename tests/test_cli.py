@@ -5,20 +5,26 @@ streams; one subprocess test at the end confirms the module entry point
 wires up the same way.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import jus
-from jus import parse
+from jus import cli, parse
 from jus.cli import main
 from jus.model import ConstantSpec, model_from_json
 from jus.proof import proof_to_json, prove_necessitation, prove_ramsey
 from jus.syntax import Prop, Variable
+
+from conftest import data_path
 
 P1 = Prop(1)
 
@@ -430,6 +436,35 @@ def test_deep_formulas_exit_2(capsys, two_world_path, tmp_path):
     assert "nested more than 100 levels deep" in err and err.count("\n") == 1
 
 
+def test_overlong_index_exits_2(capsys, two_world_path, tmp_path):
+    # an index of more digits than int() converts is a parse error, whether
+    # it comes as a formula argument, a proof-file step or a model-file key
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts indices of any length")
+    ones = "1" * (limit + 1)
+    too_long = "index of %d digits is too long\n" % (limit + 1)
+    proof = write_proof(tmp_path, [{"formula": "(P1 -> P%s)" % ones, "rule": "axiom"}])
+    v1_key = tmp_path / "v1.json"
+    v1_key.write_text(json.dumps(
+        {"worlds": ["w", "v"], "normal": ["w"], "v1": {"v": {"P" + ones: True}}}))
+    evidence_key = tmp_path / "evidence.json"
+    evidence_key.write_text(json.dumps(
+        {"worlds": ["w"], "normal": ["w"], "evidence": {"w": {"c" + ones: ["w"]}}}))
+    for argv, start in [
+        (["taut", "P" + ones], "formula does not parse: at offset 1: "),
+        (["eval", two_world_path, "w", "P1 -> x" + ones + " : P1"],
+         "formula does not parse: at offset 7: "),
+        (["check-proof", proof, "full"], "%s: step 1 formula: " % proof),
+        (["eval", str(v1_key), "w", "P1"], "%s: bad v1 key " % v1_key),
+        (["validate", str(evidence_key)], "%s: bad evidence key " % evidence_key),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith(start) and err.endswith(too_long), err[:120]
+        assert err.count("\n") == 1
+
+
 # -- entry point ---------------------------------------------------------------
 
 def test_module_entry_point(two_world_path):
@@ -465,3 +500,153 @@ def test_closed_pipe_keeps_exit_code_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+# -- one parser per process ----------------------------------------------------
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The namespace of each call that gets as far as its output."""
+    seen = []
+    emit = cli._emit
+
+    def spy(args, payload, human):
+        seen.append(dict(vars(args)))
+        emit(args, payload, human)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return seen
+
+
+def test_defaults_do_not_leak_between_calls(emitted, capsys, two_world_path):
+    search = ["search", "(P1 -> P1)"]
+    for given_first, key, values in [
+        (["--cs", "empty"], "cs", ["empty", "full"]),
+        (["--max-nonnormal", "0"], "max_nonnormal", [0, None]),
+        (["--max-worlds", "1"], "max_worlds", [1, 2]),
+    ]:
+        run_cli(capsys, *search, *given_first)
+        run_cli(capsys, *search)
+        assert [args[key] for args in emitted[-2:]] == values
+    run_cli(capsys, "validate", two_world_path, "--cs", "empty")
+    run_cli(capsys, "validate", two_world_path)
+    assert [args["cs"] for args in emitted[-2:]] == ["empty", None]
+    eval_argv = ["eval", two_world_path, "w", "[P1] up(P1) : P1"]
+    assert run_cli(capsys, *eval_argv, "--human") == (0, "true at w\n", "")
+    assert run_cli(capsys, *eval_argv) == (0, "true\n", "")
+
+
+def test_usage_error_then_valid_call(capsys):
+    code, out, err = run_cli(capsys, "taut")
+    assert (code, out) == (2, "") and err.endswith(
+        "error: the following arguments are required: formula\n")
+    assert run_cli(capsys, "taut", "(P1 -> P1)") == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"],
+                                  ["search", "P1", "--max-worlds", "two"]])
+def test_help_and_usage_errors_print_what_a_fresh_parser_prints(capsys, argv):
+    try:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    except SystemExit as e:
+        want_code = 0 if e.code in (0, None) else 2
+    fresh = capsys.readouterr()
+    assert fresh.out or fresh.err
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (want_code, fresh.out, fresh.err)
+
+
+def test_parser_is_built_on_the_first_call_only():
+    # argparse.ArgumentParser is counted in a new process: importing jus.cli
+    # builds none; the first main() call builds the top parser and its six
+    # subparsers, and later calls build nothing
+    script = "\n".join([
+        "import argparse, contextlib, io",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counted(self, *a, **k):",
+        "    built.append(1)",
+        "    init(self, *a, **k)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "import jus.cli",
+        "counts = [len(built)]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['taut', 'P1'], ['taut', '(P1 -> P1)'], ['nope']):",
+        "        with contextlib.redirect_stderr(io.StringIO()):",
+        "            jus.cli.main(argv)",
+        "        counts.append(len(built))",
+        "print(counts)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [0, 7, 7, 7]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A proof file, a CS file and a path to write models to."""
+    d = tmp_path_factory.mktemp("argv")
+    proof = d / "proof.json"
+    proof.write_text(json.dumps([{"formula": "[P1] up(P1) : P1", "rule": "axiom"},
+                                 {"formula": "c1 : [P1] up(P1) : P1", "rule": "an"}]))
+    cs = d / "cs.json"
+    cs.write_text(json.dumps({"mode": "explicit", "pairs": [["c1", "(P1 -> P1)"]]}))
+    return {"proof": str(proof), "cs": str(cs), "missing": str(d / "missing.json"),
+            "out": str(d / "out.json")}
+
+
+@st.composite
+def argvs(draw, files, model):
+    """An argv over the subcommands: their positionals, sometimes one short
+    or one too many, then known and unknown flags. Searches stay within 2
+    worlds."""
+    formulas = st.sampled_from(["P1", "(P1 -> P1)", "[P1] up(P1) : P1", "x1 : ~ up(P1) : P1",
+                                "c1 : (P1 -> P1)", "~P2 & P3", "(P1 ->", "P0", ""])
+    models = st.sampled_from([model, files["missing"], files["proof"]])
+    specs = st.sampled_from(["full", "empty", "partial", files["cs"], files["missing"]])
+    positionals = {
+        "eval": [models, st.sampled_from(["w", "v", "zz"]), formulas],
+        "update": [models, formulas],
+        "check-proof": [st.sampled_from([files["proof"], model, files["missing"]]), specs],
+        "search": [formulas],
+        "validate": [models],
+        "taut": [formulas],
+        "nope": [formulas],
+    }
+    command = draw(st.sampled_from(sorted(positionals) + [None]))
+    argv = [] if command is None else [command] + [
+        draw(p) for p in positionals[command]]
+    change = draw(st.sampled_from(["keep", "keep", "drop", "add"]))
+    if change == "drop" and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif change == "add":
+        argv.append(draw(st.one_of(formulas, st.just("-x"))))
+    flags = st.one_of(
+        st.sampled_from([["--human"], ["--help"], ["--bogus"], ["--out"]]),
+        st.tuples(st.just("--out"), st.sampled_from([files["out"], files["missing"] + "/x"])),
+        st.tuples(st.just("--cs"), specs),
+        st.tuples(st.sampled_from(["--max-worlds", "--max-nonnormal"]),
+                  st.sampled_from(["0", "1", "2", "-1", "x"])),
+    )
+    for flag in draw(st.lists(flags, max_size=3)):
+        argv.extend(flag)
+    return argv
+
+
+def called(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_across_calls(argv_files, data):
+    # one process, one parser: every call keeps the contract, and a call
+    # repeated at once answers as it did the first time
+    argv = data.draw(argvs(argv_files, data_path("two_world.json")))
+    first = called(list(argv))
+    assert first[0] in (0, 1, 2), argv
+    assert called(list(argv)) == first, argv

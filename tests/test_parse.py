@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -244,6 +245,33 @@ def test_lexical_faults_come_before_grammar_faults():
         assert (e.value.position, e.value.message) == want, text
     # a digit of another script is read by its value
     assert parse_formula("P\u0661 -> P10") == Implies(P1, Prop(10))
+
+
+def test_overlong_index_is_a_lexical_fault():
+    # int() converts at most sys.get_int_max_str_digits() digits; an index
+    # with more is refused at its lexeme, in text order with the others
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts indices of any length")
+    ones = "1" * (limit + 1)
+    too_long = "index of %d digits is too long" % (limit + 1)
+    for text, want in [
+        ("P" + ones, (1, too_long)),
+        ("P" + "0" * (limit + 1), (1, too_long)),
+        ("P1 -> P0 -> P" + ones, (7, "index must be >= 1 in 'P0'")),
+        ("P1 -> P" + ones + " -> P0 #", (7, too_long)),
+        ("(P1 -> c" + ones + " : P1", (8, too_long)),
+        ("x1 : P" + "\u0661" * (limit + 1), (6, too_long)),
+    ]:
+        with pytest.raises(SourceError) as e:
+            parse_formula(text)
+        assert (e.value.position, e.value.message) == want, text[:20]
+    with pytest.raises(SourceError) as e:
+        parse_term("(x" + ones + " *[P1] c1)")
+    assert (e.value.position, e.value.message) == (2, too_long)
+    # the longest index int() converts still parses, in any script
+    assert parse_formula("P" + "1" * limit) == Prop(int("1" * limit))
+    assert parse_formula("P" + "\u0661" * limit) == Prop(int("1" * limit))
 
 
 def _outcome(text, groups=None):

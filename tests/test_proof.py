@@ -21,6 +21,7 @@ from jus.model import ConstantSpec
 from jus.parse import SourceError, parse_formula, print_formula
 from jus.proof import (
     SCHEMAS,
+    AxiomInstance,
     CheckFailure,
     Proof,
     ProofBuilder,
@@ -57,6 +58,7 @@ from jus.syntax import (
     disj,
     equiv,
     length,
+    prefix_splits,
 )
 
 P1, P2, P3 = Prop(1), Prop(2), Prop(3)
@@ -429,6 +431,39 @@ def test_match_axiom_cross_check():
                 counts[schema] = counts.get(schema, 0) + 1
         assert checked > more_than
         assert set(counts) == set(present) | {None}
+
+
+def _instances_table_first(f) -> list:
+    """match_axiom's list in its order, building every prefix split's
+    truth table: per split, Taut, then the split's core schemas."""
+    out = []
+    for lead, g in prefix_splits(f):
+        if taut_check(g):
+            out.append(AxiomInstance("Taut", lead, g))
+        out.extend(AxiomInstance(s, lead, g) for s in proof_module._core_schemas(g))
+    return out
+
+
+def test_match_axiom_needs_no_table_for_a_core_instance():
+    # no core instance is a tautology, so match_axiom skips the table of
+    # a split that has a core schema; the list and its order stay those
+    # of building every table
+    checked = 0
+    for f in itertools.chain(_universe(), _seeded_corpus()):
+        assert match_axiom(f) == _instances_table_first(f), print_formula(f)
+        checked += 1
+    assert checked > 30800
+    # so a core instance lists past the table's atom limit
+    body = Implies(P1, P2)
+    for i in range(3, 31):
+        body = Implies(body, Prop(i))
+    indep = equiv(Update(Prop(31), body), body)
+    assert match_axiom(indep) == [AxiomInstance("Indep", (), indep)]
+    boxed = Update(Prop(32), indep)
+    assert match_axiom(boxed) == [AxiomInstance("Indep", (Prop(32),), indep)]
+    # and a formula that matches no core schema still needs its table
+    with pytest.raises(ValueError, match="formula has 30 boolean atoms"):
+        match_axiom(body)
 
 
 def test_axiom_checks_stop_at_the_first_suitable_instance():
