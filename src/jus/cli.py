@@ -135,20 +135,18 @@ def cmd_search(args) -> int:
     except ValueError as e:
         raise InputError("bad search bounds: %s" % e) from e
     cs = _cs_arg(args.cs)
-    if cs.mode == "explicit":
-        universe = list(cs.pairs)
-    elif cs.mode == "empty":
-        universe = []
-    else:
+    if cs.mode == "full":
         # the slice of the full CS that can bear on this formula: its own
-        # constants paired with the formulas its evaluation touches that
-        # the checker's rule licenses for them
-        universe = [
+        # constants paired with the formulas its evaluation touches
+        pairs = [
             (Constant(i), g)
             for i in sorted(constants_in(f))
             for g in sorted(eval_closure(f), key=print_formula)
-            if cs_contains(cs, Constant(i), g)
         ]
+    else:
+        pairs = cs.pairs
+    # only the pairs the checker's rule licenses, as in check-proof
+    universe = [(c, g) for c, g in pairs if cs_contains(cs, c, g)]
     report = find_countermodel(f, sig, universe)
     payload = report_to_json(report)
     if report.outcome == "countermodel":

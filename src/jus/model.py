@@ -111,13 +111,25 @@ def _require_keys(obj: dict, allowed: set, what: str):
         raise ValueError("%s has unknown keys: %s" % (what, ", ".join(sorted(unknown))))
 
 
+def _echo(x) -> str:
+    """x's repr for an error line, cut short when long."""
+    r = repr(x)
+    return r if len(r) <= 60 else r[:57] + "..."
+
+
+def _source_text(text: str, read, what: str):
+    """read(text), for source text found in a JSON file. A parse fault
+    raises ValueError that starts with what and keeps the fault's offset."""
+    try:
+        return read(text)
+    except SourceError as e:
+        raise ValueError("%s: %s" % (what, e)) from None
+
+
 def _parse_inner(text, parser, what):
     if not isinstance(text, str):
-        raise ValueError("%s key %r must be a string" % (what, text))
-    try:
-        return parser(text)
-    except SourceError as e:
-        raise ValueError("bad %s key %r: %s" % (what, text, e.message))
+        raise ValueError("%s key %s must be a string" % (what, _echo(text)))
+    return _source_text(text, parser, "bad %s key %s" % (what, _echo(text)))
 
 
 def model_from_json(obj: dict, validate: bool = True) -> SubsetModel:

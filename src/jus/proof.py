@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ConstantSpec
-from .parse import SourceError, parse_formula, parse_term, print_formula, print_term
+from .model import ConstantSpec, _require_keys, _source_text
+from .parse import parse_formula, parse_term, print_formula, print_term
 from .semantics import pattern
 from .syntax import (
     App,
@@ -49,6 +49,7 @@ from .syntax import (
     Term,
     Up,
     Update,
+    _postorder,
     atm,
     conj,
     constants_in,
@@ -64,56 +65,35 @@ SCHEMAS = ("Taut", "App", "Indep", "Funct", "Norm", "Up", "Pers")
 
 # -- tautology checking -------------------------------------------------
 
-def taut_atoms(f: Formula) -> list:
-    """Maximal subformulas not headed by negation or implication, in first
-    occurrence order. These are the atoms of the boolean skeleton."""
-    out = []
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Implies):
-            stack.extend((g.right, g.left))
-        else:
-            out.append(g)
-    return out
-
-
 _MAX_TAUT_ATOMS = 24  # 2^24-bit table columns; enough for every schema here
+_SKELETON = (Not, Implies)
 
 
 def taut_check(f: Formula) -> bool:
-    """Truth-table validity of the boolean skeleton.
+    """Truth-table validity of the boolean skeleton, whose atoms are the
+    maximal subformulas not headed by negation or implication.
 
+    One children-first pass lists the skeleton's nodes, atoms included.
     Columns of the table are big integers, one bit per assignment row, so
-    the connectives reduce to bitwise operations. Each shared node's column
-    is computed once.
+    the connectives reduce to bitwise operations, and each shared node's
+    column is computed once, after its children's.
     """
-    atoms = taut_atoms(f)
+    cols = _postorder(f, _SKELETON)  # filled in children first
+    atoms = [g for g in cols if not isinstance(g, _SKELETON)]
     if len(atoms) > _MAX_TAUT_ATOMS:
         raise ValueError("formula has %d boolean atoms; refusing the 2^%d-row table"
                          % (len(atoms), len(atoms)))
     rows = 1 << len(atoms)
     full = (1 << rows) - 1
     # bit r of an atom's column is its value in assignment row r: bit i of r
-    cols = {atom: pattern(i, 1, (1,), 0, rows) for i, atom in enumerate(atoms)}
-
-    def col(g: Formula) -> int:
-        got = cols.get(g)
-        if got is None:
-            if isinstance(g, Not):
-                got = full & ~col(g.body)
-            else:
-                got = full & (~col(g.left) | col(g.right))
-            cols[g] = got
-        return got
-
-    return col(f) == full
+    for i, atom in enumerate(atoms):
+        cols[atom] = pattern(i, 1, (1,), 0, rows)
+    for g in cols:
+        if isinstance(g, Not):
+            cols[g] = full & ~cols[g.body]
+        elif isinstance(g, Implies):
+            cols[g] = full & (~cols[g.left] | cols[g.right])
+    return cols[f] == full
 
 
 # -- axiom matching ------------------------------------------------------
@@ -175,13 +155,16 @@ def match_axiom(f: Formula) -> list:
 def _instances(f: Formula, schema: str = None):
     """match_axiom's instances one at a time, or only those of the given
     schema, so that a caller that needs the first suitable one stops there
-    and tries no other schema."""
+    and tries no other schema. This is the only axiom matcher: the checker,
+    the builder and the constant specifications all ask it."""
     for lead, g in prefix_splits(f):
         cores = [] if schema == "Taut" else _core_schemas(g)
         # no core instance is a tautology: its skeleton is one atom, X -> Y
         # with atoms X and Y distinct, or X <-> B with an atom X that B
         # lacks. So a split with a core schema builds no table, however
-        # many atoms it has
+        # many atoms it has. A split whose body is an update is one atom
+        # too, so only the innermost split can build a real table, or
+        # refuse one, and every split's core schemas come before it
         if schema in (None, "Taut") and not cores and taut_check(g):
             yield AxiomInstance("Taut", lead, g)
         for core in cores:
@@ -189,24 +172,12 @@ def _instances(f: Formula, schema: str = None):
                 yield AxiomInstance(core, lead, g)
 
 
-def _is_axiom(f: Formula) -> bool:
-    """Whether match_axiom(f) is non-empty. Every prefix split is tried
-    against the core schemas, a few node tests each, before any truth
-    table of up to 2^24 rows: so a core instance is an axiom however many
-    boolean atoms it has."""
-    splits = list(prefix_splits(f))
-    return (any(_core_schemas(g) for _, g in splits)
-            or any(taut_check(g) for _, g in splits))
-
-
 def _axiom_failure(f: Formula, schema: str = None):
     """None when f is an instance of the schema, or of any schema when
     none is given; otherwise why it is not."""
-    if schema is None:
-        return None if _is_axiom(f) else "not an axiom instance"
     if next(_instances(f, schema), None) is not None:
         return None
-    if _is_axiom(f):
+    if schema is not None and next(_instances(f), None) is not None:
         return "not an instance of schema %s" % schema
     return "not an axiom instance"
 
@@ -268,7 +239,7 @@ def _iterated_cs_shape(f: Formula) -> bool:
     """[tau1]c1 : [tau2]c2 : ... : A with n >= 0 and A an axiom."""
     g = f
     while True:
-        if _is_axiom(g):
+        if next(_instances(g), None) is not None:
             return True
         peeled = _peel_an(g)
         if peeled is None:
@@ -318,14 +289,17 @@ class CheckFailure:
         return "step %d: %s" % (self.index, self.reason)
 
 
-def _mp_premises(p: Proof, step: ProofStep) -> tuple:
-    """An mp step's premises as (i, j), swapped if need be so that step j
-    is an implication whose antecedent is step i."""
-    i, j = step.premises
-    fj = p.steps[j - 1].formula
-    if not (isinstance(fj, Implies) and fj.left is p.steps[i - 1].formula):
-        i, j = j, i
-    return i, j
+def _mp_premises(p: Proof, step: ProofStep):
+    """An mp step's premises as (i, j), in whichever order makes step j
+    the implication from step i to the step's formula; None when neither
+    order does. At most one order can: two formulas cannot each be the
+    antecedent of the other."""
+    for i, j in (step.premises, step.premises[::-1]):
+        fj = p.steps[j - 1].formula
+        if (isinstance(fj, Implies) and fj.left is p.steps[i - 1].formula
+                and fj.right is step.formula):
+            return i, j
+    return None
 
 
 def check_proof(p: Proof, cs: ConstantSpec):
@@ -359,10 +333,7 @@ def check_proof(p: Proof, cs: ConstantSpec):
                 or not all(isinstance(i, int) and 1 <= i < k for i in step.premises)
             ):
                 return CheckFailure(k, "modus ponens needs two earlier step indices")
-            i, j = _mp_premises(p, step)
-            fj = p.steps[j - 1].formula
-            if not (isinstance(fj, Implies) and fj.left is p.steps[i - 1].formula
-                    and fj.right is step.formula):
+            if _mp_premises(p, step) is None:
                 return CheckFailure(k, "modus ponens premises do not yield this formula")
         else:
             return CheckFailure(k, "unknown rule %r" % step.rule)
@@ -637,20 +608,15 @@ def proof_from_json(obj) -> Proof:
         raise ValueError("a proof file is a nonempty JSON array of steps")
     steps = []
     groups = {}  # printed steps repeat their subformulas: read each once
+
+    def read_formula(text):
+        return parse_formula(text, _groups=groups)
+
     for n, raw in enumerate(obj, 1):
-        if not isinstance(raw, dict):
-            raise ValueError("step %d must be a JSON object" % n)
-        unknown = set(raw) - _STEP_KEYS
-        if unknown:
-            raise ValueError(
-                "step %d has unknown keys: %s" % (n, ", ".join(sorted(unknown)))
-            )
+        _require_keys(raw, _STEP_KEYS, "step %d" % n)
         if not isinstance(raw.get("formula"), str):
             raise ValueError("step %d needs a formula string" % n)
-        try:
-            f = parse_formula(raw["formula"], _groups=groups)
-        except SourceError as e:
-            raise ValueError("step %d formula: %s" % (n, e.message))
+        f = _source_text(raw["formula"], read_formula, "step %d formula" % n)
         rule = raw.get("rule")
         if rule not in ("axiom", "an", "mp"):
             raise ValueError("step %d rule must be axiom, an, or mp" % n)
@@ -665,10 +631,9 @@ def proof_from_json(obj) -> Proof:
         if raw.get("constant") is not None:
             if rule != "an":
                 raise ValueError("step %d: only necessitation steps take a constant" % n)
-            try:
-                constant = parse_term(raw["constant"])
-            except SourceError as e:
-                raise ValueError("step %d constant: %s" % (n, e.message))
+            constant = raw["constant"]
+            if isinstance(constant, str):
+                constant = _source_text(constant, parse_term, "step %d constant" % n)
             if not isinstance(constant, Constant):
                 raise ValueError("step %d constant must be a c<n> term" % n)
         premises = None

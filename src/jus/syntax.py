@@ -264,24 +264,45 @@ def up_independent(f: Formula) -> bool:
     return True
 
 
+_COMPOUND = (Not, Implies, Justifies, Update, App)
+
+
+def _postorder(x: Node, inner) -> dict:
+    """The nodes reachable from x through the children of nodes of the
+    classes in inner, x included, each once and after all of its children,
+    as the keys of a dict in that order. Iterative: a node met the first
+    time goes back on the stack beneath its children, so no depth
+    overflows."""
+    done = {}
+    opened = set()
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if y in done:
+            continue
+        if y in opened or not isinstance(y, inner):
+            done[y] = None
+        else:
+            opened.add(y)
+            stack.append(y)
+            stack += y._args
+    return done
+
+
 def length(x: Node) -> int:
     """Structural length; atomic terms count 1 regardless of their bodies.
     Each shared node is measured once, so the cost is linear in the DAG."""
-    memo = {}
-
-    def measure(y: Node) -> int:
-        n = memo.get(y)
-        if n is None:
-            if isinstance(y, Prop) or (isinstance(y, Term) and is_atomic(y)):
-                n = 1
-            elif isinstance(y, (Term, Formula)):
-                n = 1 + sum(map(measure, y._args))
-            else:
-                raise TypeError("expected a term or formula, got %r" % (y,))
-            memo[y] = n
-        return n
-
-    return measure(x)
+    if not isinstance(x, (Term, Formula)):
+        raise TypeError("expected a term or formula, got %r" % (x,))
+    n = _postorder(x, _COMPOUND)  # filled in children first
+    for y in n:
+        if isinstance(y, _COMPOUND):
+            n[y] = 1 + sum(map(n.__getitem__, y._args))
+        elif isinstance(y, (Term, Formula)):
+            n[y] = 1
+        else:
+            raise TypeError("expected a term or formula, got %r" % (y,))
+    return n[x]
 
 
 def prefix_splits(f: Formula) -> Iterator[tuple]:

@@ -214,6 +214,28 @@ def test_check_proof_refuses_malformed_cs_file(capsys, tmp_path):
     assert "mode must be one of empty, explicit, full" in err
 
 
+def test_search_imposes_only_licensed_explicit_pairs(capsys, tmp_path, two_world_path):
+    # (c1, P1) licenses nothing, as check-proof says, so search forces no
+    # model to honour it and refutes c1 : P1; validate --cs still checks it
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"mode": "explicit", "pairs": [["c1", "P1"]]}))
+    path = write_proof(tmp_path, [{"formula": "c1 : P1", "rule": "an", "constant": "c1"}])
+    assert run_cli(capsys, "check-proof", path, str(cs))[0] == 1
+    code, out, _ = run_cli(capsys, "search", "c1 : P1", "--cs", str(cs))
+    assert code == 1
+    assert json.loads(out)["outcome"] == "countermodel"
+    # a licensed pair in the same file is still imposed
+    cs.write_text(json.dumps({"mode": "explicit",
+                              "pairs": [["c1", "P1"], ["c2", "(P1 -> P1)"]]}))
+    code, out, _ = run_cli(capsys, "search", "c2 : (P1 -> P1)", "--cs", str(cs))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "exhausted"
+    code, out, _ = run_cli(capsys, "validate", two_world_path, "--cs", str(cs))
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert {"world": "w", "constant": "c1", "formula": "P1"} in violations
+
+
 def test_check_proof_and_search_agree_on_iterated_full_cs(capsys, tmp_path):
     # full pairs c1 with c2 : (P1 -> P1), so the one-step proof checks,
     # and search must force that pair onto its models and find no refutation
@@ -463,6 +485,8 @@ def test_overlong_index_exits_2(capsys, two_world_path, tmp_path):
         assert (code, out) == (2, ""), argv[0]
         assert err.startswith(start) and err.endswith(too_long), err[:120]
         assert err.count("\n") == 1
+        # the fault's offset is named, and a long key is echoed cut short
+        assert "at offset " in err and len(err) < 200, err[:200]
 
 
 # -- entry point ---------------------------------------------------------------

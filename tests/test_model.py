@@ -181,6 +181,18 @@ def test_model_json_bad_inner_syntax():
         model_from_json(obj)
 
 
+def test_model_json_bad_key_names_its_offset_and_is_cut_short():
+    obj = json.loads(INTERFACE_MODEL)
+    key = "(P1 -> P" + "7" * 1000  # the ")" is missing
+    obj["v1"] = {"v": {key: True}}
+    with pytest.raises(ValueError) as e:
+        model_from_json(obj)
+    message = str(e.value)
+    assert message.startswith("bad v1 key '(P1 -> P777")
+    assert message.endswith("at offset %d: expected ')'" % (len(key) + 1))
+    assert len(message) < 200
+
+
 def test_model_json_v0_key_must_be_prop():
     obj = json.loads(INTERFACE_MODEL)
     obj["v0"] = {"w": {"x1 : P1": True}}

@@ -96,6 +96,21 @@ def test_taut_check_atom_granularity():
     assert not taut_check(Implies(j, Justifies(Variable(2), P1)))
 
 
+def test_checker_at_depth():
+    # built through the library, far past the interpreter's recursion
+    # limit: the table, the matcher and the checker walk it all the same
+    neg = P1
+    for _ in range(5000):
+        neg = Not(neg)
+    f = Implies(neg, neg)
+    assert taut_check(f) and taut_check(Implies(neg, P1)) and not taut_check(neg)
+    assert match_axiom(f) == [AxiomInstance("Taut", (), f)]
+    for schema in (None, "Taut"):
+        assert check_proof(Proof((ProofStep(f, "axiom", schema=schema),)), EMPTY) is None
+    fail = check_proof(Proof((ProofStep(neg, "axiom"),)), EMPTY)
+    assert (fail.index, fail.reason) == (1, "not an axiom instance")
+
+
 # -- axiom matching -------------------------------------------------------
 
 def test_match_axiom_up_with_prefix():
@@ -431,6 +446,29 @@ def test_match_axiom_cross_check():
                 counts[schema] = counts.get(schema, 0) + 1
         assert checked > more_than
         assert set(counts) == set(present) | {None}
+
+
+def test_checker_agrees_with_match_axiom():
+    # one matcher: a one-step axiom proof checks iff match_axiom lists an
+    # instance, of the declared schema when one is declared
+    rng = random.Random(6)
+    more = [g for k, schema in enumerate(SCHEMAS)
+            for f in random_axiom_instances(schema, 20, seed=400 + k)
+            for g in (f, _mutate_once(f, rng), _mutate_shared(f, rng))]
+    checked = 0
+    for f in itertools.chain(_universe(), _seeded_corpus(), more):
+        found = {i.schema for i in match_axiom(f)}
+        for schema in (None,) + SCHEMAS:
+            fail = check_proof(Proof((ProofStep(f, "axiom", schema=schema),)), EMPTY)
+            if schema in found or (schema is None and found):
+                want = None
+            elif found:
+                want = "not an instance of schema %s" % schema
+            else:
+                want = "not an axiom instance"
+            assert (fail.reason if fail else None) == want, (print_formula(f), schema)
+        checked += 1
+    assert checked > 31000
 
 
 def _instances_table_first(f) -> list:
@@ -866,7 +904,7 @@ def test_proof_json_malformed_step_after_shared_groups():
     steps[-1]["formula"] = bad
     with pytest.raises(ValueError) as e:
         proof_from_json(steps)
-    assert str(e.value) == "step %d formula: %s" % (k, alone.value.message)
+    assert str(e.value) == "step %d formula: %s" % (k, alone.value)
 
 
 def test_proof_json_rejections():
@@ -886,6 +924,8 @@ def test_proof_json_rejections():
         proof_from_json([{"formula": "P1", "rule": "axiom", "premises": [1, 2]}])
     with pytest.raises(ValueError, match="constant"):
         proof_from_json([{"formula": "c1 : P1", "rule": "an", "constant": "x1"}])
+    with pytest.raises(ValueError, match="constant must be a c<n> term"):
+        proof_from_json([{"formula": "c1 : P1", "rule": "an", "constant": 1}])
     with pytest.raises(ValueError, match="unknown keys"):
         proof_from_json([{"formula": "P1", "rule": "axiom", "vibe": "good"}])
 

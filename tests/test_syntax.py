@@ -80,6 +80,23 @@ def test_length_update():
     assert length(Not(P1)) == 2
 
 
+def test_length_at_depth():
+    # built through the library, far past the interpreter's recursion limit
+    f = P1
+    for _ in range(5000):
+        f = Not(f)
+    assert length(f) == 5001
+    g, want = P1, 1
+    for i in range(5000):
+        if i % 3 == 0:
+            g, want = Update(P1, g), want + 2
+        elif i % 3 == 1:
+            g, want = Justifies(App(x1, g, c1), P2), want + 5
+        else:
+            g, want = Implies(g, g), 2 * want + 1
+    assert length(g) == want
+
+
 def test_sugar_expansions():
     assert conj(P1, P2) == Not(Implies(P1, Not(P2)))
     assert disj(P1, P2) == Implies(Not(P1), P2)
