@@ -19,6 +19,7 @@ import sys
 from .explore import find_countermodel, report_to_json, signature_for
 from .model import (
     ConstantSpec,
+    _echo,
     cs_from_json,
     model_from_json,
     model_to_json,
@@ -88,7 +89,7 @@ def cmd_eval(args) -> int:
     m = _model_arg(args.model)
     f = _formula_arg(args.formula)
     if args.world not in m.worlds:
-        raise InputError("world %r is not in the model" % args.world)
+        raise InputError("world %s is not in the model" % _echo(args.world))
     value = holds(EvalContext(m), args.world, f)
     _emit(args, value, "%s at %s" % ("true" if value else "false", args.world))
     return 0 if value else 1

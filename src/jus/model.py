@@ -57,9 +57,9 @@ class ConstantSpec:
             raise ValueError("pairs are only meaningful in explicit mode")
         for c, a in self.pairs:
             if not isinstance(c, Constant):
-                raise ValueError("paired term %r is not a constant" % (c,))
+                raise ValueError("paired term %s is not a constant" % _echo(c))
             if not isinstance(a, Formula):
-                raise ValueError("paired value %r is not a formula" % (a,))
+                raise ValueError("paired value %s is not a formula" % _echo(a))
 
 
 def validate_model(m: SubsetModel) -> list:
@@ -74,25 +74,25 @@ def validate_model(m: SubsetModel) -> list:
         bad.append("normal worlds must all be listed in worlds")
     for (w, p), val in m.v0.items():
         if w not in m.normal:
-            bad.append("v0 key %r is not a normal world" % w)
+            bad.append("v0 key %s is not a normal world" % _echo(w))
         if not (isinstance(p, int) and p >= 1):
-            bad.append("v0 proposition index %r must be an integer >= 1" % (p,))
+            bad.append("v0 proposition index %s must be an integer >= 1" % _echo(p))
         if not isinstance(val, bool):
-            bad.append("v0 value for (%r, P%s) must be a boolean" % (w, p))
+            bad.append("v0 value for (%s, P%s) must be a boolean" % (_echo(w), _echo(p)))
     for (w, f), val in m.v1.items():
         if w not in wset or w in m.normal:
-            bad.append("v1 key %r is not a non-normal world" % w)
+            bad.append("v1 key %s is not a non-normal world" % _echo(w))
         if not isinstance(f, Formula):
-            bad.append("v1 key %r is not a formula" % (f,))
+            bad.append("v1 key %s is not a formula" % _echo(f))
         if not isinstance(val, bool):
-            bad.append("v1 value at %r must be a boolean" % w)
+            bad.append("v1 value at %s must be a boolean" % _echo(w))
     for (w, t), members in m.evidence.items():
         if w not in m.normal:
-            bad.append("evidence key %r is not a normal world" % w)
+            bad.append("evidence key %s is not a normal world" % _echo(w))
         if not (isinstance(t, Term) and is_atomic(t)):
-            bad.append("evidence term %r is not atomic" % (t,))
+            bad.append("evidence term %s is not atomic" % _echo(t))
         if not frozenset(members) <= wset:
-            bad.append("evidence set for %r at %r mentions unknown worlds" % (t, w))
+            bad.append("evidence set for %s at %s mentions unknown worlds" % (_echo(t), _echo(w)))
     if m.evidence_default not in ("all", "empty"):
         bad.append("evidence_default must be 'all' or 'empty'")
     return bad
@@ -108,7 +108,7 @@ def _require_keys(obj: dict, allowed: set, what: str):
         raise ValueError("%s must be a JSON object" % what)
     unknown = set(obj) - allowed
     if unknown:
-        raise ValueError("%s has unknown keys: %s" % (what, ", ".join(sorted(unknown))))
+        raise ValueError("%s has unknown keys: %s" % (what, _echo(sorted(unknown))))
 
 
 def _echo(x) -> str:
@@ -152,7 +152,7 @@ def model_from_json(obj: dict, validate: bool = True) -> SubsetModel:
         for key, val in assign.items():
             f = _parse_inner(key, parse_formula, "v0")
             if not isinstance(f, Prop):
-                raise ValueError("v0 key %r must name a proposition" % key)
+                raise ValueError("v0 key %s must name a proposition" % _echo(key))
             v0[(w, f.index)] = _json_bool(val, "v0", key)
     v1 = {}
     for w, assign in _json_section(obj, "v1").items():
@@ -164,7 +164,7 @@ def model_from_json(obj: dict, validate: bool = True) -> SubsetModel:
         for key, val in assign.items():
             t = _parse_inner(key, parse_term, "evidence")
             if not (isinstance(val, list) and all(isinstance(u, str) for u in val)):
-                raise ValueError("evidence set for %r must be a list of world names" % key)
+                raise ValueError("evidence set for %s must be a list of world names" % _echo(key))
             evidence[(w, t)] = frozenset(val)
     default = obj.get("evidence_default", "all")
     m = SubsetModel(worlds, normal, v0, v1, evidence, default)
@@ -186,7 +186,7 @@ def _json_section(obj: dict, key: str) -> dict:
 
 def _json_bool(val, section, key):
     if not isinstance(val, bool):
-        raise ValueError("%s value for %r must be true or false" % (section, key))
+        raise ValueError("%s value for %s must be true or false" % (section, _echo(key)))
     return val
 
 

@@ -16,15 +16,16 @@ core connectives; the three prefix forms bind to the following unary operand):
 Derived connectives (&, |, <->, _|_) are expanded while parsing and the
 printer never emits them, so printing is injective on stored shapes.
 
-Lexing is one findall of the re module over the whole text, which yields
-every lexeme and any other non-space character alone; the parser works
-on that list of strings. Only the distinct matches are checked in
-Python, so a text with a fault costs one more pass, which finds the
-first fault in text order: a character no lexeme starts with, an index
-of value 0, or one of more digits than int converts. Indices are read
-with int, so digits of other scripts count by their value, and the
-parser's own reads cannot fail on a text that lexed. Offsets are worked
-out only when an error is raised, by counting lexemes again.
+Lexing is findall of the re module over the text, or over the stretches
+of it that the cover pass below leaves, which yields every lexeme and
+any other non-space character alone; the parser works on that list of
+strings. Only the distinct matches are checked in Python, so a text with
+a fault costs one more pass, which finds the first fault in text order:
+a character no lexeme starts with, an index of value 0, or one of more
+digits than int converts. Indices are read with int, so digits of other
+scripts count by their value, and the parser's own reads cannot fail on
+a text that lexed. Offsets are worked out only when an error is raised,
+by counting lexemes again.
 
 A "(" in formula position (an application term or a parenthesized
 formula) is read once. Its first operand is a term, a formula, or a
@@ -41,25 +42,42 @@ is a SourceError at the token that opens it. Printing parenthesizes
 implications and expands derived connectives, so a chain near the cap
 can print deeper than the cap.
 
-Printed formulas repeat their subformulas, so each "(" in formula
-position whose matching ")" exists is first looked up by its lexemes,
-joined, in a group memo: what the text between them parsed to, and the
-most levels it opened. A hit that fits under the cap at the current depth is taken and
-the parser jumps past the ")"; any other "(" is read as above, and a
-group read to its ")" is stored. A group's reading depends only on its
-lexemes, so a hit gives the node a reading would; only reads that
-succeed are stored, so a failed parse leaves the memo sound. A jump
-raises the enclosing group's level count as the reading it replaces
-would, and a hit that would not fit is read instead, so nesting errors
-point where they would without the memo. parse_formula and parse_term
-use a fresh memo per call; proof_from_json shares one across the steps
-of one file, and it dies with that call.
+Printed formulas repeat their subformulas, so a group memo keeps groups
+by their raw text: a "(" in formula position read to its ")" stores the
+text from the one to the other, what it parsed to, and the most levels
+it opened. The memo holds one group per key, the group's first _LONG
+characters, or its first _SHORT when it is shorter; shorter groups are
+not kept. A lookup at offset p tries text[p:p + _LONG] and then
+text[p:p + _SHORT], and confirms a group with text.startswith(group, p).
+Only one group opens at a "(", and which ")" closes it depends only on
+the characters between, so a confirmed group is the group that opens
+there, and it reads as it did before.
+
+When the memo is not empty, a cover pass runs before lexing. From each
+"(" outside a hit, left to right, it looks the group up; a hit is
+replaced by one token, the memo entry itself, and only the text between
+hits is lexed. The parser takes such a token where a group stands, or
+where a term stands if it read as an application term, when it fits
+under the cap at the current depth; its levels count as those of the
+reading it replaces. Anywhere else, or when it does not fit, the parse
+fails, and the text is parsed again with an empty memo: that parse gives
+the fault and its offset, and lexical faults still come before grammar
+faults. A hit holds no fault of its own, since only groups read to their
+")" are stored, so a failed parse also leaves the memo sound. A "(" that
+was lexed is looked up again when the parser reaches it, so a group read
+earlier in the same parse is a hit too: if it fits, the parser jumps
+over as many tokens as its first reading took; if not, it is read again,
+and the nesting error points where it would without the memo.
+Parentheses are read in text order, so the parser finds each one's
+offset by searching the text from the last one. parse_formula and
+parse_term use a fresh memo per call; proof_from_json shares one across
+the steps of one file, and it dies with that call.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice, repeat
+from itertools import islice
 
 from .syntax import (
     App,
@@ -97,7 +115,9 @@ class SourceError(Exception):
 # every lexeme of the language, and any other non-space character alone
 _LEXEMES = re.compile(r"[Pcx]\d+|up|<->|->|_\|_|\S")
 _SYMBOLS = frozenset(["up", "<->", "->", "_|_", "(", ")", "[", "]", ":", "~", "&", "|", "*"])
-_PAREN_STEP = {"(": 1, ")": -1}
+# group memo key lengths (see the module docstring): "(P1 -> P2)" is kept,
+# and the groups of a printed proof seldom share their first 40 characters
+_SHORT, _LONG = 10, 40
 
 
 def _fault(lexeme: str):
@@ -115,34 +135,65 @@ def _fault(lexeme: str):
     return None
 
 
-def _lex(text: str) -> list:
-    """The lexemes of text, then "" for end-of-input; the first lexical
-    fault in text order is a SourceError."""
-    lexemes = _LEXEMES.findall(text)
-    if any(map(_fault, set(lexemes))):
-        for m in _LEXEMES.finditer(text):
-            why = _fault(m[0])
-            if why is not None:
-                raise SourceError(m.start() + 1, why)
-    lexemes.append("")
-    return lexemes
+def _find(groups: dict, text: str, p: int):
+    """The memo's entry for the group that opens at offset p of text, or
+    None. Only one group opens at p, so a kept group text that text
+    continues with at p is that group."""
+    hit = groups.get(text[p:p + _LONG])
+    if hit is None or not text.startswith(hit[0], p):
+        hit = groups.get(text[p:p + _SHORT])
+        if hit is None or not text.startswith(hit[0], p):
+            return None
+    return hit
 
 
 class _Parser:
     def __init__(self, text: str, groups: dict):
         self.text = text
-        self.tokens = _lex(text)
-        # parentheses open after each token; a "(" whose count is k is
-        # closed by the next token whose count is k - 1
-        self.parens = list(accumulate(map(_PAREN_STEP.get, self.tokens, repeat(0))))
-        self.groups = groups  # a group's lexemes, joined -> (node, most levels it opens)
+        # group text[:_LONG] or [:_SHORT] -> (group text, node, most levels it
+        # opens, tokens it spans in the parse that read it)
+        self.groups = groups
+        self.tokens = []  # lexemes, and memo entries in place of their groups
+        # the cover pass: the outermost groups the memo holds stand for themselves
+        pos = 0
+        if groups:
+            p = text.find("(")
+            while p >= 0:
+                hit = _find(groups, text, p)
+                if hit is None:
+                    p = text.find("(", p + 1)
+                else:
+                    self.lex(pos, p)
+                    self.tokens.append(hit)
+                    pos = p + len(hit[0])
+                    p = text.find("(", pos)
+        self.covered = pos > 0
+        self.lex(pos, len(text))
+        self.tokens.append("")  # end of input
         self.i = 0
+        self.at = 0  # the offset just past the last "(" or ")" read or passed over
         # open levels; a failed parse is never resumed, so only returns close them
         self.depth = 0
         self.peak = 0  # the most levels open since the innermost group began
 
+    def lex(self, start: int, end: int):
+        """Append the lexemes of text[start:end]. A lexical fault there is
+        raised as the first one of the whole text, which is the first one
+        outside the memo hits, as they hold none."""
+        text = self.text
+        lexemes = _LEXEMES.findall(text, start, end)
+        if any(map(_fault, set(lexemes))):
+            for m in _LEXEMES.finditer(text):
+                why = _fault(m[0])
+                if why is not None:
+                    raise SourceError(m.start() + 1, why)
+        self.tokens += lexemes
+
     def fail(self, i: int, message: str):
-        """Raise at token i; offsets are only worked out here."""
+        """Raise at token i. Offsets are only worked out here, and not in a
+        covered parse, which _whole repeats without the memo."""
+        if self.covered:
+            raise SourceError(0, message)
         if i < len(self.tokens) - 1:
             pos = next(islice(_LEXEMES.finditer(self.text), i, None)).start() + 1
         else:
@@ -154,6 +205,12 @@ class _Parser:
         if self.tokens[i] != lexeme:
             self.fail(i, "expected %s" % what)
         self.i = i + 1
+
+    def paren(self, lexeme, what):
+        """expect "(" or ")". Parentheses are read in text order, so the
+        next one in the text from self.at is this one."""
+        self.expect(lexeme, what)
+        self.at = self.text.find(lexeme, self.at) + 1
 
     def open(self, i):
         depth = self.depth = self.depth + 1
@@ -232,6 +289,8 @@ class _Parser:
             return self.group()
         if tok[:1] in ("c", "x") or tok == "up":
             return self.term()
+        if tok.__class__ is tuple:
+            return self.placed()
         return None
 
     def justified(self, term: Term) -> Formula:
@@ -242,21 +301,19 @@ class _Parser:
         """A "(" in formula position, read once or found in the group memo
         (see the module docstring)."""
         i = self.i
-        try:
-            j = self.parens.index(self.parens[i] - 1, i)
-        except ValueError:  # never closed: read on to the fault
-            key = None
-        else:
-            key = "".join(self.tokens[i:j + 1])
-            hit = self.groups.get(key)
-            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
-                self.i = j + 1
-                self.peak = max(self.peak, self.depth + hit[1])
-                return hit[0]
+        p = self.text.find("(", self.at)
+        hit = self.groups and _find(self.groups, self.text, p)
+        if hit and self.depth + hit[2] <= MAX_NESTING:
+            # a group met again in the parse that read it
+            self.i = i + hit[3]
+            self.at = p + len(hit[0])
+            self.peak = max(self.peak, self.depth + hit[2])
+            return hit[1]
         depth, peak = self.depth, self.peak
         self.peak = depth
         self.open(i)
         self.i = i + 1
+        self.at = p + 1
         first = self.operand()
         if isinstance(first, Term) and self.tokens[self.i] == "*":
             node = self.application(first)
@@ -264,11 +321,24 @@ class _Parser:
             if isinstance(first, Term):
                 first = self.justified(first)
             node = self.formula(first)
-            self.expect(")", "')'")
+            self.paren(")", "')'")
         self.depth = depth
-        if key is not None:
-            self.groups[key] = (node, self.peak - depth)
+        group = self.text[p:self.at]
+        if len(group) >= _SHORT:
+            key = group[:_LONG] if len(group) >= _LONG else group[:_SHORT]
+            self.groups[key] = (group, node, self.peak - depth, self.i - i)
         self.peak = max(peak, self.peak)
+        return node
+
+    def placed(self):
+        """A memo entry the cover pass put in place of its group: taken as
+        group takes a hit, and a fault when it does not fit."""
+        group, node, levels, _ = self.tokens[self.i]
+        if self.depth + levels > MAX_NESTING:
+            self.fail(self.i, "nested more than %d levels deep" % MAX_NESTING)
+        self.i += 1
+        self.at = self.text.find("(", self.at) + len(group)
+        self.peak = max(self.peak, self.depth + levels)
         return node
 
     def term(self) -> Term:
@@ -279,13 +349,17 @@ class _Parser:
             return Constant(int(tok[1:]))
         if tok[:1] == "x":
             return Variable(int(tok[1:]))
+        if tok.__class__ is tuple and isinstance(tok[1], Term):
+            self.i = i
+            return self.placed()  # an application term opens as many levels here
         self.open(i)
         if tok == "up":
-            self.expect("(", "'(' after up")
+            self.paren("(", "'(' after up")
             body = self.formula()
-            self.expect(")", "')'")
+            self.paren(")", "')'")
             return self.close(Up(body))
         if tok == "(":
+            self.at = self.text.find("(", self.at) + 1
             return self.close(self.application(self.term()))
         self.fail(i, "expected a term")
 
@@ -296,16 +370,23 @@ class _Parser:
         annotation = self.formula()
         self.expect("]", "']'")
         right = self.term()
-        self.expect(")", "')'")
+        self.paren(")", "')'")
         return App(left, annotation, right)
 
 
 def _whole(text: str, read, groups: dict):
     p = _Parser(text, groups)
-    got = read(p)
-    if p.tokens[p.i]:
-        p.fail(p.i, "unexpected trailing input")
-    return got
+    try:
+        got = read(p)
+        if p.tokens[p.i]:
+            p.fail(p.i, "unexpected trailing input")
+        return got
+    except SourceError:
+        if not p.covered:
+            raise
+    # a fault met through a memo hit: the fault, and its offset, are
+    # those of the text read without the memo
+    return _whole(text, read, {})
 
 
 def parse_formula(text: str, *, _groups: dict = None) -> Formula:

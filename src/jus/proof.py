@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ConstantSpec, _require_keys, _source_text
+from .model import ConstantSpec, _echo, _require_keys, _source_text
 from .parse import parse_formula, parse_term, print_formula, print_term
 from .semantics import pattern
 from .syntax import (
@@ -302,6 +302,11 @@ def _mp_premises(p: Proof, step: ProofStep):
     return None
 
 
+def _is_index(i) -> bool:
+    """An int that is no bool: JSON's true would read as step 1."""
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 def check_proof(p: Proof, cs: ConstantSpec):
     """None when every step is justified; otherwise the first failure."""
     if not p.steps:
@@ -330,7 +335,7 @@ def check_proof(p: Proof, cs: ConstantSpec):
             if (
                 step.premises is None
                 or len(step.premises) != 2
-                or not all(isinstance(i, int) and 1 <= i < k for i in step.premises)
+                or not all(_is_index(i) and 1 <= i < k for i in step.premises)
             ):
                 return CheckFailure(k, "modus ponens needs two earlier step indices")
             if _mp_premises(p, step) is None:
@@ -626,7 +631,7 @@ def proof_from_json(obj) -> Proof:
                 raise ValueError("step %d: only axiom steps take a schema" % n)
             schema = _SCHEMA_TAGS.get(str(raw["schema"]).lower())
             if schema is None:
-                raise ValueError("step %d names unknown schema %r" % (n, raw["schema"]))
+                raise ValueError("step %d names unknown schema %s" % (n, _echo(raw["schema"])))
         constant = None
         if raw.get("constant") is not None:
             if rule != "an":
@@ -642,7 +647,7 @@ def proof_from_json(obj) -> Proof:
             if not (
                 isinstance(raw_prem, list)
                 and len(raw_prem) == 2
-                and all(isinstance(i, int) for i in raw_prem)
+                and all(map(_is_index, raw_prem))
             ):
                 raise ValueError("step %d needs premises: [i, j]" % n)
             premises = tuple(raw_prem)

@@ -489,6 +489,70 @@ def test_overlong_index_exits_2(capsys, two_world_path, tmp_path):
         assert "at offset " in err and len(err) < 200, err[:200]
 
 
+def test_echoed_input_is_cut_short(capsys, two_world_path, tmp_path):
+    # an error line that echoes part of an input file or argument cuts it
+    # short, so a 5,000-character value gives a short line, and exit 2
+    long = "y" * 5000
+    # an index int() converts (4,300 digits by default), spaced out to 5,000
+    index = "1" * 4000 + " " * 1000
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    model = {"worlds": ["w"], "normal": ["w"]}
+    cases = [
+        (["eval", write("key.json", dict(model, **{long: 1})), "w", "P1"],
+         "model file has unknown keys: ['yyy"),
+        (["check-proof", write("step-key.json", [{"formula": "P1", "rule": "axiom", long: 1}]),
+          "full"], "step 1 has unknown keys: ['yyy"),
+        (["check-proof", write("schema.json", [{"formula": "P1", "rule": "axiom",
+                                                "schema": long}]), "full"],
+         "step 1 names unknown schema 'yyy"),
+        (["eval", write("v0-world.json", dict(model, worlds=["w", long],
+                                              v0={long: {"P1": True}})), "w", "P1"],
+         "invalid model: v0 key 'yyy"),
+        (["eval", write("v1-world.json", {"worlds": [long], "normal": [long],
+                                          "v1": {long: {"P1": True}}}), long, "P1"],
+         "invalid model: v1 key 'yyy"),
+        (["eval", write("evidence-world.json", dict(model, evidence={long: {"c1": ["w"]}})),
+          "w", "P1"], "invalid model: evidence key 'yyy"),
+        (["eval", write("evidence-term.json", dict(model, evidence={"w": {
+            "(x1 *[P%s] x2)" % index: ["w"]}})), "w", "P1"],
+         "invalid model: evidence term App("),
+        (["eval", write("v0-key.json", dict(model, v0={"w": {"~P" + index: True}})), "w", "P1"],
+         "v0 key '~P111"),
+        (["eval", write("v0-value.json", dict(model, v0={"w": {"P" + index: 1}})), "w", "P1"],
+         "v0 value for 'P111"),
+        (["eval", write("evidence-set.json", dict(model, evidence={"w": {"c" + index: "w"}})),
+          "w", "P1"], "evidence set for 'c111"),
+        (["validate", two_world_path, "--cs", write("cs.json", {
+            "mode": "explicit", "pairs": [["x" + index, "P1"]]})],
+         "paired term Variable(111"),
+        (["eval", two_world_path, long, "P1"], "world 'yyy"),
+    ]
+    for argv, part in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), part
+        assert part in err and err.count("\n") == 1, err[:200]
+        assert len(err) < 200 and "..." in err, err[:300]
+
+
+def test_check_proof_refuses_boolean_premises(capsys, tmp_path):
+    # JSON's true is no step index, though Python reads it as 1
+    steps = [
+        {"formula": "(P1 -> P1)", "rule": "axiom"},
+        {"formula": "((P1 -> P1) -> (P2 -> (P1 -> P1)))", "rule": "axiom"},
+        {"formula": "(P2 -> (P1 -> P1))", "rule": "mp", "premises": [1, 2]},
+    ]
+    assert run_cli(capsys, "check-proof", write_proof(tmp_path, steps), "full")[0] == 0
+    steps[2]["premises"] = [True, 2]
+    code, out, err = run_cli(capsys, "check-proof", write_proof(tmp_path, steps), "full")
+    assert (code, out) == (2, "")
+    assert err.endswith(": step 3 needs premises: [i, j]\n")
+
+
 # -- entry point ---------------------------------------------------------------
 
 def test_module_entry_point(two_world_path):

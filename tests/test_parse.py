@@ -416,3 +416,107 @@ def test_failed_parses_leave_the_group_memo_sound():
     ] + failing
     for text in later:
         _assert_same(_outcome(text, groups), _outcome(text), text)
+
+
+# -- the cover pass: memo groups found by their raw text -------------------
+
+@pytest.fixture
+def placed(monkeypatch):
+    """The memo entries the parser took in place of their groups, each
+    call of parse_formula counted afresh by the test."""
+    taken = []
+    take = parse._Parser.placed
+
+    def counted(self):
+        taken.append(self.tokens[self.i][0])
+        return take(self)
+
+    monkeypatch.setattr(parse._Parser, "placed", counted)
+    return taken
+
+
+def test_memo_groups_match_across_spacing(placed):
+    group = "((P1 -> P2) -> (c1 : P3 -> [P1] P2))"
+    groups = {}
+    node = _outcome(group, groups)
+    for text in [
+        group,
+        "((P1->P2)->(c1:P3->[P1]P2))",
+        "(\t(P1 ->\nP2)  ->  (c1 : P3\n->\t[P1] P2))",
+        " ( (P1 -> P2) -> (c1 : P3 -> [P1] P2) )\n",
+    ]:
+        assert _outcome(text, groups) is node is _outcome(text)
+        # and a group read once in one spacing serves it in the next text
+        again = "(%s -> %s)" % (text, text)
+        placed.clear()
+        assert _outcome(again, groups) is Implies(node, node) is _outcome(again)
+        assert placed
+
+
+def test_memo_group_after_up_or_as_a_term(placed):
+    groups = {}
+    assert _outcome("((P1 -> P2) -> (x1 *[P1] x2) : P1)", groups) is not None
+    assert {"(P1 -> P2)", "(x1 *[P1] x2)"} <= {entry[0] for entry in groups.values()}
+    texts = []
+    for n in range(MAX_NESTING - 6, MAX_NESTING + 1):
+        texts += [
+            # the parentheses of up(...) are no group: the cover pass may
+            # still put a memo entry there, and the text is read again
+            "~" * n + "up(P1 -> P2) : P3",
+            "~" * n + "up((P1 -> P2)) : P3",
+            # an application term where a term stands
+            "~" * n + "(c1 *[P2] (x1 *[P1] x2)) : P3",
+            "~" * n + "((x1 *[P1] x2) *[P2] c1) : P3",
+            "~" * n + "(x1 *[P1] x2) : P3",
+            "~" * n + "(P1 -> P2) : P3",
+        ]
+    for text in texts:
+        placed.clear()
+        _assert_same(_outcome(text, dict(groups)), _outcome(text), text)
+    placed.clear()
+    assert _outcome("(c1 *[P2] (x1 *[P1] x2)) : P3", dict(groups)) is Justifies(
+        App(Constant(1), P2, App(Variable(1), P1, Variable(2))), Prop(3))
+    assert placed == ["(x1 *[P1] x2)"]
+
+
+def test_memo_entry_one_level_either_side_of_the_cap(placed):
+    group = "((P1 -> P2) -> [P3] ~P1)"
+    groups = {}
+    assert _outcome(group, groups) is not None
+    (levels,) = {entry[2] for entry in groups.values() if entry[0] == group}
+    fits = MAX_NESTING - 1 - levels  # the unary reading of "(" opens one level
+    for n, taken in [(fits - 1, True), (fits, True), (fits + 1, False)]:
+        text = "~" * n + group
+        placed.clear()
+        got = _outcome(text, groups)
+        _assert_same(got, _outcome(text), text)
+        assert isinstance(got, tuple) is not taken, n
+        assert placed == [group]  # taken, or met and found not to fit
+    assert got[1] == "nested more than %d levels deep" % MAX_NESTING
+
+
+def test_faults_around_memo_groups_read_as_without_the_memo(placed):
+    first, second = "((P1 -> P2) -> P3)", "(x1 *[P1] x2)"
+    groups = {}
+    _outcome("(%s -> %s : P1)" % (first, second), groups)
+    texts = []
+    for before, between, after in [
+        ("# ", " -> ", " : P1"),  # a lexical fault before the hits
+        ("", " -> P0 -> ", " : P1"),  # one between them
+        ("", " -> ", " : P1 #"),  # and one after them
+        ("", " -> ", " : P1 -> P0"),
+        ("-> ", " -> ", " : P1"),  # grammar faults
+        ("", " -> -> ", " : P1"),
+        ("", " -> ", " : P1 )"),
+        ("", " -> ", " P1"),
+        ("", " -> ", " :"),
+        ("", " -> P1 -> ", ""),  # the term stands where a formula must
+        ("", " -> ", " *[P1] c1) : P2"),
+    ]:
+        texts.append(before + first + between + second + after)
+    for text in texts:
+        placed.clear()
+        got = _outcome(text, groups)
+        want = _outcome(text)
+        assert isinstance(want, tuple), text
+        assert got == want, text

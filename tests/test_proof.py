@@ -604,6 +604,16 @@ def test_check_proof_failure_modes():
         )
     )
     assert check_proof(p, EMPTY).index == 3
+    a = Implies(P1, P1)
+    b = Implies(P2, a)
+    for premises in [(True, 2), (2, True), (1.0, 2)]:
+        # (1, 2) yields b; a bool or a float is no step index
+        p = Proof((
+            ProofStep(a, "axiom"),
+            ProofStep(Implies(a, b), "axiom"),
+            ProofStep(b, "mp", premises=premises),
+        ))
+        assert check_proof(p, EMPTY) == CheckFailure(3, "modus ponens needs two earlier step indices")
     p = Proof((ProofStep(P1, "guess"),))
     assert "unknown rule" in check_proof(p, EMPTY).reason
 
@@ -876,6 +886,38 @@ def test_proof_json_reads_repeated_groups_once(monkeypatch):
     assert 0 < together * 10 < len(reads)
 
 
+def test_proof_json_lexes_only_what_the_memo_cannot_serve(monkeypatch):
+    # the cover pass hands the lexer only the text between memo hits
+    steps = proof_to_json(_necessitated_ramsey())
+    lexed = []
+    lex = parse_module._Parser.lex
+
+    def counted(self, start, end):
+        lexed.append(end - start)
+        return lex(self, start, end)
+
+    monkeypatch.setattr(parse_module._Parser, "lex", counted)
+    proof_from_json(steps)
+    total = sum(len(step["formula"]) for step in steps)
+    assert total > 400000
+    assert 0 < sum(lexed) * 10 <= total
+
+
+def test_proof_json_groups_match_across_spacing():
+    # steps spelled with other spacing, tabs and newlines read through one
+    # memo give the nodes a fresh parse gives
+    steps = proof_to_json(_necessitated_ramsey())
+    spaced = [dict(step) for step in steps]
+    for k, step in enumerate(spaced):
+        if k % 3 == 1:
+            step["formula"] = step["formula"].replace(" -> ", "->")
+        elif k % 3 == 2:
+            step["formula"] = step["formula"].replace(" -> ", "\n\t->  ").replace(" : ", ":")
+    again = proof_from_json(spaced)
+    assert [s.formula for s in again.steps] == [parse_formula(s["formula"]) for s in spaced]
+    assert [s.formula for s in again.steps] == [s.formula for s in proof_from_json(steps).steps]
+
+
 def test_proof_json_malformed_step_after_shared_groups():
     steps = proof_to_json(_necessitated_ramsey())
     # the last step that contains an earlier step's printed group, the
@@ -928,6 +970,9 @@ def test_proof_json_rejections():
         proof_from_json([{"formula": "c1 : P1", "rule": "an", "constant": 1}])
     with pytest.raises(ValueError, match="unknown keys"):
         proof_from_json([{"formula": "P1", "rule": "axiom", "vibe": "good"}])
+    # JSON's true is no step index, though Python reads it as 1
+    with pytest.raises(ValueError, match="needs premises"):
+        proof_from_json([{"formula": "P1", "rule": "mp", "premises": [True, 2]}])
 
 
 # -- transformer fuzz ------------------------------------------------------
