@@ -19,14 +19,13 @@ import sys
 from .explore import find_countermodel, report_to_json, signature_for
 from .model import (
     ConstantSpec,
-    _echo,
     cs_from_json,
     model_from_json,
     model_to_json,
     save_model,
     validate_model,
 )
-from .parse import SourceError, parse_formula, print_formula, print_term
+from .parse import SourceError, _echo, parse_formula, print_formula, print_term
 from .proof import check_proof, cs_contains, proof_from_json, taut_check
 from .semantics import EvalContext, cs_violations, decoded, holds
 from .syntax import Constant, Up, constants_in, eval_closure

@@ -12,8 +12,10 @@ model is a periodic bit pattern. So a window is evaluated bit-sliced, as
 one Batch, without building a model, and the representatives are a mask
 too: the models whose encoding no renaming makes lexicographically
 smaller (lex-leader symmetry breaking). Search and enumeration share that
-one scan (_windows); a SubsetModel is built only for a reported
-countermodel and for the models enumerate_models yields.
+one scan (_windows), which takes each shape in windows of CHUNK models,
+so a search that stops early evaluates at most the rest of its hit's
+window. A SubsetModel is built only for a reported countermodel and for
+the models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape, and a batch
@@ -125,6 +127,42 @@ def _world_sets(k: int, m: int) -> tuple:
 _ONE = frozenset((1,))
 
 
+@functools.cache
+def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tuple:
+    """Per renaming but the identity of k normal and m non-normal worlds,
+    the (own, renamed) encoding columns that can differ, over props
+    propositions, support v1 formulas and atoms atoms. A column is (lo,
+    size, values) as _Shape lays out the cells, lowest first: evidence,
+    then v1, then v0, each in reverse cell order."""
+    n = k + m
+    subsets = _world_sets(k, m)[2]
+    by_tuple = sorted(subsets, key=lambda s: [u for u in range(n) if s >> u & 1])
+    rank = {s: r for r, s in enumerate(by_tuple)}
+    v1 = k * atoms * n  # the lowest bit of the v1 cells
+    v0 = v1 + m * support  # and of the v0 cells
+
+    def encoding(perm):
+        # the model renamed by perm (slot i to slot perm[i]), most
+        # significant column first
+        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)] for s in subsets]
+        bits = [frozenset(d for d, r in enumerate(renamed) if r >> j & 1)
+                for j in reversed(range(n))]
+        old = sorted(range(n), key=perm.__getitem__)  # the slot renamed to each slot
+        out = []
+        for i in old[:k]:
+            out += [(v0 + (k - 1 - i) * props + p, 1, _ONE) for p in reversed(range(props))]
+            out += [(((k - 1 - i) * atoms + t) * n, n, values)
+                    for t in reversed(range(atoms)) for values in bits]
+        for i in old[k:]:
+            out += [(v1 + (n - 1 - i) * support + g, 1, _ONE) for g in reversed(range(support))]
+        return out
+
+    perms = [pn + po for pn in itertools.permutations(range(k))
+             for po in itertools.permutations(range(k, n))]
+    mine = encoding(perms[0])
+    return tuple(tuple((a, b) for a, b in zip(mine, encoding(p)) if a != b) for p in perms[1:])
+
+
 class _Shape:
     """The raw models with k normal and m non-normal worlds, bit-sliced.
 
@@ -165,44 +203,10 @@ class _Shape:
         self.cells.reverse()
         self.bits = lo
         self.size = 1 << lo
-        self.lo = {(kind, i, x): lo for kind, i, x, _, lo in self.cells}
         # the lowest bits of the evidence digits, which _pack rewrites from a
         # set's rank to its member bits; none where the two always agree
         self.ranked = ([lo for kind, *_, lo in self.cells if kind == "ev"]
                        if any(d != s for d, s in enumerate(self.subsets)) else [])
-        self.pairs = None  # built on the first canonical call
-
-    def _renaming_pairs(self) -> list:
-        """Per renaming but the identity, the (own, renamed) column pairs
-        that can differ."""
-        n, k = self.n, self.k
-        by_tuple = sorted(self.subsets, key=lambda s: [u for u in range(n) if s >> u & 1])
-        rank = {s: r for r, s in enumerate(by_tuple)}
-        perms = [pn + po for pn in itertools.permutations(range(k))
-                 for po in itertools.permutations(range(k, n))]
-        mine = self._encoding(perms[0], rank)
-        return [[(a, b) for a, b in zip(mine, self._encoding(p, rank)) if a != b]
-                for p in perms[1:]]
-
-    def _encoding(self, perm, rank) -> list:
-        """The encoding of the model renamed by perm (slot i to slot
-        perm[i]), as (lo, size, values) columns, most significant first."""
-        n, sig = self.n, self.sig
-        old = [0] * n
-        for i, j in enumerate(perm):
-            old[j] = i
-        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)]
-                   for s in self.subsets]
-        bits = [frozenset(d for d, r in enumerate(renamed) if r >> j & 1)
-                for j in reversed(range(n))]
-        out = []
-        for w in range(self.k):
-            out += [(self.lo["v0", old[w], p], 1, _ONE) for p in sig.propositions]
-            for t in sig.atoms:
-                out += [(self.lo["ev", old[w], t], n, values) for values in bits]
-        for w in range(self.k, n):
-            out += [(self.lo["v1", old[w], g], 1, _ONE) for g in sig.v1_support]
-        return out
 
     def canonical(self, start: int, width: int) -> int:
         """The mask of the window's canonical models: the AND over
@@ -215,10 +219,10 @@ class _Shape:
                 got = cols[spec] = pattern(*spec, start, width)
             return got
 
-        if self.pairs is None:
-            self.pairs = self._renaming_pairs()
+        sig = self.sig
         keep = (1 << width) - 1
-        for pairs in self.pairs:
+        for pairs in _renaming_pairs(self.k, self.n - self.k, len(sig.propositions),
+                                     len(sig.v1_support), len(sig.atoms)):
             tied = keep
             below = 0
             for a, b in pairs:
@@ -265,16 +269,14 @@ class _Shape:
 
 def _windows(sig: ModelSignature):
     """(shape, start, width, canonical mask) per window of each shape, in
-    enumeration order: 64 models, then doubling up to CHUNK, each start a
-    multiple of its width."""
+    enumeration order: CHUNK models each, or the whole shape when smaller,
+    so each start is a multiple of the width."""
     for n in range(1, sig.max_worlds + 1):
         for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
             shape = _Shape(sig, n - nn, nn)
-            start, width = 0, min(64, shape.size)
-            while start < shape.size:
+            width = min(CHUNK, shape.size)
+            for start in range(0, shape.size, width):
                 yield shape, start, width, shape.canonical(start, width)
-                start += width
-                width = min(start, CHUNK)
 
 
 def _set_bits(mask: int):
@@ -410,9 +412,10 @@ def _forced(batch: Batch, cs_universe) -> EvalContext:
 # memory grows with the batch; 64 keeps the peak of a long sweep flat
 BATCH = 64
 
-# the most raw models a search evaluates at once; every mask of a window
-# has a bit per model and world slot, so the peak memory of a search
-# grows with it (figures in BENCH_search.json)
+# the raw models of a search window, or all of a smaller shape's: the
+# most a search evaluates at once and past its first hit. Every mask of a
+# window has a bit per model and world slot, so the peak memory of a
+# search grows with it (figures in BENCH_search.json and BENCH_windows.json)
 CHUNK = 1 << 16
 
 
@@ -428,9 +431,9 @@ class SearchReport:
 def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> SearchReport:
     """First enumerated CS-model with a normal world falsifying f.
 
-    Each shape's raw models are evaluated a window at a time, windows
-    growing from 64 models up to CHUNK, so a search that stops early
-    evaluates at most about as many raw models again as it passed. A
+    Each shape's raw models are evaluated a window of CHUNK models at a
+    time, or all at once when fewer, so a search that stops early
+    evaluates at most the rest of its hit's window past the hit. A
     window's hits are its canonical models with a normal world where f is
     false and with no normal world where c : A is false for a pair (c, A)
     of the CS universe. The first hit in enumeration order is the lowest

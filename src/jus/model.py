@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .parse import SourceError, parse_formula, parse_term, print_formula, print_term
+from .parse import SourceError, _echo, parse_formula, parse_term, print_formula, print_term
 from .syntax import Constant, Formula, Prop, Term, is_atomic
 
 
@@ -98,6 +98,16 @@ def validate_model(m: SubsetModel) -> list:
     return bad
 
 
+def _require_valid(m: SubsetModel):
+    """Raise ValueError naming validate_model's violations, if any: each
+    distinct one once, in order, and at most five, so that the line stays
+    short however large the file."""
+    bad = list(dict.fromkeys(validate_model(m)))
+    if bad:
+        more = ["and %d more" % (len(bad) - 5)] if len(bad) > 5 else []
+        raise ValueError("invalid model: " + "; ".join(bad[:5] + more))
+
+
 # -- JSON files ---------------------------------------------------------
 
 _MODEL_KEYS = {"worlds", "normal", "v0", "v1", "evidence", "evidence_default"}
@@ -109,12 +119,6 @@ def _require_keys(obj: dict, allowed: set, what: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError("%s has unknown keys: %s" % (what, _echo(sorted(unknown))))
-
-
-def _echo(x) -> str:
-    """x's repr for an error line, cut short when long."""
-    r = repr(x)
-    return r if len(r) <= 60 else r[:57] + "..."
 
 
 def _source_text(text: str, read, what: str):
@@ -169,9 +173,7 @@ def model_from_json(obj: dict, validate: bool = True) -> SubsetModel:
     default = obj.get("evidence_default", "all")
     m = SubsetModel(worlds, normal, v0, v1, evidence, default)
     if validate:
-        bad = validate_model(m)
-        if bad:
-            raise ValueError("invalid model: " + "; ".join(bad))
+        _require_valid(m)
     return m
 
 

@@ -120,6 +120,12 @@ _SYMBOLS = frozenset(["up", "<->", "->", "_|_", "(", ")", "[", "]", ":", "~", "&
 _SHORT, _LONG = 10, 40
 
 
+def _echo(x) -> str:
+    """x's repr for an error line, cut short when long."""
+    r = repr(x)
+    return r if len(r) <= 60 else r[:57] + "..."
+
+
 def _fault(lexeme: str):
     """Why a match of _LEXEMES is no lexeme of the language, or None."""
     if lexeme in _SYMBOLS:
@@ -131,7 +137,7 @@ def _fault(lexeme: str):
     except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
         return "index of %d digits is too long" % (len(lexeme) - 1)
     if index < 1:
-        return "index must be >= 1 in %r" % lexeme
+        return "index must be >= 1 in %s" % _echo(lexeme)
     return None
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ConstantSpec, _echo, _require_keys, _source_text
-from .parse import parse_formula, parse_term, print_formula, print_term
+from .model import ConstantSpec, _require_keys, _source_text
+from .parse import _echo, parse_formula, parse_term, print_formula, print_term
 from .semantics import pattern
 from .syntax import (
     App,

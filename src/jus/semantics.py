@@ -43,7 +43,7 @@ leaves its context as usable as before.
 
 from __future__ import annotations
 
-from .model import SubsetModel, validate_model
+from .model import SubsetModel, _require_valid
 from .syntax import (
     App,
     Formula,
@@ -222,9 +222,7 @@ class EvalContext:
             if not isinstance(base, Batch):
                 models = (base,) if isinstance(base, SubsetModel) else tuple(base)
                 for m in models:
-                    bad = validate_model(m)
-                    if bad:
-                        raise ValueError("invalid model: " + "; ".join(bad))
+                    _require_valid(m)
                 base = Batch.pack(models)
             self.batch = base
             self.chain = ()

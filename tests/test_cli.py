@@ -531,12 +531,32 @@ def test_echoed_input_is_cut_short(capsys, two_world_path, tmp_path):
             "mode": "explicit", "pairs": [["x" + index, "P1"]]})],
          "paired term Variable(111"),
         (["eval", two_world_path, long, "P1"], "world 'yyy"),
+        (["taut", "P" + "0" * 4000], "at offset 1: index must be >= 1 in 'P000"),
     ]
     for argv, part in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), part
         assert part in err and err.count("\n") == 1, err[:200]
         assert len(err) < 200 and "..." in err, err[:300]
+
+
+def test_invalid_model_line_names_each_violation_once(capsys, tmp_path):
+    # 1,000 v0 entries at a non-normal world are one violation, and ten
+    # such worlds ten, of which five are named
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": ["w", "v"], "normal": ["w"],
+                                "v0": {"v": {"P%d" % i: True for i in range(1, 1001)}}}))
+    code, out, err = run_cli(capsys, "eval", str(path), "w", "P1")
+    assert (code, out) == (2, "")
+    assert err.endswith(": invalid model: v0 key 'v' is not a normal world\n"), err[:500]
+    others = ["v%d" % i for i in range(10)]
+    path.write_text(json.dumps({"worlds": ["w"] + others, "normal": ["w"],
+                                "v0": {v: {"P%d" % i: True for i in range(1, 101)}
+                                       for v in others}}))
+    code, out, err = run_cli(capsys, "eval", str(path), "w", "P1")
+    assert (code, out) == (2, "")
+    assert len(err) < 500 and err.count("\n") == 1, err[:500]
+    assert err.count("is not a normal world") == 5 and err.endswith("; and 5 more\n")
 
 
 def test_check_proof_refuses_boolean_premises(capsys, tmp_path):

@@ -292,16 +292,52 @@ def test_windows_match_the_oracle_index_by_index(sig):
                         assert (mask >> (i * width + b) & 1) == holds(one, w, f)
 
 
+# (formula, max worlds, max non-normal, models scanned). The third's hit
+# lies past its shape's first window at every width: the one shape before
+# its own holds 128 raw models, so over 164,000 of the canonical models it
+# counts lie in its own shape ahead of the hit. The fourth hits
+# in a shape with a non-normal world; the second exhausts.
+CHUNK_QUERIES = [
+    (PERSIST, 3, 2, 4),
+    (parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"), 3, 2, 39920),
+    (parse_formula("([x3 : P1] [P2] P2 -> (P3 -> c1 : P2))"), 2, 1, 164161),
+    (parse_formula("((x3 *[P1] c2) : P3 -> c2 : (P3 -> P3))"), 2, 1, 2361),
+]
+
+
 def test_small_chunks_change_nothing(monkeypatch):
-    # many windows at the cap: the same models and the same first hits
-    sig = SHAPE_SIGS[0]
-    models = list(enumerate_models(sig))
-    reports = [find_countermodel(f, signature_for(f, 3, 2))
-               for f in (PERSIST, parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"))]
-    monkeypatch.setattr(explore, "CHUNK", 64)
-    assert list(enumerate_models(sig)) == models
-    assert reports == [find_countermodel(f, signature_for(f, 3, 2))
-                       for f in (PERSIST, parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"))]
+    # windows of any width give the same models and the same first hits
+    want = [list(enumerate_models(sig)) for sig in SHAPE_SIGS]
+    reports = [find_countermodel(f, signature_for(f, worlds, nonnormal))
+               for f, worlds, nonnormal, _ in CHUNK_QUERIES]
+    assert [r.models_scanned for r in reports] == [scanned for *_, scanned in CHUNK_QUERIES]
+    for chunk in (64, 128, explore.CHUNK):
+        monkeypatch.setattr(explore, "CHUNK", chunk)
+        assert [list(enumerate_models(sig)) for sig in SHAPE_SIGS] == want, chunk
+        for (f, worlds, nonnormal, _), r in zip(CHUNK_QUERIES, reports):
+            got = find_countermodel(f, signature_for(f, worlds, nonnormal))
+            assert ((got.outcome, got.models_scanned, got.model, got.world)
+                    == (r.outcome, r.models_scanned, r.model, r.world)), chunk
+
+
+def test_signatures_with_the_same_counts_share_renaming_tables(monkeypatch):
+    # the renaming tables depend on the world and cell counts alone, so
+    # signatures that differ in everything but the counts share each
+    # shape's table, and keep the same raw models canonical
+    a = ModelSignature((1,), (Variable(1),), 3, 2, (P1,))
+    b = ModelSignature((3,), (Up(Implies(P1, P2)),), 3, 2, (Justifies(Constant(1), P2),))
+    cached = explore._renaming_pairs
+    tables = []
+    monkeypatch.setattr(explore, "_renaming_pairs",
+                        lambda *counts: tables.append(cached(*counts)) or tables[-1])
+    windows = []
+    for sig in (a, b):
+        windows.append([(shape.k, shape.n, start, width, canonical)
+                        for shape, start, width, canonical in explore._windows(sig)])
+    assert windows[0] == windows[1]
+    half = len(tables) // 2
+    assert half == len(windows[0]) > 0
+    assert all(x is y for x, y in zip(tables[:half], tables[half:]))
 
 
 @pytest.mark.parametrize(
@@ -395,13 +431,10 @@ def _assert_read_alike(got, want, atoms):
 
 def _scan_windows(size):
     """The first, a middle and the last window of a raw index of the
-    given size, as the scan lays them out: 64 models, then doubling up
-    to CHUNK, each start a multiple of its width."""
-    if size <= 64:
-        return [(0, size)]
-    middle = max(64, min(size // 4, explore.CHUNK))
-    last = min(size // 2, explore.CHUNK)
-    return sorted({(0, 64), (size // 2 - middle, middle), (size - last, last)})
+    given size, as the scan lays them out: CHUNK models each, or all of
+    them when fewer, each start a multiple of the width."""
+    width = min(size, explore.CHUNK)
+    return sorted({(0, width), (size // 2 // width * width, width), (size - width, width)})
 
 
 def test_packed_trials_match_packed_models(monkeypatch):

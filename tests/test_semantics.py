@@ -273,6 +273,14 @@ def test_batch_rejects_invalid_models_and_empty_batches(two_world):
     bad = SubsetModel(worlds=("w",), normal=frozenset())
     with pytest.raises(ValueError, match="invalid model"):
         EvalContext([two_world, bad])
+    # each distinct violation once, and at most five of them
+    others = tuple("v%d" % i for i in range(10))
+    many = SubsetModel(("w",) + others, frozenset({"w"}),
+                       {(v, p): True for v in others for p in range(1, 101)})
+    with pytest.raises(ValueError, match="^invalid model: v0 key 'v0' is not a normal "
+                                         "world; .*; and 5 more$") as e:
+        EvalContext(many)
+    assert str(e.value).count("is not a normal world") == 5
     with pytest.raises(ValueError, match="at least one model"):
         EvalContext([])
 
