@@ -165,7 +165,7 @@ def cmd_search(args) -> int:
 
 def cmd_validate(args) -> int:
     m = _model_arg(args.model, validate=False)
-    problems = list(validate_model(m))
+    problems = list(dict.fromkeys(validate_model(m)))  # each distinct one once, in order
     cs_problems = []
     if not problems and args.cs is not None:
         cs = _cs_arg(args.cs)

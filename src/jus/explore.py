@@ -9,13 +9,18 @@ split, since evaluation is invariant under any such relabeling).
 The raw assignments of one shape (so many normal and non-normal worlds)
 form one binary index, and over a window of that index every cell of the
 model is a periodic bit pattern. So a window is evaluated bit-sliced, as
-one Batch, without building a model, and the representatives are a mask
-too: the models whose encoding no renaming makes lexicographically
-smaller (lex-leader symmetry breaking). Search and enumeration share that
-one scan (_windows), which takes each shape in windows of CHUNK models,
-so a search that stops early evaluates at most the rest of its hit's
-window. A SubsetModel is built only for a reported countermodel and for
-the models enumerate_models yields.
+one Batch, without building a model. The representatives are the models
+whose encoding no renaming makes lexicographically smaller (lex-leader
+symmetry breaking), and a window's are a mask too, computed only where
+they are needed: for the models enumerate_models yields, and in a search
+only in windows where some model falsifies the query. How many there are
+in a whole shape follows from its world and cell counts alone
+(Burnside's lemma, _orbits), so an exhausted search counts them without
+computing a mask. Search and enumeration share one scan (_windows),
+which takes each shape in windows of CHUNK models, so a search that
+stops early evaluates at most the rest of its hit's window. A
+SubsetModel is built only for a reported countermodel and for the models
+enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape, and a batch
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -163,6 +169,39 @@ def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tup
     return tuple(tuple((a, b) for a, b in zip(mine, encoding(p)) if a != b) for p in perms[1:])
 
 
+@functools.cache
+def _orbits(k: int, m: int, props: int, support: int, atoms: int) -> int:
+    """The renaming classes of the raw models of k normal and m non-normal
+    worlds over props propositions, support v1 formulas and atoms atoms,
+    so the number of their canonical models, by Burnside's lemma: the
+    mean over renamings of the models each leaves unchanged. A renaming
+    fixes a model when every value is constant along its cycles and the
+    evidence set at a normal world of a cycle of length L is a union of
+    cycles of the renaming's L-th power on all k + m worlds, into which
+    each cycle of length c splits gcd(c, L) ways."""
+    def cycles(perm):
+        lengths = []
+        seen = set()
+        for i in perm:
+            length = 0
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        return lengths
+
+    total = 0
+    for pn in itertools.permutations(range(k)):
+        normal = cycles(pn)
+        for po in itertools.permutations(range(m)):
+            every = normal + cycles(po)
+            total += 1 << (props * len(normal) + support * (len(every) - len(normal))
+                           + atoms * sum(math.gcd(c, n) for n in normal for c in every))
+    return total // (math.factorial(k) * math.factorial(m))
+
+
 class _Shape:
     """The raw models with k normal and m non-normal worlds, bit-sliced.
 
@@ -192,6 +231,8 @@ class _Shape:
         self.k = k
         self.n = n = k + m
         self.sig = sig
+        # what the renaming tables and the class count depend on
+        self.counts = k, m, len(sig.propositions), len(sig.v1_support), len(sig.atoms)
         cells = ([("v0", i, p, 1) for i in range(k) for p in sig.propositions]
                  + [("v1", i, g, 1) for i in range(k, n) for g in sig.v1_support]
                  + [("ev", i, t, n) for i in range(k) for t in sig.atoms])
@@ -219,10 +260,8 @@ class _Shape:
                 got = cols[spec] = pattern(*spec, start, width)
             return got
 
-        sig = self.sig
         keep = (1 << width) - 1
-        for pairs in _renaming_pairs(self.k, self.n - self.k, len(sig.propositions),
-                                     len(sig.v1_support), len(sig.atoms)):
+        for pairs in _renaming_pairs(*self.counts):
             tied = keep
             below = 0
             for a, b in pairs:
@@ -268,15 +307,17 @@ class _Shape:
 
 
 def _windows(sig: ModelSignature):
-    """(shape, start, width, canonical mask) per window of each shape, in
-    enumeration order: CHUNK models each, or the whole shape when smaller,
-    so each start is a multiple of the width."""
+    """(shape, start, width) per window of each shape, in enumeration
+    order: CHUNK models each, or the whole shape when smaller, so each
+    start is a multiple of the width and each shape starts at 0. A
+    window's canonical mask is shape.canonical(start, width), and a whole
+    shape's canonical models number _orbits(*shape.counts)."""
     for n in range(1, sig.max_worlds + 1):
         for nn in range(0, min(sig.max_nonnormal, n - 1) + 1):
             shape = _Shape(sig, n - nn, nn)
             width = min(CHUNK, shape.size)
             for start in range(0, shape.size, width):
-                yield shape, start, width, shape.canonical(start, width)
+                yield shape, start, width
 
 
 def _set_bits(mask: int):
@@ -292,8 +333,8 @@ def enumerate_models(sig: ModelSignature):
     """Every model over the signature with total assignments, one per
     renaming class, worlds named w1.. (normal) and u1.. (non-normal):
     shape by shape, the canonical models in raw index order."""
-    for shape, start, _, canonical in _windows(sig):
-        for b in _set_bits(canonical):
+    for shape, start, width in _windows(sig):
+        for b in _set_bits(shape.canonical(start, width)):
             yield shape.model(start + b)
 
 
@@ -436,27 +477,39 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
     evaluates at most the rest of its hit's window past the hit. A
     window's hits are its canonical models with a normal world where f is
     false and with no normal world where c : A is false for a pair (c, A)
-    of the CS universe. The first hit in enumeration order is the lowest
-    bit, reported at its model's first normal world where f is false;
-    models_scanned counts the canonical models up to it, CS-models or
-    not. The hit is re-verified on a fresh batch of one, f and the CS
-    universe both, before being reported. Exhaustion certifies nothing
-    beyond the stated bounds, since no completeness theorem backs this
-    logic.
+    of the CS universe; its canonical mask is computed only when some
+    model of it falsifies f. The first hit in enumeration order is the
+    lowest bit, reported at its model's first normal world where f is
+    false. The hit is re-verified on a fresh batch of one, f and the CS
+    universe both, before being reported.
+
+    models_scanned counts the canonical models up to the hit, CS-models
+    or not: each earlier shape's by its world and cell counts (_orbits),
+    and those of the hit's shape window by window, including windows
+    skipped as holding no falsifying model. Exhausted, it counts every
+    shape's. Exhaustion certifies nothing beyond the stated bounds, since
+    no completeness theorem backs this logic.
     """
-    scanned = 0
-    for shape, start, width, canonical in _windows(sig):
-        if not canonical:
-            continue
+    scanned = 0  # the canonical models of the shapes before this one
+    whole = 0  # and of the shape being scanned
+    for shape, start, width in _windows(sig):
+        if not start:
+            scanned += whole
+            whole = _orbits(*shape.counts)
+            counted = {}  # the canonical models of its windows with a mask, by start
         ctx = EvalContext(shape.batch(start, width))
         false = false_at_normal(ctx, f)
-        hits = ctx.batch.models_in(false) & canonical
+        hits = ctx.batch.models_in(false)
+        if not hits:
+            continue
+        canonical = shape.canonical(start, width)
+        counted[start] = canonical.bit_count()
+        hits &= canonical
         for c, a in cs_universe:
             if not hits:
                 break
             hits &= ~ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
         if not hits:
-            scanned += canonical.bit_count()
             continue
         low = hits & -hits
         b = low.bit_length() - 1
@@ -465,9 +518,11 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         one = EvalContext(m)  # independent re-check
         if holds(one, w, f) or cs_violations(one, cs_universe):
             raise RuntimeError("countermodel failed re-verification")
+        scanned += sum(counted[s] if s in counted else shape.canonical(s, width).bit_count()
+                       for s in range(0, start, width))
         scanned += (canonical & (low - 1)).bit_count() + 1
         return SearchReport("countermodel", scanned, sig, m, w)
-    return SearchReport("exhausted", scanned, sig)
+    return SearchReport("exhausted", scanned + whole, sig)
 
 
 def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int, seed: int = 0):

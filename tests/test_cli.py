@@ -348,6 +348,18 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert any("nonempty" in v for v in obj["violations"])
 
 
+def test_validate_lists_each_violation_once(capsys, tmp_path):
+    # 1,000 v0 entries at the non-normal world v all break one rule
+    p = tmp_path / "many.json"
+    p.write_text(json.dumps({"worlds": ["w", "v"], "normal": ["w"],
+                             "v0": {"v": {"P%d" % i: True for i in range(1, 1001)}}}))
+    code, out, _ = run_cli(capsys, "validate", str(p))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "violations": ["v0 key 'v' is not a normal world"]}
+    code, out, _ = run_cli(capsys, "validate", str(p), "--human")
+    assert (code, out) == (1, "v0 key 'v' is not a normal world\n")
+
+
 def test_validate_malformed_file(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"worlds": ["w"], "normal": ["w"], "flavor": 3}')

@@ -8,8 +8,11 @@ smaller, one model at a time. The bit-sliced enumerator must agree with
 both exactly: the same count, the same models, in the same order.
 """
 
+import importlib.util
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
@@ -320,6 +323,48 @@ def test_small_chunks_change_nothing(monkeypatch):
                     == (r.outcome, r.models_scanned, r.model, r.world)), chunk
 
 
+def _mask_spy(monkeypatch):
+    """The (normal, non-normal world counts, start) of every canonical
+    mask computed from here on."""
+    canonical = explore._Shape.canonical
+    calls = []
+
+    def spy(shape, start, width):
+        calls.append((shape.k, shape.n - shape.k, start))
+        return canonical(shape, start, width)
+    monkeypatch.setattr(explore._Shape, "canonical", spy)
+    return calls
+
+
+def test_search_computes_masks_only_in_its_hit_shape(monkeypatch):
+    # an exhausted search counts its classes without a mask, and a search
+    # with a hit computes masks in its hit's shape alone: where a model
+    # falsifies the query, and for the windows before the hit's
+    monkeypatch.setattr(explore, "CHUNK", 64)
+    calls = _mask_spy(monkeypatch)
+    f, worlds, nonnormal, scanned = CHUNK_QUERIES[1]
+    report = find_countermodel(f, signature_for(f, worlds, nonnormal))
+    assert (report.outcome, report.models_scanned, calls) == ("exhausted", scanned, [])
+    f, worlds, nonnormal, scanned = CHUNK_QUERIES[2]
+    report = find_countermodel(f, signature_for(f, worlds, nonnormal))
+    assert (report.outcome, report.models_scanned) == ("countermodel", scanned)
+    shape = len(report.model.normal), len(report.model.worlds) - len(report.model.normal)
+    assert calls and {(k, m) for k, m, _ in calls} == {shape}
+    # the hit lies past its shape's first window, so every window up to
+    # the hit's has its mask, each once
+    starts = sorted(start for *_, start in calls)
+    assert starts == list(range(0, starts[-1] + 64, 64))
+
+
+def test_roadmap_targets_scan_their_orbit_counts():
+    # the two search targets at library defaults (1 non-normal world)
+    for text, worlds, scanned in (("(up(P1) : P2 -> [P1] up(P1) : P2)", 4, 2171136),
+                                  ("(x1 : P1 -> [P2] x1 : P1)", 3, 3861296)):
+        f = parse_formula(text)
+        report = find_countermodel(f, signature_for(f, worlds))
+        assert (report.outcome, report.models_scanned) == ("exhausted", scanned), text
+
+
 def test_signatures_with_the_same_counts_share_renaming_tables(monkeypatch):
     # the renaming tables depend on the world and cell counts alone, so
     # signatures that differ in everything but the counts share each
@@ -332,8 +377,8 @@ def test_signatures_with_the_same_counts_share_renaming_tables(monkeypatch):
                         lambda *counts: tables.append(cached(*counts)) or tables[-1])
     windows = []
     for sig in (a, b):
-        windows.append([(shape.k, shape.n, start, width, canonical)
-                        for shape, start, width, canonical in explore._windows(sig)])
+        windows.append([(shape.k, shape.n, start, width, shape.canonical(start, width))
+                        for shape, start, width in explore._windows(sig)])
     assert windows[0] == windows[1]
     half = len(tables) // 2
     assert half == len(windows[0]) > 0
@@ -460,6 +505,43 @@ def test_packed_trials_match_packed_models(monkeypatch):
             for start, width in _scan_windows(shape.size):
                 want = Batch.pack([shape.model(start + b) for b in range(width)])
                 _assert_read_alike(shape.batch(start, width), want, sig.atoms)
+
+
+def test_orbits_count_the_canonical_masks(monkeypatch):
+    # a shape's renaming classes are its canonical models, window by
+    # window at any width; shapes of up to 2^16 raw models keep the scan
+    # cheap, which leaves out only 3- and 4-world shapes of the seeded
+    # signatures
+    for chunk in (64, explore.CHUNK):
+        monkeypatch.setattr(explore, "CHUNK", chunk)
+        for sig in SHAPE_SIGS + _seeded_signatures():
+            for k, m in _oracle_shapes(sig):
+                shape = explore._Shape(sig, k, m)
+                if shape.size > 1 << 16:
+                    continue
+                width = min(chunk, shape.size)
+                masks = sum(shape.canonical(start, width).bit_count()
+                            for start in range(0, shape.size, width))
+                assert masks == explore._orbits(*shape.counts), (sig, k, m, chunk)
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench", "reference.py")
+
+
+def test_orbits_match_the_reference_count(monkeypatch):
+    # the benchmark's own Burnside count, which shares no code with jus,
+    # loaded from its source without writing a bytecode cache beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    for n in range(1, 5):
+        for m in range(n):
+            for props, support, atoms in itertools.product(range(4), repeat=3):
+                assert (explore._orbits(n - m, m, props, support, atoms)
+                        == reference.count_shape(props, atoms, support, n - m, m)), \
+                    (n - m, m, props, support, atoms)
 
 
 def test_trials_draw_the_shape_then_a_uniform_index():
