@@ -28,7 +28,7 @@ from .model import (
 from .parse import SourceError, _echo, parse_formula, print_formula, print_term
 from .proof import check_proof, cs_contains, proof_from_json, taut_check
 from .semantics import EvalContext, cs_violations, decoded, holds
-from .syntax import Constant, Up, constants_in, eval_closure
+from .syntax import Constant, Up, constants_in
 
 
 class InputError(Exception):
@@ -138,11 +138,7 @@ def cmd_search(args) -> int:
     if cs.mode == "full":
         # the slice of the full CS that can bear on this formula: its own
         # constants paired with the formulas its evaluation touches
-        pairs = [
-            (Constant(i), g)
-            for i in sorted(constants_in(f))
-            for g in sorted(eval_closure(f), key=print_formula)
-        ]
+        pairs = [(Constant(i), g) for i in sorted(constants_in(f)) for g in sig.v1_support]
     else:
         pairs = cs.pairs
     # only the pairs the checker's rule licenses, as in check-proof

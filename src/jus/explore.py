@@ -99,7 +99,7 @@ def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> Mo
     """Smallest natural signature for refuting f: its propositions, its
     atomic subterms plus the up-terms of whatever it announces, and the
     formulas its evaluation can consult directly."""
-    atoms = set(t for t in atm(f) if is_atomic(t))
+    atoms = set(atm(f))
     for g in subformulas(f):
         if isinstance(g, Update):
             atoms.add(Up(g.announcement))
@@ -496,14 +496,12 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         if not start:
             scanned += whole
             whole = _orbits(*shape.counts)
-            counted = {}  # the canonical models of its windows with a mask, by start
         ctx = EvalContext(shape.batch(start, width))
         false = false_at_normal(ctx, f)
         hits = ctx.batch.models_in(false)
         if not hits:
             continue
         canonical = shape.canonical(start, width)
-        counted[start] = canonical.bit_count()
         hits &= canonical
         for c, a in cs_universe:
             if not hits:
@@ -518,8 +516,7 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         one = EvalContext(m)  # independent re-check
         if holds(one, w, f) or cs_violations(one, cs_universe):
             raise RuntimeError("countermodel failed re-verification")
-        scanned += sum(counted[s] if s in counted else shape.canonical(s, width).bit_count()
-                       for s in range(0, start, width))
+        scanned += sum(shape.canonical(s, width).bit_count() for s in range(0, start, width))
         scanned += (canonical & (low - 1)).bit_count() + 1
         return SearchReport("countermodel", scanned, sig, m, w)
     return SearchReport("exhausted", scanned + whole, sig)

@@ -16,6 +16,12 @@ core connectives; the three prefix forms bind to the following unary operand):
 Derived connectives (&, |, <->, _|_) are expanded while parsing and the
 printer never emits them, so printing is injective on stored shapes.
 
+The printer is one children-first pass (syntax._postorder) that formats
+each distinct node once, from its children's printed forms. So it prints
+each shared node once, its time is linear in its output, and no depth
+overflows the stack. The output itself repeats a shared node at each of
+its places, so a chain of <-> prints 2^n copies of its n operands.
+
 Lexing is findall of the re module over the text, or over the stretches
 of it that the cover pass below leaves, which yields every lexeme and
 any other non-space character alone; the parser works on that list of
@@ -91,6 +97,8 @@ from .syntax import (
     Up,
     Update,
     Variable,
+    _PARENTS,
+    _postorder,
     conj,
     disj,
     equiv,
@@ -408,20 +416,43 @@ def parse_term(text: str) -> Term:
     return _whole(text, _Parser.term, {})
 
 
+def _printed(x, kind) -> str:
+    """x, a Term or Formula as kind says, printed by one children-first
+    pass (see the module docstring). Formulas and terms are printed into
+    dicts of their own, so a term in a formula position is a KeyError."""
+    if not isinstance(x, kind):
+        raise TypeError("expected a %s, got %r" % (kind.__name__.lower(), x))
+    fs, ts = {}, {}
+    try:
+        for y in _postorder(x, _PARENTS):
+            cls = y.__class__
+            if cls is Prop:
+                fs[y] = "P%d" % y.index
+            elif cls is Not:
+                fs[y] = "~" + fs[y.body]
+            elif cls is Implies:
+                fs[y] = "(%s -> %s)" % (fs[y.left], fs[y.right])
+            elif cls is Justifies:
+                fs[y] = "%s : %s" % (ts[y.term], fs[y.body])
+            elif cls is Update:
+                fs[y] = "[%s] %s" % (fs[y.announcement], fs[y.body])
+            elif cls is Constant:
+                ts[y] = "c%d" % y.index
+            elif cls is Variable:
+                ts[y] = "x%d" % y.index
+            elif cls is Up:
+                ts[y] = "up(%s)" % fs[y.body]
+            elif cls is App:
+                ts[y] = "(%s *[%s] %s)" % (ts[y.left], fs[y.annotation], ts[y.right])
+            else:  # no node, so in a formula position: constructors check the others
+                raise TypeError("expected a formula, got %r" % (y,))
+    except KeyError as e:
+        raise TypeError("expected a formula, got %r" % e.args) from None
+    return (fs if kind is Formula else ts)[x]
+
+
 def print_term(t: Term) -> str:
-    if isinstance(t, Constant):
-        return "c%d" % t.index
-    if isinstance(t, Variable):
-        return "x%d" % t.index
-    if isinstance(t, Up):
-        return "up(%s)" % print_formula(t.body)
-    if isinstance(t, App):
-        return "(%s *[%s] %s)" % (
-            print_term(t.left),
-            print_formula(t.annotation),
-            print_term(t.right),
-        )
-    raise TypeError("expected a term, got %r" % (t,))
+    return _printed(t, Term)
 
 
 def print_formula(f: Formula) -> str:
@@ -430,14 +461,4 @@ def print_formula(f: Formula) -> str:
     Implications are always parenthesized, every other shape is unambiguous
     without parens, and derived connectives never appear.
     """
-    if isinstance(f, Prop):
-        return "P%d" % f.index
-    if isinstance(f, Not):
-        return "~%s" % print_formula(f.body)
-    if isinstance(f, Implies):
-        return "(%s -> %s)" % (print_formula(f.left), print_formula(f.right))
-    if isinstance(f, Justifies):
-        return "%s : %s" % (print_term(f.term), print_formula(f.body))
-    if isinstance(f, Update):
-        return "[%s] %s" % (print_formula(f.announcement), print_formula(f.body))
-    raise TypeError("expected a formula, got %r" % (f,))
+    return _printed(f, Formula)

@@ -244,35 +244,34 @@ class EvalContext:
 
     def truth_mask(self, f: Formula) -> int:
         got = self._memo.get(f)
-        if got is None:
-            got = self.batch.v1.get(f, 0) | (self.batch.normal & self._normal_part(f))
-            self._memo[f] = got
-        return got
-
-    def _normal_part(self, f: Formula) -> int:
+        if got is not None:
+            return got
         if isinstance(f, Prop):
-            return self.batch.v0.get(f.index, 0)
-        if isinstance(f, Not):
-            return ~self.truth_mask(f.body)
-        if isinstance(f, Implies):
-            return ~self.truth_mask(f.left) | self.truth_mask(f.right)
-        if isinstance(f, Justifies):
+            got = self.batch.v0.get(f.index, 0)
+        elif isinstance(f, Not):
+            got = ~self.truth_mask(f.body)
+        elif isinstance(f, Implies):
+            got = ~self.truth_mask(f.left) | self.truth_mask(f.right)
+        elif isinstance(f, Justifies):
             t = f.term
             if isinstance(t, App):
-                return self.truth_mask(
+                got = self.truth_mask(
                     Justifies(t.left, Implies(t.annotation, f.body))
                 ) & self.truth_mask(Justifies(t.right, t.annotation))
-            # slot i holds in the models where no evidence escapes the body
-            outside = ~self.truth_mask(f.body)
-            rows = self.evidence_mask(t)
-            batch = self.batch
-            out = 0
-            for row, offset in zip(rows, batch.offsets):
-                out |= (batch.full & ~batch.models_in(row & outside)) << offset
-            return out
-        if isinstance(f, Update):
-            return self.push(f.announcement).truth_mask(f.body)
-        raise TypeError("expected a formula, got %r" % (f,))
+            else:
+                # slot i holds in the models where no evidence escapes the body
+                outside = ~self.truth_mask(f.body)
+                rows = self.evidence_mask(t)
+                batch = self.batch
+                got = 0
+                for row, offset in zip(rows, batch.offsets):
+                    got |= (batch.full & ~batch.models_in(row & outside)) << offset
+        elif isinstance(f, Update):
+            got = self.push(f.announcement).truth_mask(f.body)
+        else:
+            raise TypeError("expected a formula, got %r" % (f,))
+        got = self._memo[f] = self.batch.v1.get(f, 0) | (self.batch.normal & got)
+        return got
 
     def evidence_mask(self, t: Term) -> tuple:
         """E[t] after the whole chain: row i is the mask of the worlds

@@ -217,29 +217,13 @@ def is_atomic(t: Term) -> bool:
     return isinstance(t, (Constant, Variable, Up))
 
 
-def _walk(x: Node, kind=(Term, Formula)) -> set:
-    """Every node reachable from x through children that are instances of
-    kind, x included. Iterative, and each shared node is visited once, so
-    the cost is linear in the DAG rather than in the tree it unfolds to."""
-    if not isinstance(x, (Term, Formula)):
-        raise TypeError("expected a term or formula, got %r" % (x,))
-    seen = {x}
-    stack = [x]
-    while stack:
-        for y in stack.pop()._args:
-            if isinstance(y, kind) and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def atm(x: Node) -> frozenset:
     """The atomic subterms of a term or formula.
 
     An up-term counts as atomic itself but its announcement body is searched
     too, as are application annotations.
     """
-    return frozenset(y for y in _walk(x) if is_atomic(y))
+    return frozenset(y for y in _reachable(x) if is_atomic(y))
 
 
 def subformulas(f: Formula) -> frozenset:
@@ -248,7 +232,7 @@ def subformulas(f: Formula) -> frozenset:
     Formulas sitting inside terms (up bodies, application annotations) are
     term content: they contribute to atm but are not subformulas.
     """
-    return frozenset(_walk(f, Formula))
+    return frozenset(y for y in _reachable(f, _CONNECTIVES) if isinstance(y, Formula))
 
 
 def up_independent(f: Formula) -> bool:
@@ -264,37 +248,50 @@ def up_independent(f: Formula) -> bool:
     return True
 
 
+# which nodes a walk enters: those length counts the children of, every
+# node with children, and the formulas whose formula children are
+# subformulas
 _COMPOUND = (Not, Implies, Justifies, Update, App)
+_PARENTS = _COMPOUND + (Up,)
+_CONNECTIVES = (Not, Implies, Justifies, Update)
+
+
+_MARK = object()  # on _postorder's stack, above a node whose children follow
 
 
 def _postorder(x: Node, inner) -> dict:
     """The nodes reachable from x through the children of nodes of the
     classes in inner, x included, each once and after all of its children,
     as the keys of a dict in that order. Iterative: a node met the first
-    time goes back on the stack beneath its children, so no depth
-    overflows."""
+    time goes back on the stack beneath a mark and its children, and is
+    done when the mark is popped, so no depth overflows."""
     done = {}
-    opened = set()
     stack = [x]
     while stack:
         y = stack.pop()
-        if y in done:
-            continue
-        if y in opened or not isinstance(y, inner):
-            done[y] = None
-        else:
-            opened.add(y)
-            stack.append(y)
-            stack += y._args
+        if y is _MARK:
+            done[stack.pop()] = None
+        elif y not in done:
+            if isinstance(y, inner):
+                stack.append(y)
+                stack.append(_MARK)
+                stack += y._args
+            else:
+                done[y] = None
     return done
+
+
+def _reachable(x: Node, inner=_PARENTS) -> dict:
+    """_postorder(x, inner) of a term or formula x."""
+    if not isinstance(x, (Term, Formula)):
+        raise TypeError("expected a term or formula, got %r" % (x,))
+    return _postorder(x, inner)
 
 
 def length(x: Node) -> int:
     """Structural length; atomic terms count 1 regardless of their bodies.
     Each shared node is measured once, so the cost is linear in the DAG."""
-    if not isinstance(x, (Term, Formula)):
-        raise TypeError("expected a term or formula, got %r" % (x,))
-    n = _postorder(x, _COMPOUND)  # filled in children first
+    n = _reachable(x, _COMPOUND)  # filled in children first
     for y in n:
         if isinstance(y, _COMPOUND):
             n[y] = 1 + sum(map(n.__getitem__, y._args))
@@ -355,9 +352,9 @@ def eval_closure(f: Formula) -> frozenset:
 
 def constants_in(x: Node) -> frozenset:
     """Indices of all constants occurring anywhere in a term or formula."""
-    return frozenset(y.index for y in _walk(x) if isinstance(y, Constant))
+    return frozenset(y.index for y in _reachable(x) if isinstance(y, Constant))
 
 
 def prop_indices(x: Node) -> frozenset:
     """Indices of all propositions occurring anywhere, term content included."""
-    return frozenset(y.index for y in _walk(x) if isinstance(y, Prop))
+    return frozenset(y.index for y in _reachable(x) if isinstance(y, Prop))
