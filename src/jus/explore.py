@@ -7,31 +7,34 @@ per world-renaming class (renamings must respect the normal/non-normal
 split, since evaluation is invariant under any such relabeling).
 
 The raw assignments of one shape (so many normal and non-normal worlds)
-form one binary index, and over a window of that index every cell of the
-model is a periodic bit pattern. So a window is evaluated bit-sliced, as
-one Batch, without building a model. The representatives are the models
-whose encoding no renaming makes lexicographically smaller (lex-leader
-symmetry breaking), and a window's are a mask too, computed only where
-they are needed: for the models enumerate_models yields, and in a search
-only in windows where some model falsifies the query. How many there are
-in a whole shape follows from its world and cell counts alone
-(Burnside's lemma, _orbits), so an exhausted search counts them without
-computing a mask. Search and enumeration share one scan (_windows),
-which takes each shape in windows of CHUNK models, so a search that
-stops early evaluates at most the rest of its hit's window. A
-SubsetModel is built only for a reported countermodel and for the models
-enumerate_models yields.
+form one binary index, laid out in blocks: per world slot, a v0 block of
+a bit per proposition, a v1 block of a bit per support formula, or an
+evidence block of a digit per atom. Over a window of that index every
+digit of the model is a periodic bit pattern. So a window is evaluated
+bit-sliced, as one Batch, without building a model. The representatives
+are the models whose encoding no renaming makes lexicographically
+smaller (lex-leader symmetry breaking), and a window's are a mask too,
+computed only where they are needed: for the models enumerate_models
+yields, and in a search only in windows where some model falsifies the
+query. How many there are in a whole shape follows from its world and
+cell counts alone (Burnside's lemma, _orbits), so an exhausted search
+counts them without computing a mask. Search and enumeration share one
+scan (_windows), which takes each shape in windows of CHUNK models, so a
+search that stops early evaluates at most the rest of its hit's window.
+A SubsetModel is built only for a reported countermodel and for the
+models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape, and a batch
-of trials of mixed shapes packs by one transpose of their indices' bits.
-A window and a batch of trials write their masks through one assembler,
-_assemble, in the lane layout of semantics.Batch. The CS is forced on
-the batch's masks: a constant's evidence rows become the meet of its
-paired formulas' truth masks until the meets stop changing. Only a trial
-with a reported violation, and random_cs_model's answer, which is a
-sweep's trial packed alone, becomes a SubsetModel: its raw model, with
-the forced evidence read back by semantics.decoded.
+of trials of mixed shapes packs by one transpose of their indices' bits,
+from which each block is cut with one shift. A window and a batch of
+trials write their masks through one assembler, _assemble, which walks
+each shape's blocks and fills the lane layout of semantics.Batch. The CS
+is forced on the batch's masks: a constant's evidence rows become the
+meet of its paired formulas' truth masks until the meets stop changing.
+Only a trial with a reported violation, and random_cs_model's answer,
+which is a sweep's trial packed alone, becomes a SubsetModel: its raw
+model, with the forced evidence read back by semantics.decoded.
 
 Nothing here certifies validity: an exhausted search means only that no
 countermodel exists within the stated bounds.
@@ -46,7 +49,7 @@ import random
 from dataclasses import dataclass
 
 from .model import ConstantSpec, SubsetModel, model_to_json
-from .parse import print_formula, print_term
+from .parse import _printed, print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     norm_instance, pers_instance, up_instance)
 from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
@@ -104,12 +107,13 @@ def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> Mo
         if isinstance(g, Update):
             atoms.add(Up(g.announcement))
     support = eval_closure(f)
+    formulas, terms = _printed((*atoms, *support))  # the sort keys, from one pass
     return ModelSignature(
         propositions=tuple(sorted(prop_indices(f))),
-        atoms=tuple(sorted(atoms, key=print_term)),
+        atoms=tuple(sorted(atoms, key=terms.__getitem__)),
         max_worlds=max_worlds,
         max_nonnormal=max_nonnormal,
-        v1_support=tuple(sorted(support, key=print_formula)),
+        v1_support=tuple(sorted(support, key=formulas.__getitem__)),
     )
 
 
@@ -138,7 +142,7 @@ def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tup
     """Per renaming but the identity of k normal and m non-normal worlds,
     the (own, renamed) encoding columns that can differ, over props
     propositions, support v1 formulas and atoms atoms. A column is (lo,
-    size, values) as _Shape lays out the cells, lowest first: evidence,
+    size, values) as _Shape lays out its blocks, lowest first: evidence,
     then v1, then v0, each in reverse cell order."""
     n = k + m
     subsets = _world_sets(k, m)[2]
@@ -210,11 +214,15 @@ class _Shape:
     significant, then v1 cells (non-normal world, support formula), then
     evidence cells (normal world, atom), each an n-bit digit that picks
     the evidence set from subsets, all the sets of worlds in
-    itertools.combinations order. Over a window of indices each digit is
-    a periodic pattern (semantics.pattern), so a window of models packs
-    into a Batch without building any of them. A sweep's random trial is
-    a raw index too, and _pack packs any list of them; both go through
-    _assemble.
+    itertools.combinations order. So the index is laid out in blocks, one
+    per world slot and kind (blocks): a normal slot's v0 block holds a
+    bit per proposition and its evidence block an n-bit digit per atom,
+    a non-normal slot's v1 block a bit per support formula, and where each
+    block starts follows from the world and key counts alone. Over a
+    window of indices each digit is a periodic pattern (semantics.pattern),
+    so a window of models packs into a Batch without building any of
+    them. A sweep's random trial is a raw index too, and _pack packs any
+    list of them; both go through _assemble, block by block.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -233,21 +241,20 @@ class _Shape:
         self.sig = sig
         # what the renaming tables and the class count depend on
         self.counts = k, m, len(sig.propositions), len(sig.v1_support), len(sig.atoms)
-        cells = ([("v0", i, p, 1) for i in range(k) for p in sig.propositions]
-                 + [("v1", i, g, 1) for i in range(k, n) for g in sig.v1_support]
-                 + [("ev", i, t, n) for i in range(k) for t in sig.atoms])
-        self.cells = []  # (kind, slot, x, size, lo): each cell's lowest bit is lo
-        lo = 0
-        for kind, i, x, size in reversed(cells):
-            self.cells.append((kind, i, x, size, lo))
-            lo += size
-        self.cells.reverse()
-        self.bits = lo
-        self.size = 1 << lo
-        # the lowest bits of the evidence digits, which _pack rewrites from a
-        # set's rank to its member bits; none where the two always agree
-        self.ranked = ([lo for kind, *_, lo in self.cells if kind == "ev"]
-                       if any(d != s for d, s in enumerate(self.subsets)) else [])
+        props, support, atoms = self.counts[2:]
+        # the evidence blocks fill the lowest bits, then the v1 blocks, then
+        # the v0 blocks; within each kind the first slot's block is highest
+        self.evidence_bits = v1 = k * atoms * n
+        v0 = v1 + m * support
+        self.bits = v0 + k * props
+        self.size = 1 << self.bits
+        blocks = ([("v0", i, sig.propositions, 1, v0 + (k - 1 - i) * props) for i in range(k)]
+                  + [("v1", i, sig.v1_support, 1, v1 + (n - 1 - i) * support)
+                     for i in range(k, n)]
+                  + [("ev", i, sig.atoms, n, (k - 1 - i) * atoms * n) for i in range(k)])
+        # (kind, slot, keys, size, lo): a block of one digit of size bits
+        # per key from bit lo up, the first key's highest
+        self.blocks = [block for block in blocks if block[2]]
 
     def canonical(self, start: int, width: int) -> int:
         """The mask of the window's canonical models: the AND over
@@ -278,7 +285,7 @@ class _Shape:
 
     def batch(self, start: int, width: int) -> Batch:
         """The window's models packed for evaluation, in index order."""
-        def field(lo, size):
+        def column(lo, size):
             # a one-bit digit, truth value or one-world set, has member bit 1
             if size == 1:
                 return pattern(lo, 1, _ONE, start, width)
@@ -287,22 +294,30 @@ class _Shape:
                 out |= pattern(lo, size, values, start, width) << u * width
             return out
 
-        return _assemble(width, {self: (1 << width) - 1}, field)
+        def columns(shape):
+            return [column(d, size) for _, _, keys, size, lo in shape.blocks
+                    for d in range(lo + (len(keys) - 1) * size, lo - 1, -size)]
+
+        return _assemble(width, {self: (1 << width) - 1}, columns)
 
     def model(self, index: int) -> SubsetModel:
         """The raw model at an index."""
         v0 = {}
         v1 = {}
         evidence = {}
-        for kind, i, x, size, lo in self.cells:
-            digit = index >> lo & (1 << size) - 1
-            key = self.worlds[i], x
-            if kind == "v0":
-                v0[key] = digit == 1
-            elif kind == "v1":
-                v1[key] = digit == 1
+        for kind, i, keys, size, lo in self.blocks:
+            w = self.worlds[i]
+            lo += len(keys) * size
+            if kind == "ev":
+                top = (1 << size) - 1
+                for t in keys:
+                    lo -= size
+                    evidence[w, t] = self.sets[index >> lo & top]
             else:
-                evidence[key] = self.sets[digit]
+                table = v0 if kind == "v0" else v1
+                for x in keys:
+                    lo -= 1
+                    table[w, x] = index >> lo & 1 == 1
         return SubsetModel(self.worlds, frozenset(self.normal), v0, v1, evidence, "all")
 
 
@@ -369,33 +384,47 @@ def _pack(trials) -> Batch:
     Each index becomes a binary row of one width, its evidence digits
     rewritten from a set's rank to the set's member bits, and one
     transpose of all rows puts raw bit j of trial b at bit j * width + b of
-    one integer. A cell of lo and size bits is then a field of size *
-    width bits there, which _assemble takes under the cell's own lanes.
+    one integer. A block of lo and count digits of size bits is then one
+    field of count * size * width bits there, cut out with one shift and
+    split into its digits' columns, which _assemble takes under the
+    shape's own lanes.
     """
     width = len(trials)
     form = "0%db" % max(shape.bits for shape, _ in trials)
     rows = []
     for shape, index in reversed(trials):
-        top = (1 << shape.n) - 1
-        for lo in shape.ranked:
-            d = index >> lo & top
-            index ^= (d ^ shape.subsets[d]) << lo
+        if shape.n > 2:  # up to two worlds, a set's rank is its member bits
+            top = (1 << shape.n) - 1
+            for lo in range(0, shape.evidence_bits, shape.n):
+                d = index >> lo & top
+                index ^= (d ^ shape.subsets[d]) << lo
         rows.append(format(index, form))
     raw = int("".join(map("".join, zip(*rows))), 2)
     own = {}
     for b, (shape, _) in enumerate(trials):
         own[shape] = own.get(shape, 0) | 1 << b
-    return _assemble(width, own, lambda lo, size: raw >> lo * width)
+
+    def columns(shape):
+        out = []
+        for _, _, keys, size, lo in shape.blocks:
+            span = size * width
+            cut = raw >> lo * width & (1 << len(keys) * span) - 1
+            top = (1 << span) - 1
+            out += [cut >> d & top for d in range((len(keys) - 1) * span, -1, -span)]
+        return out
+
+    return _assemble(width, own, columns)
 
 
-def _assemble(width: int, own: dict, field) -> Batch:
+def _assemble(width: int, own: dict, columns) -> Batch:
     """The Batch of width lanes in which own maps each shape, over one
-    signature, to its lanes (bit b for lane b). field(lo, size) is the
-    cell whose digit has size bits from bit lo of the raw index, as a
-    mask whose bit u * width + b is member bit u of lane b's digit: the
-    truth value itself, or whether the evidence set holds world slot u.
-    Evidence is stored at normal slots only, since it is read nowhere
-    else."""
+    signature, to its lanes (bit b for lane b). columns(shape) is the
+    column of each digit of the shape's raw index, block by block in the
+    order of shape.blocks, and in each block first key first. A digit's
+    column is a mask whose bit u * width + b is member bit u of lane b's
+    digit: the truth value itself, or whether the evidence set holds
+    world slot u. Evidence is stored at normal slots only, since it is
+    read nowhere else."""
     slots = max(shape.n for shape in own)
     normal = lanes = 0
     v0 = {}
@@ -408,13 +437,16 @@ def _assemble(width: int, own: dict, field) -> Batch:
             spread |= mine << i * width
         normal |= spread & (1 << shape.k * width) - 1
         lanes |= spread
-        for kind, i, x, size, lo in shape.cells:
-            got = field(lo, size)
+        # with keys first, zip(keys, got) takes just one block's columns
+        got = iter(columns(shape))
+        for kind, i, keys, _, _ in shape.blocks:
             if kind == "ev":
-                stored[x][i] |= got & spread
+                for t, column in zip(keys, got):
+                    stored[t][i] |= column & spread
             else:
                 table = v0 if kind == "v0" else v1
-                table[x] = table.get(x, 0) | (got & mine) << i * width
+                for x, column in zip(keys, got):
+                    table[x] = table.get(x, 0) | (column & mine) << i * width
     evidence = {t: tuple(rows) for t, rows in stored.items()}
     return Batch(width, slots, normal, lanes, v0, v1, evidence, lanes)
 

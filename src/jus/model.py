@@ -131,9 +131,14 @@ def _source_text(text: str, read, what: str):
 
 
 def _parse_inner(text, parser, what):
+    """parser(text) for a key of a model or CS file; as _source_text, but
+    the message is built only for a key that fails."""
     if not isinstance(text, str):
         raise ValueError("%s key %s must be a string" % (what, _echo(text)))
-    return _source_text(text, parser, "bad %s key %s" % (what, _echo(text)))
+    try:
+        return parser(text)
+    except SourceError as e:
+        raise ValueError("bad %s key %s: %s" % (what, _echo(text), e)) from None
 
 
 def model_from_json(obj: dict, validate: bool = True) -> SubsetModel:

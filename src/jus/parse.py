@@ -19,8 +19,10 @@ printer never emits them, so printing is injective on stored shapes.
 The printer is one children-first pass (syntax._postorder) that formats
 each distinct node once, from its children's printed forms. So it prints
 each shared node once, its time is linear in its output, and no depth
-overflows the stack. The output itself repeats a shared node at each of
-its places, so a chain of <-> prints 2^n copies of its n operands.
+overflows the stack. One pass may print several roots, as signature_for
+does to get the sort keys of a whole evaluation closure. The output
+itself repeats a shared node at each of its places, so a chain of <->
+prints 2^n copies of its n operands.
 
 Lexing is findall of the re module over the text, or over the stretches
 of it that the cover pass below leaves, which yields every lexeme and
@@ -416,15 +418,14 @@ def parse_term(text: str) -> Term:
     return _whole(text, _Parser.term, {})
 
 
-def _printed(x, kind) -> str:
-    """x, a Term or Formula as kind says, printed by one children-first
-    pass (see the module docstring). Formulas and terms are printed into
-    dicts of their own, so a term in a formula position is a KeyError."""
-    if not isinstance(x, kind):
-        raise TypeError("expected a %s, got %r" % (kind.__name__.lower(), x))
+def _printed(roots) -> tuple:
+    """The dicts (formulas, terms) from each node reachable from the
+    sequence roots to its text, by one children-first pass over them all
+    (see the module docstring). Formulas and terms are printed into dicts
+    of their own, so a term in a formula position is a KeyError."""
     fs, ts = {}, {}
     try:
-        for y in _postorder(x, _PARENTS):
+        for y in _postorder(roots, _PARENTS):
             cls = y.__class__
             if cls is Prop:
                 fs[y] = "P%d" % y.index
@@ -448,11 +449,13 @@ def _printed(x, kind) -> str:
                 raise TypeError("expected a formula, got %r" % (y,))
     except KeyError as e:
         raise TypeError("expected a formula, got %r" % e.args) from None
-    return (fs if kind is Formula else ts)[x]
+    return fs, ts
 
 
 def print_term(t: Term) -> str:
-    return _printed(t, Term)
+    if not isinstance(t, Term):
+        raise TypeError("expected a term, got %r" % (t,))
+    return _printed((t,))[1][t]
 
 
 def print_formula(f: Formula) -> str:
@@ -461,4 +464,6 @@ def print_formula(f: Formula) -> str:
     Implications are always parenthesized, every other shape is unambiguous
     without parens, and derived connectives never appear.
     """
-    return _printed(f, Formula)
+    if not isinstance(f, Formula):
+        raise TypeError("expected a formula, got %r" % (f,))
+    return _printed((f,))[0][f]

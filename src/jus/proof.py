@@ -78,7 +78,7 @@ def taut_check(f: Formula) -> bool:
     the connectives reduce to bitwise operations, and each shared node's
     column is computed once, after its children's.
     """
-    cols = _postorder(f, _SKELETON)  # filled in children first
+    cols = _postorder((f,), _SKELETON)  # filled in children first
     atoms = [g for g in cols if not isinstance(g, _SKELETON)]
     if len(atoms) > _MAX_TAUT_ATOMS:
         raise ValueError("formula has %d boolean atoms; refusing the 2^%d-row table"

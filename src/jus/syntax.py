@@ -238,12 +238,24 @@ def subformulas(f: Formula) -> frozenset:
 def up_independent(f: Formula) -> bool:
     """True when no announced formula's own up-term occurs under its update.
 
-    Checks every subformula of the shape [C]B for up(C) in atm(B). The update
-    axioms that commute announcements in and out of a formula are only sound
-    under this restriction.
+    Checks every subformula of the shape [C]B for up(C) in atm(B). One
+    walk of f finds the announcements C whose up(C) occurs in f at all,
+    and only their updates are tested, one children-first pass per such C.
+    The update axioms that commute announcements in and out of a formula
+    are only sound under this restriction.
     """
-    for g in subformulas(f):
-        if isinstance(g, Update) and Up(g.announcement) in atm(g.body):
+    nodes = _reachable(f)  # children first
+    ups = {y.body: y for y in nodes if isinstance(y, Up)}
+    suspects = [g for g in nodes if isinstance(g, Update) and g.announcement in ups]
+    if not suspects:
+        return True
+    subs = subformulas(f)
+    for c in {g.announcement for g in suspects}:
+        up = ups[c]
+        under = {}  # per node, whether up(c) is one of its atomic subterms
+        for y in nodes:
+            under[y] = y is up or isinstance(y, _PARENTS) and any(map(under.__getitem__, y._args))
+        if any(g.announcement is c and g in subs and under[g.body] for g in suspects):
             return False
     return True
 
@@ -259,14 +271,14 @@ _CONNECTIVES = (Not, Implies, Justifies, Update)
 _MARK = object()  # on _postorder's stack, above a node whose children follow
 
 
-def _postorder(x: Node, inner) -> dict:
-    """The nodes reachable from x through the children of nodes of the
-    classes in inner, x included, each once and after all of its children,
-    as the keys of a dict in that order. Iterative: a node met the first
-    time goes back on the stack beneath a mark and its children, and is
-    done when the mark is popped, so no depth overflows."""
+def _postorder(roots, inner) -> dict:
+    """The nodes reachable from the sequence roots through the children of
+    nodes of the classes in inner, the roots included, each once and after
+    all of its children, as the keys of a dict in that order. Iterative: a
+    node met the first time goes back on the stack beneath a mark and its
+    children, and is done when the mark is popped, so no depth overflows."""
     done = {}
-    stack = [x]
+    stack = list(roots)
     while stack:
         y = stack.pop()
         if y is _MARK:
@@ -282,10 +294,10 @@ def _postorder(x: Node, inner) -> dict:
 
 
 def _reachable(x: Node, inner=_PARENTS) -> dict:
-    """_postorder(x, inner) of a term or formula x."""
+    """_postorder((x,), inner) of a term or formula x."""
     if not isinstance(x, (Term, Formula)):
         raise TypeError("expected a term or formula, got %r" % (x,))
-    return _postorder(x, inner)
+    return _postorder((x,), inner)
 
 
 def length(x: Node) -> int:

@@ -605,6 +605,19 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, code, out", [("(P1 -> P1)", 0, "true\n"), ("P1", 1, "false\n"),
+                                             ("(P1 ->", 2, "")])
+def test_console_entry_point_exits_with_the_answer(monkeypatch, capsys, text, code, out):
+    # the `jus` script of pyproject.toml calls cli.run, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["jus", "taut", text])
+    with pytest.raises(SystemExit) as exit:
+        cli.run()
+    assert exit.value.code == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert (got.err == "") == (code != 2)
+
+
 def test_closed_pipe_keeps_exit_code_without_traceback():
     # the reader is gone before anything is written, as with `| head -1`
     # on a long answer: no traceback, and the countermodel still exits 1

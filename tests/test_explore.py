@@ -200,8 +200,8 @@ def _encode(m, normal, other, sig, renaming):
     return tuple(row(w) for w in normal + other)
 
 
-def _raw_shape(sig, k, m):
-    """(model, canonical) for every raw model of the shape, in index order."""
+def _raw_models(sig, k, m):
+    """Every raw model of the shape, in index order."""
     normal, other = _world_names(k, m)
     worlds = normal + other
     subsets = [frozenset(c) for r in range(len(worlds) + 1)
@@ -209,20 +209,26 @@ def _raw_shape(sig, k, m):
     v0_cells = [(w, p) for w in normal for p in sig.propositions]
     v1_cells = [(w, g) for w in other for g in sig.v1_support]
     ev_cells = [(w, t) for w in normal for t in sig.atoms]
+    for v0_bits in itertools.product((False, True), repeat=len(v0_cells)):
+        for v1_bits in itertools.product((False, True), repeat=len(v1_cells)):
+            for ev_choice in itertools.product(subsets, repeat=len(ev_cells)):
+                yield SubsetModel(worlds, frozenset(normal), dict(zip(v0_cells, v0_bits)),
+                                  dict(zip(v1_cells, v1_bits)),
+                                  dict(zip(ev_cells, ev_choice)), "all")
+
+
+def _raw_shape(sig, k, m):
+    """(model, canonical) for every raw model of the shape, in index order."""
+    normal, other = _world_names(k, m)
     renamings = [
         {**dict(zip(normal, pn)), **dict(zip(other, po))}
         for pn in itertools.permutations(normal)
         for po in itertools.permutations(other)
     ]
-    for v0_bits in itertools.product((False, True), repeat=len(v0_cells)):
-        for v1_bits in itertools.product((False, True), repeat=len(v1_cells)):
-            for ev_choice in itertools.product(subsets, repeat=len(ev_cells)):
-                model = SubsetModel(worlds, frozenset(normal), dict(zip(v0_cells, v0_bits)),
-                                    dict(zip(v1_cells, v1_bits)),
-                                    dict(zip(ev_cells, ev_choice)), "all")
-                mine = _encode(model, normal, other, sig, renamings[0])
-                yield model, all(mine <= _encode(model, normal, other, sig, r)
-                                 for r in renamings[1:])
+    for model in _raw_models(sig, k, m):
+        mine = _encode(model, normal, other, sig, renamings[0])
+        yield model, all(mine <= _encode(model, normal, other, sig, r)
+                         for r in renamings[1:])
 
 
 def _oracle_shapes(sig):
@@ -247,6 +253,41 @@ SHAPE_SIGS = [
 ]
 
 
+# signatures whose shapes leave a kind of block empty or hold one key in
+# it, up to 4 worlds: at 3 and 4 worlds, evidence regions of 3, 6, 9, 4,
+# 8, 16 and 32 bits among others, none a multiple of 12
+BLOCK_SIGS = [
+    ModelSignature((1,), (), 4, 3, (P1, P2)),
+    ModelSignature((1, 2), (Constant(1),), 4, 3, ()),
+    ModelSignature((2,), (Variable(1),), 3, 2, (P1,)),
+    ModelSignature((1,), (Constant(1), Up(P1)), 4, 3, (Implies(P1, P2),)),
+    ModelSignature((), (Variable(1),), 4, 2, ()),
+]
+
+
+def test_block_signatures_leave_blocks_empty_and_evidence_untiled():
+    shapes = [explore._Shape(sig, k, m) for sig in BLOCK_SIGS for k, m in _oracle_shapes(sig)]
+    kinds = [{kind: len(keys) for kind, _, keys, *_ in shape.blocks} for shape in shapes]
+    assert any("ev" not in got for got in kinds)
+    assert any("v1" not in got and shape.n > shape.k for got, shape in zip(kinds, shapes))
+    assert any(got.get("v0") == 1 for got in kinds) and any("v0" not in got for got in kinds)
+    untiled = {(shape.n, shape.evidence_bits) for shape in shapes
+               if shape.n > 2 and shape.evidence_bits % 12}
+    assert {bits for n, bits in untiled if n == 3} >= {3, 6, 9}
+    assert {bits for n, bits in untiled if n == 4} >= {4, 8, 16, 32}
+
+
+@pytest.mark.parametrize("sig", SHAPE_SIGS + BLOCK_SIGS)
+def test_shape_models_match_the_oracle_at_every_index(sig):
+    # the block decoder against the generate-and-test enumerator, at every
+    # raw index of each shape of at most 2^12 models
+    for k, m in _oracle_shapes(sig):
+        shape = explore._Shape(sig, k, m)
+        if shape.size > 1 << 12:
+            continue
+        assert [shape.model(i) for i in range(shape.size)] == list(_raw_models(sig, k, m))
+
+
 @pytest.mark.parametrize("sig", SHAPE_SIGS)
 def test_enumerate_models_matches_the_oracle_in_order(sig):
     assert list(enumerate_models(sig)) == list(_oracle_models(sig))
@@ -264,16 +305,20 @@ def test_pattern_matches_the_index_digits():
                     assert got == want, (lo, size, sorted(values), start, width)
 
 
-@pytest.mark.parametrize("sig", SHAPE_SIGS[:4])
+@pytest.mark.parametrize("sig", SHAPE_SIGS[:4] + BLOCK_SIGS)
 def test_windows_match_the_oracle_index_by_index(sig):
     # the model, canonicity and truth values at each index of a window,
     # against the generate-and-test enumerator and a batch of one; the
-    # windows straddle the chunk sequence's boundaries
+    # windows straddle the chunk sequence's boundaries. Shapes of more
+    # than 2^12 models, none of SHAPE_SIGS', are left to the cheaper
+    # oracle of test_packed_trials_match_packed_models
     formulas = [P1, Justifies(Variable(1), P1), Justifies(Constant(1), Implies(P1, P2)),
                 parse_formula("[P1] up(P1) : P1"), parse_formula("up(P1) : ~ x1 : P1"),
                 parse_formula("((x1 *[P1] c1) : P2 -> x1 : (P1 -> P2))")]
     for k, m in _oracle_shapes(sig):
         shape = explore._Shape(sig, k, m)
+        if shape.size > 1 << 12:
+            continue
         raw = list(_raw_shape(sig, k, m))
         assert shape.size == len(raw)
         windows = {(0, min(64, shape.size))}
@@ -486,7 +531,7 @@ def test_packed_trials_match_packed_models(monkeypatch):
     # lane b of a packed trial list is the raw model of trial b, as
     # Batch.pack lays it out: mixed shapes, first and last raw indices
     rng = random.Random(3)
-    for sig in _seeded_signatures():
+    for sig in _seeded_signatures() + BLOCK_SIGS:
         shapes = {}
         for _ in range(12):
             trials = [explore._draw(sig, rng.randrange(1 << 30), shapes)
@@ -499,7 +544,7 @@ def test_packed_trials_match_packed_models(monkeypatch):
     # and lane b of a window is its raw model start + b; windows of 128
     # models at most keep the reference packing cheap
     monkeypatch.setattr(explore, "CHUNK", 128)
-    for sig in _seeded_signatures():
+    for sig in _seeded_signatures() + BLOCK_SIGS:
         for k, m in _oracle_shapes(sig):
             shape = explore._Shape(sig, k, m)
             for start, width in _scan_windows(shape.size):

@@ -6,13 +6,14 @@ in its output, and no depth overflows the stack. atm, subformulas,
 constants_in, prop_indices and length walk the same way."""
 
 import functools
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from jus import parse
-from jus.explore import signature_for
+from jus.explore import ModelSignature, signature_for, signature_to_json
 from jus.parse import parse_formula, print_formula, print_term
 from jus.syntax import (
     App,
@@ -31,6 +32,7 @@ from jus.syntax import (
     constants_in,
     disj,
     equiv,
+    eval_closure,
     length,
     prop_indices,
     subformulas,
@@ -216,6 +218,45 @@ def test_deep_terms_print_at_5000_levels():
     assert print_term(t) == "(" * 5000 + "x1" + " *[P1] x2)" * 5000
     assert print_term(_nest(lambda s: Up(Justifies(s, P1)), 5000, x1)) == \
         "up(" * 5000 + "x1" + " : P1)" * 5000
+
+
+def _signature_printing_each(f, max_worlds, max_nonnormal):
+    """signature_for with its sort keys printed one by one, as before it
+    printed them all in one pass."""
+    atoms = set(atm(f)) | {Up(g.announcement) for g in subformulas(f) if isinstance(g, Update)}
+    return ModelSignature(tuple(sorted(prop_indices(f))), tuple(sorted(atoms, key=print_term)),
+                          max_worlds, max_nonnormal,
+                          tuple(sorted(eval_closure(f), key=print_formula)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(4))
+def test_signature_for_sorts_as_printing_each(f):
+    got = signature_for(f, 3, 1)
+    want = _signature_printing_each(f, 3, 1)
+    assert got == want
+    assert signature_to_json(got) == signature_to_json(want)
+
+
+@pytest.mark.parametrize("family", sorted(_DEEP))
+def test_signature_for_deep_families_sorts_as_printing_each(family):
+    for n in (1, 2, 3, 7, 40):
+        f = BUILT[family](n)
+        assert signature_to_json(signature_for(f)) == \
+            signature_to_json(_signature_printing_each(f, 2, 1)), n
+
+
+def test_signature_for_1000_application_annotations():
+    # (x1 *[(x1 *[...] x2) : P1] x2) : P1: the closure splits each level's
+    # application, so it holds 4,001 formulas, each printed once
+    f = BUILT["application annotation"](1000)
+    start = time.perf_counter()
+    sig = signature_for(f)
+    assert time.perf_counter() - start < 0.5
+    assert sig.atoms == (x1, x2)
+    assert len(sig.v1_support) == 4001
+    printed = list(map(parse._printed(sig.v1_support)[0].__getitem__, sig.v1_support))
+    assert printed == sorted(printed)
 
 
 @pytest.mark.parametrize("family", ["~", "t :"])

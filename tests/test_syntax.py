@@ -1,6 +1,7 @@
 import time
 
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from jus.syntax import (
     App,
@@ -143,6 +144,68 @@ def test_up_independent_restricts_to_subformulas(f):
         for g in subformulas(f):
             if isinstance(g, Update):
                 assert up_independent(g)
+
+
+def _up_independent_per_update(f):
+    """The proviso as defined, without the walk that finds suspects: an
+    atm walk under every update subformula."""
+    for g in subformulas(f):
+        if isinstance(g, Update) and Up(g.announcement) in atm(g.body):
+            return False
+    return True
+
+
+# formulas over two propositions, so that up-terms of announced formulas,
+# nested in up bodies and application annotations too, turn up often
+_COUPLED = st.recursive(
+    st.sampled_from([P1, P2]),
+    lambda fs: st.one_of(
+        fs.map(Not),
+        st.tuples(fs, fs).map(lambda x: Implies(*x)),
+        st.tuples(st.one_of(st.just(x1), fs.map(Up), st.tuples(fs, fs).map(
+            lambda x: App(Up(x[0]), x[1], x1))), fs).map(lambda x: Justifies(*x)),
+        st.tuples(fs, fs).map(lambda x: Update(*x)),
+        # an update whose body justifies by its own up-term
+        st.tuples(fs, fs).map(lambda x: Update(x[0], Justifies(Up(x[0]), x[1]))),
+        # and one beside its up-term
+        st.tuples(fs, fs).map(lambda x: Implies(Justifies(Up(x[0]), x[1]), Update(*x))),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(formulas(4), _COUPLED))
+def test_up_independent_matches_the_per_update_definition(f):
+    assert up_independent(f) == _up_independent_per_update(f)
+
+
+def test_up_independent_looks_at_subformulas_only():
+    # an update inside an up-term is no subformula, so it cannot fail
+    inner = Update(P1, Justifies(Up(P1), P1))
+    assert up_independent(Justifies(Up(inner), P2))
+    assert not up_independent(Implies(P2, inner))
+    # up(P1) outside the update does not count against it
+    assert up_independent(Implies(Justifies(Up(P1), P1), Update(P1, P1)))
+    # several announcements have their up-terms in f, and one fails
+    fine = [Implies(Justifies(Up(a), P1), Update(a, P2)) for a in (P1, P2, Not(P1), Not(P2))]
+    for bad in (Update(a, Justifies(Up(a), P2)) for a in (P1, P2, Not(P1), Not(P2))):
+        for f in (Implies(bad, conj(*fine[:2])), Implies(conj(*fine[2:]), bad),
+                  Update(P1, Implies(fine[1], Implies(fine[3], bad)))):
+            assert not up_independent(f)
+            assert up_independent(f) == _up_independent_per_update(f)
+
+
+def test_up_independent_on_2000_nested_announcements():
+    f = g = P1
+    for _ in range(2000):
+        f = Update(P1, f)
+        g = Update(P1, g) if g is not P1 else Update(P1, Justifies(Up(P1), P1))
+    for x, want in ((f, True), (Implies(Justifies(Up(P1), P1), f), True), (g, False),
+                    (Update(P2, Implies(f, Justifies(Up(P2), P1))), False)):
+        start = time.perf_counter()
+        assert up_independent(x) == want
+        assert time.perf_counter() - start < 0.5
 
 
 def test_walks_are_linear_in_shared_dags():
