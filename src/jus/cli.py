@@ -41,7 +41,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror or e)) from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bytes that are not UTF-8, or an overlong integer
         raise InputError("%s is not valid JSON: %s" % (path, e)) from e
     except RecursionError as e:
         raise InputError("%s nests too deeply to read" % path) from e
@@ -141,8 +141,11 @@ def cmd_search(args) -> int:
         pairs = [(Constant(i), g) for i in sorted(constants_in(f)) for g in sig.v1_support]
     else:
         pairs = cs.pairs
-    # only the pairs the checker's rule licenses, as in check-proof
-    universe = [(c, g) for c, g in pairs if cs_contains(cs, c, g)]
+    try:
+        # only the pairs the checker's rule licenses, as in check-proof
+        universe = [(c, g) for c, g in pairs if cs_contains(cs, c, g)]
+    except ValueError as e:  # taut_check's refusal of a too-large table
+        raise InputError(str(e)) from e
     report = find_countermodel(f, sig, universe)
     payload = report_to_json(report)
     if report.outcome == "countermodel":

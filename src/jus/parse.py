@@ -1,17 +1,24 @@
-"""Concrete syntax: lexer, recursive-descent parser, canonical printer.
+"""Concrete syntax: lexer, parser, canonical printer.
 
-Grammar sketch (implication is right-associative and binds loosest among the
-core connectives; the three prefix forms bind to the following unary operand):
+Grammar sketch (the three prefix forms bind to the following unary operand):
 
-    formula  :=  iff
-    iff      :=  impl ("<->" iff)?
-    impl     :=  disj ("->" impl)?
-    disj     :=  conj ("|" conj)*
-    conj     :=  unary ("&" unary)*
+    formula  :=  unary (binop unary)*
     unary    :=  "~" unary  |  "[" formula "]" unary  |  term ":" unary
               |  "(" formula ")"  |  "P"int  |  "_|_"
     term     :=  "c"int  |  "x"int  |  "up(" formula ")"
               |  "(" term "*[" formula "]" term ")"
+
+A chain of binary operators is read by one precedence loop (Pratt's top
+down operator precedence) over the table _BINARY, loosest first:
+
+    <->  0  equiv    right-associative
+    ->   1  Implies  right-associative
+    |    2  disj     left-associative
+    &    3  conj     left-associative
+
+The loop reads the operators of at least its floor precedence, and each
+right operand by a loop whose floor is the operator's precedence, or one
+more if it is left-associative: P1 -> P2 -> P3 is P1 -> (P2 -> P3).
 
 Derived connectives (&, |, <->, _|_) are expanded while parsing and the
 printer never emits them, so printing is injective on stored shapes.
@@ -45,10 +52,12 @@ after a term" at that token.
 Nesting is capped at MAX_NESTING levels, so the parser's stack and the
 depth of what it returns stay bounded. Each unary, "(" and term reading
 with a part inside (all but P1, _|_, c1 and x1) opens a level until it
-is read, and each binary operator until its chain ends; one level more
-is a SourceError at the token that opens it. Printing parenthesizes
-implications and expands derived connectives, so a chain near the cap
-can print deeper than the cap.
+is read. So does each binary operator, and a run of one precedence keeps
+its levels open until a looser operator follows, which opens its level
+where the run began: P1 & P1 | P1 | P1 is two levels deep, P1 | P1 & P1 &
+P1 three. One level more is a SourceError at the token that opens it.
+Printing parenthesizes implications and expands derived connectives, so
+a chain near the cap can print deeper than the cap.
 
 Printed formulas repeat their subformulas, so a group memo keeps groups
 by their raw text: a "(" in formula position read to its ")" stores the
@@ -128,6 +137,9 @@ _SYMBOLS = frozenset(["up", "<->", "->", "_|_", "(", ")", "[", "]", ":", "~", "&
 # group memo key lengths (see the module docstring): "(P1 -> P2)" is kept,
 # and the groups of a printed proof seldom share their first 40 characters
 _SHORT, _LONG = 10, 40
+# binary operator -> (precedence, builder, right-associative); see the module docstring
+_BINARY = {"<->": (0, equiv, True), "->": (1, Implies, True),
+           "|": (2, disj, False), "&": (3, conj, False)}
 
 
 def _echo(x) -> str:
@@ -239,41 +251,22 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def formula(self, first=None) -> Formula:
-        left = self.impl(first)
-        if self.tokens[self.i] != "<->":
-            return left
-        self.open(self.i)
-        self.i += 1
-        return self.close(equiv(left, self.formula()))
-
-    def impl(self, first=None) -> Formula:
-        left = self.disj(first)
-        if self.tokens[self.i] != "->":
-            return left
-        self.open(self.i)
-        self.i += 1
-        return self.close(Implies(left, self.impl()))
-
-    def disj(self, first=None) -> Formula:
-        out = self.conj(first)
-        depth = self.depth
-        while self.tokens[self.i] == "|":
+    def formula(self, first=None, floor=0) -> Formula:
+        """A chain of operators of precedence floor or more, from its first
+        operand on, or from first when the caller has read it."""
+        left = self.unary() if first is None else first
+        base, run = self.depth, None
+        while True:
+            row = _BINARY.get(self.tokens[self.i])
+            if row is None or row[0] < floor:
+                self.depth = base
+                return left
+            prec, build, right = row
+            if prec != run:  # a looser operator: the run before it is read
+                self.depth, run = base, prec
             self.open(self.i)
             self.i += 1
-            out = disj(out, self.conj())
-        self.depth = depth
-        return out
-
-    def conj(self, first=None) -> Formula:
-        out = self.unary() if first is None else first
-        depth = self.depth
-        while self.tokens[self.i] == "&":
-            self.open(self.i)
-            self.i += 1
-            out = conj(out, self.unary())
-        self.depth = depth
-        return out
+            left = build(left, self.formula(None, prec if right else prec + 1))
 
     def unary(self) -> Formula:
         i = self.i

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +430,19 @@ def test_check_proof_refuses_too_many_atoms(capsys, tmp_path):
     assert err == "%s: formula has 26 boolean atoms; refusing the 2^26-row table\n" % path
 
 
+def test_search_refuses_too_many_atoms(capsys, tmp_path):
+    # the full CS, or a CS file, pairs c1 with a formula the checker's rule
+    # would need a 2^26-row table for
+    formula = " -> ".join("P%d" % i for i in range(1, 27))
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"mode": "explicit", "pairs": [["c1", formula]]}))
+    for argv in (["search", "c1 : P1 -> " + formula, "--max-worlds", "1"],
+                 ["search", "c1 : (%s)" % formula, "--max-worlds", "1", "--cs", str(cs)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "formula has 26 boolean atoms; refusing the 2^26-row table\n"
+
+
 def test_check_proof_licenses_big_core_schema_instances(capsys, tmp_path):
     # an Indep instance whose skeleton has 31 atoms: the core schemas are
     # tried before any truth table, both for an axiom step with no schema
@@ -456,6 +470,59 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "%s nests too deeply to read\n" % deep
+
+
+def test_undecodable_files_exit_2(capsys, two_world_path, tmp_path):
+    # bytes that are not UTF-8, and an integer of more digits than int()
+    # converts (4,300 by default), are a file that does not read
+    model = tmp_path / "model.json"
+    model.write_bytes(b'\xff{"worlds": ["w"], "normal": ["w"]}')
+    proof = tmp_path / "proof.json"
+    proof.write_text('[{"formula": "P1", "rule": "mp", "premises": [%s, 2]}]' % ("1" * 5000))
+    for argv, path in [(["eval", str(model), "w", "P1"], model),
+                       (["validate", two_world_path, "--cs", str(model)], model),
+                       (["check-proof", str(proof), "full"], proof)]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("%s is not valid JSON: " % path) and err.count("\n") == 1
+
+
+def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
+    # seeded byte edits of model, proof and CS files, read by every
+    # subcommand that reads a file: each call answers with 0, 1 or 2, and
+    # a refusal is one line on stderr
+    rng = random.Random(21)
+    model = Path(data_path("two_world.json")).read_bytes()
+    proof = json.dumps(proof_to_json(
+        prove_ramsey(Variable(1), P1, Prop(2), ConstantSpec("full")))).encode()
+    cs = json.dumps({"mode": "explicit",
+                     "pairs": [["c1", "(P1 -> P1)"], ["c2", "[P1] up(P1) : P1"]]}).encode()
+    good_proof = tmp_path / "good.json"
+    good_proof.write_bytes(proof)
+    path, out = str(tmp_path / "mutated.json"), str(tmp_path / "out.json")
+    reads = {
+        model: [["eval", path, "w", "P1"], ["update", path, "P1", "--out", out],
+                ["validate", path]],
+        proof: [["check-proof", path, "full"]],
+        cs: [["check-proof", str(good_proof), path],
+             ["validate", data_path("two_world.json"), "--cs", path],
+             ["search", "c1 : (P1 -> P1)", "--max-worlds", "1", "--cs", path]],
+    }
+    codes = set()
+    for _ in range(1500):
+        original = rng.choice(list(reads))
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data) + 1)
+            data[at:at + rng.randint(0, 1)] = rng.choice(
+                [b"", bytes([rng.randrange(256)]), b"\xff", b"1", b"[", b'"', b"1" * 4400])
+        Path(path).write_bytes(bytes(data))
+        argv = rng.choice(reads[original])
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert (err.count("\n") == 1) == (code == 2), (argv, err[:200])
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def test_deep_formulas_exit_2(capsys, two_world_path, tmp_path):

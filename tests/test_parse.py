@@ -2,6 +2,7 @@ import random
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -217,6 +218,41 @@ def test_nesting_counts_one_path():
         parse_formula("[%s] [%s] %s" % (text, text, text))
 
 
+def _chain(*runs):
+    """P1 joined by each run's operator in turn: _chain(("&", 2), ("|", 1))
+    is "P1 & P1 & P1 | P1"."""
+    return "".join(("P1 %s " % op) * n for op, n in runs) + "P1"
+
+
+# Chains of binary operators without parentheses, at the cap. Each operator
+# opens a level, and a run of one precedence keeps its levels open until a
+# looser operator follows: runs that loosen fit the cap one by one, and runs
+# that tighten add up. One more operator in the last run is one level past
+# the cap. Not in strategies._DEEP, which test_printing prints at 5,000
+# levels: a chain of <-> prints 2^n copies of its operands.
+CHAINS_AT_CAP = [
+    [("<->", MAX_NESTING)],
+    [("&", MAX_NESTING), ("|", MAX_NESTING), ("->", MAX_NESTING), ("<->", MAX_NESTING)],
+    [("&", 60), ("|", 50), ("<->", MAX_NESTING)],
+    [("<->", 40), ("->", 30), ("|", 20), ("&", 10)],
+    [("->", 1), ("&", 1), ("<->", 1), ("|", MAX_NESTING - 1)],
+    [("|", 50), ("&", 30), ("|", 1), ("&", 49)],
+]
+
+
+@pytest.mark.parametrize("runs", CHAINS_AT_CAP)
+def test_nesting_cap_of_operator_runs(runs):
+    parse_formula(_chain(*runs))
+    op, n = runs[-1]
+    past = _chain(*runs[:-1], (op, n + 1))
+    with pytest.raises(SourceError) as e:
+        parse_formula(past)
+    # the fault is at the operator that opens the level past the cap
+    at = past.rindex(" %s " % op) + 2
+    assert (e.value.position, e.value.message) == (
+        at, "nested more than %d levels deep" % MAX_NESTING)
+
+
 @given(formulas(8))
 @settings(max_examples=300)
 def test_round_trip(f):
@@ -352,6 +388,9 @@ def test_shared_group_memo_agrees_with_fresh_parses():
             texts[-1] = "~" * rng.randint(80, MAX_NESTING) + texts[-1]
     for family, levels in AT_CAP:
         texts += [deep(family, levels), deep(family, levels + 1)]
+    for runs in CHAINS_AT_CAP:
+        op, n = runs[-1]
+        texts += [_chain(*runs), _chain(*runs[:-1], (op, n + 1))]
     groups = {}
     for text in texts:
         _assert_same(_outcome(text, groups), _outcome(text), text)
@@ -520,3 +559,114 @@ def test_faults_around_memo_groups_read_as_without_the_memo(placed):
         want = _outcome(text)
         assert isinstance(want, tuple), text
         assert got == want, text
+
+
+# -- the precedence loop against the grammar it replaced --------------------
+
+class _NestedGrammar(parse._Parser):
+    """The parser with its former reading of binary operators: one method
+    per precedence, each calling the next tighter one for its operands."""
+
+    def formula(self, first=None):
+        left = self.impl(first)
+        if self.tokens[self.i] != "<->":
+            return left
+        self.open(self.i)
+        self.i += 1
+        return self.close(equiv(left, self.formula()))
+
+    def impl(self, first=None):
+        left = self.disj(first)
+        if self.tokens[self.i] != "->":
+            return left
+        self.open(self.i)
+        self.i += 1
+        return self.close(Implies(left, self.impl()))
+
+    def disj(self, first=None):
+        out = self.conj(first)
+        depth = self.depth
+        while self.tokens[self.i] == "|":
+            self.open(self.i)
+            self.i += 1
+            out = disj(out, self.conj())
+        self.depth = depth
+        return out
+
+    def conj(self, first=None):
+        out = self.unary() if first is None else first
+        depth = self.depth
+        while self.tokens[self.i] == "&":
+            self.open(self.i)
+            self.i += 1
+            out = conj(out, self.unary())
+        self.depth = depth
+        return out
+
+
+def _readings(texts, parser):
+    """Each text's outcome with parse._Parser swapped for parser: read with
+    a fresh memo, and then through one memo shared by all of them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parse, "_Parser", parser)
+        groups = {}
+        return [_outcome(t) for t in texts] + [_outcome(t, groups) for t in texts]
+
+
+def _assert_as_the_nested_grammar(texts):
+    """Assert that both parsers read texts alike; returns the readings."""
+    got = _readings(texts, parse._Parser)
+    want = _readings(texts, _NestedGrammar)
+    for g, w, text in zip(got, want, texts + texts):
+        _assert_same(g, w, text)
+    return got
+
+
+def sugared(depth):
+    """Texts of formulas with the derived connectives, each chain of binary
+    operators parenthesized or not."""
+    atoms = st.sampled_from(["P1", "P2", "_|_", "x1 : P1", "up(P2) : P1"])
+    if depth <= 0:
+        return atoms
+    sub = st.deferred(lambda: sugared(depth - 1))
+    links = st.lists(st.tuples(st.sampled_from(["&", "|", "->", "<->"]), sub),
+                     min_size=1, max_size=4)
+    chains = st.tuples(sub, links).map(
+        lambda x: x[0] + "".join(" %s %s" % link for link in x[1]))
+    return st.one_of(
+        atoms,
+        chains,
+        chains.map("({})".format),
+        sub.map("~{}".format),
+        st.tuples(sub, sub).map("[{0[0]}] {0[1]}".format),
+        st.tuples(sub, sub).map("(x1 *[{0[0]}] c1) : {0[1]}".format),
+    )
+
+
+@given(st.lists(sugared(3), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_sugar_reads_as_the_nested_grammar(texts):
+    _assert_as_the_nested_grammar(texts)
+
+
+def test_operator_soups_read_as_the_nested_grammar():
+    # random token sequences, mostly faults, and chains of runs of the four
+    # operators under prefixes and parentheses, some near the cap or past it
+    rng = random.Random(21)
+    tokens = ["P1", "P2", "x1", "c1", "up", "(", ")", "[", "]", ":", "~", "*", "_|_",
+              "&", "|", "->", "<->", "&", "|", "->", "<->"]
+    texts = []
+    for _ in range(6000):
+        texts.append(" ".join(rng.choice(tokens) for _ in range(rng.randint(1, 25))))
+    for _ in range(1500):
+        runs = [(rng.choice(["&", "|", "->", "<->"]), rng.choice([1, 2, 5, 30, 60, 101]))
+                for _ in range(rng.randint(1, 5))]
+        text = _chain(*runs).replace("P1 ", rng.choice(["P1 ", "~P1 ", "(P1) ", "x1 : P1 "]))
+        if rng.random() < 0.3:
+            text = "~" * rng.randint(1, 50) + "(" + text + ")"
+        texts.append(_mutated(rng, text) if rng.random() < 0.3 else text)
+    for runs in CHAINS_AT_CAP:
+        op, n = runs[-1]
+        texts += [_chain(*runs), _chain(*runs[:-1], (op, n + 1))]
+    got = _assert_as_the_nested_grammar(texts)
+    assert 100 < sum(isinstance(x, tuple) and "nested" in x[1] for x in got)
