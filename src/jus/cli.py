@@ -35,10 +35,17 @@ class InputError(Exception):
     """Anything wrong with what the user handed us: exit 2."""
 
 
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
+        raise ValueError("integer of %d digits is too long" % len(digits.lstrip("-"))) from None
+
+
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror or e)) from e
     except ValueError as e:  # bad JSON, bytes that are not UTF-8, or an overlong integer
@@ -164,7 +171,7 @@ def cmd_search(args) -> int:
 
 def cmd_validate(args) -> int:
     m = _model_arg(args.model, validate=False)
-    problems = list(dict.fromkeys(validate_model(m)))  # each distinct one once, in order
+    problems = validate_model(m)
     cs_problems = []
     if not problems and args.cs is not None:
         cs = _cs_arg(args.cs)

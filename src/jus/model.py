@@ -63,7 +63,8 @@ class ConstantSpec:
 
 
 def validate_model(m: SubsetModel) -> list:
-    """Returns a list of violated-invariant descriptions; empty means ok."""
+    """Returns a list of violated-invariant descriptions, each distinct one
+    once, in the order first met; empty means ok."""
     bad = []
     wset = set(m.worlds)
     if len(wset) != len(m.worlds):
@@ -95,14 +96,13 @@ def validate_model(m: SubsetModel) -> list:
             bad.append("evidence set for %s at %s mentions unknown worlds" % (_echo(t), _echo(w)))
     if m.evidence_default not in ("all", "empty"):
         bad.append("evidence_default must be 'all' or 'empty'")
-    return bad
+    return list(dict.fromkeys(bad))
 
 
 def _require_valid(m: SubsetModel):
-    """Raise ValueError naming validate_model's violations, if any: each
-    distinct one once, in order, and at most five, so that the line stays
-    short however large the file."""
-    bad = list(dict.fromkeys(validate_model(m)))
+    """Raise ValueError naming validate_model's violations, if any: at most
+    five, so that the line stays short however large the file."""
+    bad = validate_model(m)
     if bad:
         more = ["and %d more" % (len(bad) - 5)] if len(bad) > 5 else []
         raise ValueError("invalid model: " + "; ".join(bad[:5] + more))

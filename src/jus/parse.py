@@ -31,16 +31,15 @@ does to get the sort keys of a whole evaluation closure. The output
 itself repeats a shared node at each of its places, so a chain of <->
 prints 2^n copies of its n operands.
 
-Lexing is findall of the re module over the text, or over the stretches
-of it that the cover pass below leaves, which yields every lexeme and
-any other non-space character alone; the parser works on that list of
-strings. Only the distinct matches are checked in Python, so a text with
-a fault costs one more pass, which finds the first fault in text order:
-a character no lexeme starts with, an index of value 0, or one of more
-digits than int converts. Indices are read with int, so digits of other
-scripts count by their value, and the parser's own reads cannot fail on
-a text that lexed. Offsets are worked out only when an error is raised,
-by counting lexemes again.
+The parser lexes one lexeme at a time from its own offset in the text,
+with one pattern that matches every lexeme of the language and any other
+non-space character alone, so it knows each token's offset and raises a
+fault where it meets it. Indices are read with int, so digits of other
+scripts count by their value; an index of value 0, or of more digits
+than int converts, is a lexical fault. Lexical faults come before
+grammar faults: every lexeme the parser has read past is sound, so at a
+grammar fault it scans the rest of the text for the first lexical fault,
+and raises that one if there is one.
 
 A "(" in formula position (an application term or a parenthesized
 formula) is read once. Its first operand is a term, a formula, or a
@@ -64,37 +63,25 @@ by their raw text: a "(" in formula position read to its ")" stores the
 text from the one to the other, what it parsed to, and the most levels
 it opened. The memo holds one group per key, the group's first _LONG
 characters, or its first _SHORT when it is shorter; shorter groups are
-not kept. A lookup at offset p tries text[p:p + _LONG] and then
-text[p:p + _SHORT], and confirms a group with text.startswith(group, p).
-Only one group opens at a "(", and which ")" closes it depends only on
-the characters between, so a confirmed group is the group that opens
-there, and it reads as it did before.
-
-When the memo is not empty, a cover pass runs before lexing. From each
-"(" outside a hit, left to right, it looks the group up; a hit is
-replaced by one token, the memo entry itself, and only the text between
-hits is lexed. The parser takes such a token where a group stands, or
-where a term stands if it read as an application term, when it fits
-under the cap at the current depth; its levels count as those of the
-reading it replaces. Anywhere else, or when it does not fit, the parse
-fails, and the text is parsed again with an empty memo: that parse gives
-the fault and its offset, and lexical faults still come before grammar
-faults. A hit holds no fault of its own, since only groups read to their
-")" are stored, so a failed parse also leaves the memo sound. A "(" that
-was lexed is looked up again when the parser reaches it, so a group read
-earlier in the same parse is a hit too: if it fits, the parser jumps
-over as many tokens as its first reading took; if not, it is read again,
-and the nesting error points where it would without the memo.
-Parentheses are read in text order, so the parser finds each one's
-offset by searching the text from the last one. parse_formula and
-parse_term use a fresh memo per call; proof_from_json shares one across
-the steps of one file, and it dies with that call.
+not kept. Where a "(" opens a group (in formula position, or where a
+term stands) the parser looks the group up at its offset p: it tries
+text[p:p + _LONG] and then text[p:p + _SHORT], and confirms a group with
+text.startswith(group, p). Only one group opens at a "(", and which ")"
+closes it depends only on the characters between, so a confirmed group
+is the group that opens there, and it reads as it did before. A hit is
+taken when it is of the kind needed (a term where a term stands) and
+fits under the cap at the current depth; its levels count as those of
+the reading it replaces, and lexing resumes just past its text.
+Otherwise the group is read as if the memo did not hold it. A hit holds
+no fault of its own, since only groups read to their ")" are stored, so
+a failed parse leaves the memo sound. parse_formula and parse_term use a
+fresh memo per call; proof_from_json shares one across the steps of one
+file, and it dies with that call.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from .syntax import (
     App,
@@ -131,8 +118,9 @@ class SourceError(Exception):
         self.message = message
 
 
-# every lexeme of the language, and any other non-space character alone
-_LEXEMES = re.compile(r"[Pcx]\d+|up|<->|->|_\|_|\S")
+# the spaces before a lexeme, and the lexeme: any lexeme of the language,
+# or any other non-space character alone
+_LEXEMES = re.compile(r"\s*([Pcx]\d+|up|<->|->|_\|_|\S)")
 _SYMBOLS = frozenset(["up", "<->", "->", "_|_", "(", ")", "[", "]", ":", "~", "&", "|", "*"])
 # group memo key lengths (see the module docstring): "(P1 -> P2)" is kept,
 # and the groups of a printed proof seldom share their first 40 characters
@@ -149,7 +137,8 @@ def _echo(x) -> str:
 
 
 def _fault(lexeme: str):
-    """Why a match of _LEXEMES is no lexeme of the language, or None."""
+    """Why a lexeme that _LEXEMES matches is not one of the language, or
+    None."""
     if lexeme in _SYMBOLS:
         return None
     if len(lexeme) == 1:
@@ -178,77 +167,75 @@ def _find(groups: dict, text: str, p: int):
 class _Parser:
     def __init__(self, text: str, groups: dict):
         self.text = text
-        # group text[:_LONG] or [:_SHORT] -> (group text, node, most levels it
-        # opens, tokens it spans in the parse that read it)
+        # group text[:_LONG] or [:_SHORT] -> (group text, node, most levels it opens)
         self.groups = groups
-        self.tokens = []  # lexemes, and memo entries in place of their groups
-        # the cover pass: the outermost groups the memo holds stand for themselves
-        pos = 0
-        if groups:
-            p = text.find("(")
-            while p >= 0:
-                hit = _find(groups, text, p)
-                if hit is None:
-                    p = text.find("(", p + 1)
-                else:
-                    self.lex(pos, p)
-                    self.tokens.append(hit)
-                    pos = p + len(hit[0])
-                    p = text.find("(", pos)
-        self.covered = pos > 0
-        self.lex(pos, len(text))
-        self.tokens.append("")  # end of input
-        self.i = 0
-        self.at = 0  # the offset just past the last "(" or ")" read or passed over
+        self.end = 0  # the offset just past the current token
+        self.advance()
         # open levels; a failed parse is never resumed, so only returns close them
         self.depth = 0
         self.peak = 0  # the most levels open since the innermost group began
 
-    def lex(self, start: int, end: int):
-        """Append the lexemes of text[start:end]. A lexical fault there is
-        raised as the first one of the whole text, which is the first one
-        outside the memo hits, as they hold none."""
-        text = self.text
-        lexemes = _LEXEMES.findall(text, start, end)
-        if any(map(_fault, set(lexemes))):
-            for m in _LEXEMES.finditer(text):
-                why = _fault(m[0])
-                if why is not None:
-                    raise SourceError(m.start() + 1, why)
-        self.tokens += lexemes
-
-    def fail(self, i: int, message: str):
-        """Raise at token i. Offsets are only worked out here, and not in a
-        covered parse, which _whole repeats without the memo."""
-        if self.covered:
-            raise SourceError(0, message)
-        if i < len(self.tokens) - 1:
-            pos = next(islice(_LEXEMES.finditer(self.text), i, None)).start() + 1
+    def advance(self):
+        """Lex the next token, self.tok: "" at the end of the text."""
+        m = _LEXEMES.match(self.text, self.end)
+        if m is None:  # only spaces are left
+            self.tok, self.end = "", len(self.text)
         else:
-            pos = len(self.text) + 1
-        raise SourceError(pos, message)
+            self.tok, self.end = m[1], m.end()
+
+    def fail(self, message: str):
+        """Raise at the current token, or at the first lexical fault from
+        there on: every lexeme before it was read past, so none of them is
+        one."""
+        at = self.end - len(self.tok)
+        for m in _LEXEMES.finditer(self.text, at):
+            why = _fault(m[1])
+            if why is not None:
+                raise SourceError(m.start(1) + 1, why)
+        raise SourceError(at + 1, message)
 
     def expect(self, lexeme, what):
-        i = self.i
-        if self.tokens[i] != lexeme:
-            self.fail(i, "expected %s" % what)
-        self.i = i + 1
+        if self.tok != lexeme:
+            self.fail("expected %s" % what)
+        self.advance()
 
-    def paren(self, lexeme, what):
-        """expect "(" or ")". Parentheses are read in text order, so the
-        next one in the text from self.at is this one."""
-        self.expect(lexeme, what)
-        self.at = self.text.find(lexeme, self.at) + 1
+    def index(self) -> int:
+        """The index of the current token, a numeral, read past it."""
+        try:
+            index = int(self.tok[1:])
+        except ValueError:  # no digits, or more than int() converts
+            index = 0
+        if index < 1:
+            self.fail(_fault(self.tok))
+        self.advance()
+        return index
 
-    def open(self, i):
+    def open(self):
+        """Open a level at the current token."""
         depth = self.depth = self.depth + 1
         if depth > self.peak:
             if depth > MAX_NESTING:
-                self.fail(i, "nested more than %d levels deep" % MAX_NESTING)
+                self.fail("nested more than %d levels deep" % MAX_NESTING)
             self.peak = depth
 
     def close(self, node):
         self.depth -= 1
+        return node
+
+    def recall(self, kind):
+        """The node of the group that opens at the current "(" if the memo
+        holds it, it is of kind, and it fits under the cap, read past it;
+        else None (see the module docstring)."""
+        p = self.end - 1  # the offset of the "("
+        hit = self.groups and _find(self.groups, self.text, p)
+        if not hit:
+            return None
+        group, node, levels = hit
+        if not isinstance(node, kind) or self.depth + levels > MAX_NESTING:
+            return None
+        self.peak = max(self.peak, self.depth + levels)
+        self.end = p + len(group)
+        self.advance()
         return node
 
     def formula(self, first=None, floor=0) -> Formula:
@@ -257,49 +244,45 @@ class _Parser:
         left = self.unary() if first is None else first
         base, run = self.depth, None
         while True:
-            row = _BINARY.get(self.tokens[self.i])
+            row = _BINARY.get(self.tok)
             if row is None or row[0] < floor:
                 self.depth = base
                 return left
             prec, build, right = row
             if prec != run:  # a looser operator: the run before it is read
                 self.depth, run = base, prec
-            self.open(self.i)
-            self.i += 1
+            self.open()
+            self.advance()
             left = build(left, self.formula(None, prec if right else prec + 1))
 
     def unary(self) -> Formula:
-        i = self.i
-        tok = self.tokens[i]
+        tok = self.tok
         if tok[:1] == "P":
-            self.i = i + 1
-            return Prop(int(tok[1:]))
+            return Prop(self.index())
         if tok == "_|_":
-            self.i = i + 1
+            self.advance()
             return falsum()
-        self.open(i)
+        self.open()
         if tok == "~":
-            self.i = i + 1
+            self.advance()
             return self.close(Not(self.unary()))
         if tok == "[":
-            self.i = i + 1
+            self.advance()
             announcement = self.formula()
             self.expect("]", "']'")
             return self.close(Update(announcement, self.unary()))
         got = self.operand()
         if got is None:
-            self.fail(i, "expected a formula")
+            self.fail("expected a formula")
         return self.close(self.justified(got) if isinstance(got, Term) else got)
 
     def operand(self):
         """A term, or what group reads; None when neither starts here."""
-        tok = self.tokens[self.i]
+        tok = self.tok
         if tok == "(":
             return self.group()
         if tok[:1] in ("c", "x") or tok == "up":
             return self.term()
-        if tok.__class__ is tuple:
-            return self.placed()
         return None
 
     def justified(self, term: Term) -> Formula:
@@ -307,95 +290,71 @@ class _Parser:
         return Justifies(term, self.unary())
 
     def group(self):
-        """A "(" in formula position, read once or found in the group memo
+        """A "(" in formula position, found in the group memo or read once
         (see the module docstring)."""
-        i = self.i
-        p = self.text.find("(", self.at)
-        hit = self.groups and _find(self.groups, self.text, p)
-        if hit and self.depth + hit[2] <= MAX_NESTING:
-            # a group met again in the parse that read it
-            self.i = i + hit[3]
-            self.at = p + len(hit[0])
-            self.peak = max(self.peak, self.depth + hit[2])
-            return hit[1]
-        depth, peak = self.depth, self.peak
+        node = self.recall((Formula, Term))
+        if node is not None:
+            return node
+        p, depth, peak = self.end - 1, self.depth, self.peak
         self.peak = depth
-        self.open(i)
-        self.i = i + 1
-        self.at = p + 1
+        self.open()
+        self.advance()
         first = self.operand()
-        if isinstance(first, Term) and self.tokens[self.i] == "*":
+        if isinstance(first, Term) and self.tok == "*":
             node = self.application(first)
         else:
             if isinstance(first, Term):
                 first = self.justified(first)
             node = self.formula(first)
-            self.paren(")", "')'")
+        end = self.end  # past the ")" expected here
+        self.expect(")", "')'")
         self.depth = depth
-        group = self.text[p:self.at]
+        group = self.text[p:end]
         if len(group) >= _SHORT:
             key = group[:_LONG] if len(group) >= _LONG else group[:_SHORT]
-            self.groups[key] = (group, node, self.peak - depth, self.i - i)
+            self.groups[key] = (group, node, self.peak - depth)
         self.peak = max(peak, self.peak)
         return node
 
-    def placed(self):
-        """A memo entry the cover pass put in place of its group: taken as
-        group takes a hit, and a fault when it does not fit."""
-        group, node, levels, _ = self.tokens[self.i]
-        if self.depth + levels > MAX_NESTING:
-            self.fail(self.i, "nested more than %d levels deep" % MAX_NESTING)
-        self.i += 1
-        self.at = self.text.find("(", self.at) + len(group)
-        self.peak = max(self.peak, self.depth + levels)
-        return node
-
     def term(self) -> Term:
-        i = self.i
-        tok = self.tokens[i]
-        self.i = i + 1
+        tok = self.tok
         if tok[:1] == "c":
-            return Constant(int(tok[1:]))
+            return Constant(self.index())
         if tok[:1] == "x":
-            return Variable(int(tok[1:]))
-        if tok.__class__ is tuple and isinstance(tok[1], Term):
-            self.i = i
-            return self.placed()  # an application term opens as many levels here
-        self.open(i)
+            return Variable(self.index())
+        if tok == "(":
+            node = self.recall(Term)  # an application term opens as many levels here
+            if node is not None:
+                return node
+        self.open()
         if tok == "up":
-            self.paren("(", "'(' after up")
+            self.advance()
+            self.expect("(", "'(' after up")
             body = self.formula()
-            self.paren(")", "')'")
+            self.expect(")", "')'")
             return self.close(Up(body))
         if tok == "(":
-            self.at = self.text.find("(", self.at) + 1
-            return self.close(self.application(self.term()))
-        self.fail(i, "expected a term")
+            self.advance()
+            node = self.application(self.term())
+            self.expect(")", "')'")
+            return self.close(node)
+        self.fail("expected a term")
 
     def application(self, left: Term) -> Term:
-        """The rest of an application term after its left operand."""
+        """An application term after its left operand, up to its ")"."""
         self.expect("*", "'*'")
         self.expect("[", "'['")
         annotation = self.formula()
         self.expect("]", "']'")
-        right = self.term()
-        self.paren(")", "')'")
-        return App(left, annotation, right)
+        return App(left, annotation, self.term())
 
 
 def _whole(text: str, read, groups: dict):
     p = _Parser(text, groups)
-    try:
-        got = read(p)
-        if p.tokens[p.i]:
-            p.fail(p.i, "unexpected trailing input")
-        return got
-    except SourceError:
-        if not p.covered:
-            raise
-    # a fault met through a memo hit: the fault, and its offset, are
-    # those of the text read without the memo
-    return _whole(text, read, {})
+    got = read(p)
+    if p.tok:
+        p.fail("unexpected trailing input")
+    return got
 
 
 def parse_formula(text: str, *, _groups: dict = None) -> Formula:

@@ -267,7 +267,7 @@ def test_check_proof_calls_share_no_parse_memo(capsys, tmp_path, monkeypatch):
     unary = parse._Parser.unary
 
     def counted(self):
-        reads.append(self.i)
+        reads.append(self.end - len(self.tok))
         return unary(self)
 
     monkeypatch.setattr(parse._Parser, "unary", counted)
@@ -479,12 +479,21 @@ def test_undecodable_files_exit_2(capsys, two_world_path, tmp_path):
     model.write_bytes(b'\xff{"worlds": ["w"], "normal": ["w"]}')
     proof = tmp_path / "proof.json"
     proof.write_text('[{"formula": "P1", "rule": "mp", "premises": [%s, 2]}]' % ("1" * 5000))
+    negative = tmp_path / "negative.json"
+    negative.write_text('[{"formula": "P1", "rule": "mp", "premises": [-%s, 2]}]' % ("1" * 5000))
     for argv, path in [(["eval", str(model), "w", "P1"], model),
                        (["validate", two_world_path, "--cs", str(model)], model),
-                       (["check-proof", str(proof), "full"], proof)]:
+                       (["check-proof", str(proof), "full"], proof),
+                       (["check-proof", str(negative), "full"], negative)]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("%s is not valid JSON: " % path) and err.count("\n") == 1
+        # the line names the digit count, with no advice a user cannot act on
+        assert "set_int_max_str_digits" not in err
+        assert len(err) - len(str(path)) < 100
+    for path in (proof, negative):
+        err = run_cli(capsys, "check-proof", str(path), "full")[2]
+        assert err == "%s is not valid JSON: integer of 5000 digits is too long\n" % path
 
 
 def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):

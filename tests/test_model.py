@@ -81,6 +81,19 @@ def test_validate_model_v0_on_nonnormal():
     assert any("not a normal world" in v for v in validate_model(m))
 
 
+def test_validate_model_names_each_violation_once_in_order():
+    m = SubsetModel(
+        worlds=("w", "u1", "u2"),
+        normal=frozenset({"w"}),
+        v0={("u1", 1): True, ("u2", 1): True, ("u1", 2): 3, ("u1", 3): True},
+    )
+    assert validate_model(m) == [
+        "v0 key 'u1' is not a normal world",
+        "v0 key 'u2' is not a normal world",
+        "v0 value for ('u1', P2) must be a boolean",
+    ]
+
+
 def test_validate_model_more_shapes():
     m = SubsetModel(
         worlds=("w", "w"),

@@ -422,7 +422,7 @@ def test_each_parse_reads_through_a_fresh_memo(monkeypatch):
     unary = parse._Parser.unary
 
     def counted(self):
-        reads.append(self.i)
+        reads.append(self.end - len(self.tok))
         return unary(self)
 
     monkeypatch.setattr(parse._Parser, "unary", counted)
@@ -430,9 +430,35 @@ def test_each_parse_reads_through_a_fresh_memo(monkeypatch):
     for _ in range(2):
         reads.clear()
         assert parse_formula(text) is Implies(Implies(P1, P2), Implies(P1, P2))
-        # the second "(P1 -> P2)", from token 7, is a hit within the call,
+        # the second "(P1 -> P2)", at offset 15, is a hit within the call,
         # so its P1 and P2 are not read; the first is read in every call
-        assert reads == [0, 2, 4, 7]
+        assert reads == [0, 2, 8, 15]
+
+
+def test_a_fault_after_a_memo_hit_is_read_in_one_pass(monkeypatch):
+    # the fault is raised where the parser meets it, with no second parse
+    # of the text without the memo
+    reads = []
+    unary = parse._Parser.unary
+
+    def counted(self):
+        reads.append(None)
+        return unary(self)
+
+    monkeypatch.setattr(parse._Parser, "unary", counted)
+    group = "((P1 -> P2) -> (P2 -> P1))"
+    groups = {}
+    assert _outcome(group, groups) is Implies(Implies(P1, P2), Implies(P2, P1))
+    for text, want in [
+        (group + " ->", (len(group) + 4, "expected a formula")),
+        (group + " P1", (len(group) + 2, "unexpected trailing input")),
+        ("~" + group + " -> P0", (len(group) + 6, "index must be >= 1 in 'P0'")),
+    ]:
+        reads.clear()
+        assert _outcome(text, groups) == want, text
+        # the unaries before the hit, at it, and after it: none inside it
+        assert 0 < len(reads) <= 3, text
+        assert _outcome(text) == want, text
 
 
 def test_failed_parses_leave_the_group_memo_sound():
@@ -457,24 +483,26 @@ def test_failed_parses_leave_the_group_memo_sound():
         _assert_same(_outcome(text, groups), _outcome(text), text)
 
 
-# -- the cover pass: memo groups found by their raw text -------------------
+# -- memo groups found by their raw text ------------------------------------
 
 @pytest.fixture
-def placed(monkeypatch):
-    """The memo entries the parser took in place of their groups, each
-    call of parse_formula counted afresh by the test."""
-    taken = []
-    take = parse._Parser.placed
+def hits(monkeypatch):
+    """The text of each memo entry the parser found at a "(", taken or
+    not, each call of parse_formula counted afresh by the test."""
+    found = []
+    find = parse._find
 
-    def counted(self):
-        taken.append(self.tokens[self.i][0])
-        return take(self)
+    def counted(groups, text, p):
+        hit = find(groups, text, p)
+        if hit is not None:
+            found.append(hit[0])
+        return hit
 
-    monkeypatch.setattr(parse._Parser, "placed", counted)
-    return taken
+    monkeypatch.setattr(parse, "_find", counted)
+    return found
 
 
-def test_memo_groups_match_across_spacing(placed):
+def test_memo_groups_match_across_spacing(hits):
     group = "((P1 -> P2) -> (c1 : P3 -> [P1] P2))"
     groups = {}
     node = _outcome(group, groups)
@@ -487,38 +515,39 @@ def test_memo_groups_match_across_spacing(placed):
         assert _outcome(text, groups) is node is _outcome(text)
         # and a group read once in one spacing serves it in the next text
         again = "(%s -> %s)" % (text, text)
-        placed.clear()
+        hits.clear()
         assert _outcome(again, groups) is Implies(node, node) is _outcome(again)
-        assert placed
+        assert hits
 
 
-def test_memo_group_after_up_or_as_a_term(placed):
+def test_memo_group_after_up_or_as_a_term(hits):
     groups = {}
     assert _outcome("((P1 -> P2) -> (x1 *[P1] x2) : P1)", groups) is not None
     assert {"(P1 -> P2)", "(x1 *[P1] x2)"} <= {entry[0] for entry in groups.values()}
     texts = []
     for n in range(MAX_NESTING - 6, MAX_NESTING + 1):
         texts += [
-            # the parentheses of up(...) are no group: the cover pass may
-            # still put a memo entry there, and the text is read again
+            # the parentheses of up(...) are no group, and are not looked up
             "~" * n + "up(P1 -> P2) : P3",
             "~" * n + "up((P1 -> P2)) : P3",
-            # an application term where a term stands
+            # an application term where a term stands, and a formula group
+            # where a term stands, which is no term
             "~" * n + "(c1 *[P2] (x1 *[P1] x2)) : P3",
+            "~" * n + "(c1 *[P2] (P1 -> P2)) : P3",
             "~" * n + "((x1 *[P1] x2) *[P2] c1) : P3",
             "~" * n + "(x1 *[P1] x2) : P3",
             "~" * n + "(P1 -> P2) : P3",
         ]
     for text in texts:
-        placed.clear()
+        hits.clear()
         _assert_same(_outcome(text, dict(groups)), _outcome(text), text)
-    placed.clear()
+    hits.clear()
     assert _outcome("(c1 *[P2] (x1 *[P1] x2)) : P3", dict(groups)) is Justifies(
         App(Constant(1), P2, App(Variable(1), P1, Variable(2))), Prop(3))
-    assert placed == ["(x1 *[P1] x2)"]
+    assert hits == ["(x1 *[P1] x2)"]
 
 
-def test_memo_entry_one_level_either_side_of_the_cap(placed):
+def test_memo_entry_one_level_either_side_of_the_cap(hits):
     group = "((P1 -> P2) -> [P3] ~P1)"
     groups = {}
     assert _outcome(group, groups) is not None
@@ -526,15 +555,17 @@ def test_memo_entry_one_level_either_side_of_the_cap(placed):
     fits = MAX_NESTING - 1 - levels  # the unary reading of "(" opens one level
     for n, taken in [(fits - 1, True), (fits, True), (fits + 1, False)]:
         text = "~" * n + group
-        placed.clear()
+        hits.clear()
         got = _outcome(text, groups)
         _assert_same(got, _outcome(text), text)
         assert isinstance(got, tuple) is not taken, n
-        assert placed == [group]  # taken, or met and found not to fit
+        # taken, or met and found not to fit: then it is read through, and
+        # the groups inside it may be hits in turn
+        assert hits[0] == group
     assert got[1] == "nested more than %d levels deep" % MAX_NESTING
 
 
-def test_faults_around_memo_groups_read_as_without_the_memo(placed):
+def test_faults_around_memo_groups_read_as_without_the_memo(hits):
     first, second = "((P1 -> P2) -> P3)", "(x1 *[P1] x2)"
     groups = {}
     _outcome("(%s -> %s : P1)" % (first, second), groups)
@@ -554,7 +585,7 @@ def test_faults_around_memo_groups_read_as_without_the_memo(placed):
     ]:
         texts.append(before + first + between + second + after)
     for text in texts:
-        placed.clear()
+        hits.clear()
         got = _outcome(text, groups)
         want = _outcome(text)
         assert isinstance(want, tuple), text
@@ -569,26 +600,26 @@ class _NestedGrammar(parse._Parser):
 
     def formula(self, first=None):
         left = self.impl(first)
-        if self.tokens[self.i] != "<->":
+        if self.tok != "<->":
             return left
-        self.open(self.i)
-        self.i += 1
+        self.open()
+        self.advance()
         return self.close(equiv(left, self.formula()))
 
     def impl(self, first=None):
         left = self.disj(first)
-        if self.tokens[self.i] != "->":
+        if self.tok != "->":
             return left
-        self.open(self.i)
-        self.i += 1
+        self.open()
+        self.advance()
         return self.close(Implies(left, self.impl()))
 
     def disj(self, first=None):
         out = self.conj(first)
         depth = self.depth
-        while self.tokens[self.i] == "|":
-            self.open(self.i)
-            self.i += 1
+        while self.tok == "|":
+            self.open()
+            self.advance()
             out = disj(out, self.conj())
         self.depth = depth
         return out
@@ -596,9 +627,9 @@ class _NestedGrammar(parse._Parser):
     def conj(self, first=None):
         out = self.unary() if first is None else first
         depth = self.depth
-        while self.tokens[self.i] == "&":
-            self.open(self.i)
-            self.i += 1
+        while self.tok == "&":
+            self.open()
+            self.advance()
             out = conj(out, self.unary())
         self.depth = depth
         return out

@@ -874,7 +874,7 @@ def test_proof_json_reads_repeated_groups_once(monkeypatch):
     unary = parse_module._Parser.unary
 
     def counted(self):
-        reads.append(self.i)
+        reads.append(self.end - len(self.tok))
         return unary(self)
 
     monkeypatch.setattr(parse_module._Parser, "unary", counted)
@@ -887,16 +887,17 @@ def test_proof_json_reads_repeated_groups_once(monkeypatch):
 
 
 def test_proof_json_lexes_only_what_the_memo_cannot_serve(monkeypatch):
-    # the cover pass hands the lexer only the text between memo hits
+    # the parser lexes on from just past each memo hit, so the lexemes it
+    # matches cover a small share of the file's text
     steps = proof_to_json(_necessitated_ramsey())
     lexed = []
-    lex = parse_module._Parser.lex
+    advance = parse_module._Parser.advance
 
-    def counted(self, start, end):
-        lexed.append(end - start)
-        return lex(self, start, end)
+    def counted(self):
+        advance(self)
+        lexed.append(len(self.tok))
 
-    monkeypatch.setattr(parse_module._Parser, "lex", counted)
+    monkeypatch.setattr(parse_module._Parser, "advance", counted)
     proof_from_json(steps)
     total = sum(len(step["formula"]) for step in steps)
     assert total > 400000
