@@ -5,7 +5,8 @@ JSON unless --human asks for prose. Exit codes are a contract shared by
 every subcommand: 0 affirmative, 1 negative (false / failed / countermodel
 / violations), 2 malformed input. Nothing else is ever returned.
 The argparse parser is built on the first main() call and kept for the
-rest of the process.
+rest of the process; main finds a subcommand's function, cmd_<name>, in
+this module by name at each call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from .explore import find_countermodel, report_to_json, signature_for
 from .model import (
     ConstantSpec,
+    _read_json,
     cs_from_json,
     model_from_json,
     model_to_json,
@@ -35,27 +37,17 @@ class InputError(Exception):
     """Anything wrong with what the user handed us: exit 2."""
 
 
-def _json_int(digits: str) -> int:
+def _json_arg(path: str):
     try:
-        return int(digits)
-    except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
-        raise ValueError("integer of %d digits is too long" % len(digits.lstrip("-"))) from None
-
-
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+        return _read_json(path)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror or e)) from e
-    except ValueError as e:  # bad JSON, bytes that are not UTF-8, or an overlong integer
-        raise InputError("%s is not valid JSON: %s" % (path, e)) from e
-    except RecursionError as e:
-        raise InputError("%s nests too deeply to read" % path) from e
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
 
 def _model_arg(path: str, validate: bool = True):
-    obj = _read_json(path)
+    obj = _json_arg(path)
     try:
         return model_from_json(obj, validate=validate)
     except ValueError as e:
@@ -74,7 +66,7 @@ def _cs_arg(spec: str):
         return ConstantSpec("full")
     if spec == "empty":
         return ConstantSpec("empty")
-    obj = _read_json(spec)
+    obj = _json_arg(spec)
     try:
         return cs_from_json(obj)
     except ValueError as e:
@@ -114,7 +106,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    obj = _read_json(args.proof)
+    obj = _json_arg(args.proof)
     try:
         p = proof_from_json(obj)
     except ValueError as e:
@@ -225,20 +217,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("world")
     p.add_argument("formula")
     common(p)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("update", help="write the model updated by an announcement")
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(fn=cmd_update)
 
     p = sub.add_parser("check-proof", help="check a proof file against a constant specification")
     p.add_argument("proof")
     p.add_argument("cs", help='"full", "empty", or a CS file')
     common(p)
-    p.set_defaults(fn=cmd_check_proof)
 
     p = sub.add_parser("search", help="bounded countermodel search")
     p.add_argument("formula")
@@ -246,18 +235,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nonnormal", type=int, default=None)
     p.add_argument("--cs", default="full", help='"full", "empty", or a CS file')
     common(p)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("validate", help="check a model file, optionally against a CS")
     p.add_argument("model")
     p.add_argument("--cs", default=None)
     common(p)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("taut", help="propositional tautology check")
     p.add_argument("formula")
     common(p)
-    p.set_defaults(fn=cmd_taut)
 
     return top
 
@@ -270,7 +256,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     args.output = []
     try:
-        code = args.fn(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -113,6 +113,26 @@ def _require_valid(m: SubsetModel):
 _MODEL_KEYS = {"worlds", "normal", "v0", "v1", "evidence", "evidence_default"}
 
 
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
+        raise ValueError("integer of %d digits is too long" % len(digits.lstrip("-"))) from None
+
+
+def _read_json(path: str):
+    """The JSON value in the file at path. A file that does not read as
+    JSON raises ValueError with one short line that names path; one that
+    cannot be opened or read raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_int=_json_int)
+        except ValueError as e:  # bad JSON, bytes that are not UTF-8, or an overlong integer
+            raise ValueError("%s is not valid JSON: %s" % (path, e)) from e
+        except RecursionError as e:
+            raise ValueError("%s nests too deeply to read" % path) from e
+
+
 def _require_keys(obj: dict, allowed: set, what: str):
     if not isinstance(obj, dict):
         raise ValueError("%s must be a JSON object" % what)
@@ -248,8 +268,7 @@ def cs_to_json(cs: ConstantSpec) -> dict:
 
 
 def load_model(path: str) -> SubsetModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(_read_json(path))
 
 
 def save_model(m: SubsetModel, path: str):
@@ -259,5 +278,4 @@ def save_model(m: SubsetModel, path: str):
 
 
 def load_cs(path: str) -> ConstantSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cs_from_json(json.load(fh))
+    return cs_from_json(_read_json(path))

@@ -41,12 +41,15 @@ grammar faults: every lexeme the parser has read past is sound, so at a
 grammar fault it scans the rest of the text for the first lexical fault,
 and raises that one if there is one.
 
-A "(" in formula position (an application term or a parenthesized
-formula) is read once. Its first operand is a term, a formula, or a
-nested "(" read the same way. After a term, the next token decides: "*"
-continues an application term, ":" opens a justification that the
-parenthesized formula continues from, and anything else is "expected ':'
-after a term" at that token.
+A "(" that opens a group is read by one method, group, wherever it
+stands. In formula position the group is an application term or a
+parenthesized formula, read once: its first operand is a term, a
+formula, or a nested "(" read the same way. After a term, the next token
+decides: "*" continues an application term, ":" opens a justification
+that the parenthesized formula continues from, and anything else is
+"expected ':' after a term" at that token. Where a term stands, the
+group is an application term: its first operand is a term, and "*"
+follows it.
 
 Nesting is capped at MAX_NESTING levels, so the parser's stack and the
 depth of what it returns stay bounded. Each unary, "(" and term reading
@@ -59,24 +62,24 @@ Printing parenthesizes implications and expands derived connectives, so
 a chain near the cap can print deeper than the cap.
 
 Printed formulas repeat their subformulas, so a group memo keeps groups
-by their raw text: a "(" in formula position read to its ")" stores the
-text from the one to the other, what it parsed to, and the most levels
-it opened. The memo holds one group per key, the group's first _LONG
-characters, or its first _SHORT when it is shorter; shorter groups are
-not kept. Where a "(" opens a group (in formula position, or where a
-term stands) the parser looks the group up at its offset p: it tries
-text[p:p + _LONG] and then text[p:p + _SHORT], and confirms a group with
-text.startswith(group, p). Only one group opens at a "(", and which ")"
-closes it depends only on the characters between, so a confirmed group
-is the group that opens there, and it reads as it did before. A hit is
-taken when it is of the kind needed (a term where a term stands) and
-fits under the cap at the current depth; its levels count as those of
-the reading it replaces, and lexing resumes just past its text.
-Otherwise the group is read as if the memo did not hold it. A hit holds
-no fault of its own, since only groups read to their ")" are stored, so
-a failed parse leaves the memo sound. parse_formula and parse_term use a
-fresh memo per call; proof_from_json shares one across the steps of one
-file, and it dies with that call.
+by their raw text: a group read to its ")", in formula position or where
+a term stands, stores the text from the one to the other, what it parsed
+to, and the most levels it opened. The memo holds one group per key, the
+group's first _LONG characters, or its first _SHORT when it is shorter;
+shorter groups are not kept. Where a "(" opens a group (in formula
+position, or where a term stands) the parser looks the group up at its
+offset p: it tries text[p:p + _LONG] and then text[p:p + _SHORT], and
+confirms a group with text.startswith(group, p). Only one group opens at
+a "(", and which ")" closes it depends only on the characters between,
+so a confirmed group is the group that opens there, and it reads as it
+did before. A hit is taken when it is of the kind needed (a term where a
+term stands) and fits under the cap at the current depth; its levels
+count as those of the reading it replaces, and lexing resumes just past
+its text. Otherwise the group is read as if the memo did not hold it. A
+hit holds no fault of its own, since only groups read to their ")" are
+stored, so a failed parse leaves the memo sound. parse_formula and
+parse_term use a fresh memo per call; proof_from_json shares one across
+the steps of one file, and it dies with that call.
 """
 
 from __future__ import annotations
@@ -289,18 +292,18 @@ class _Parser:
         self.expect(":", "':' after a term")
         return Justifies(term, self.unary())
 
-    def group(self):
-        """A "(" in formula position, found in the group memo or read once
-        (see the module docstring)."""
-        node = self.recall((Formula, Term))
+    def group(self, kind=(Formula, Term)):
+        """A "(" group of kind, in formula position unless kind is Term,
+        found in the group memo or read once (see the module docstring)."""
+        node = self.recall(kind)
         if node is not None:
             return node
         p, depth, peak = self.end - 1, self.depth, self.peak
         self.peak = depth
         self.open()
         self.advance()
-        first = self.operand()
-        if isinstance(first, Term) and self.tok == "*":
+        first = self.term() if kind is Term else self.operand()
+        if kind is Term or isinstance(first, Term) and self.tok == "*":
             node = self.application(first)
         else:
             if isinstance(first, Term):
@@ -323,9 +326,7 @@ class _Parser:
         if tok[:1] == "x":
             return Variable(self.index())
         if tok == "(":
-            node = self.recall(Term)  # an application term opens as many levels here
-            if node is not None:
-                return node
+            return self.group(Term)
         self.open()
         if tok == "up":
             self.advance()
@@ -333,11 +334,6 @@ class _Parser:
             body = self.formula()
             self.expect(")", "')'")
             return self.close(Up(body))
-        if tok == "(":
-            self.advance()
-            node = self.application(self.term())
-            self.expect(")", "')'")
-            return self.close(node)
         self.fail("expected a term")
 
     def application(self, left: Term) -> Term:

@@ -792,6 +792,22 @@ def test_parser_is_built_on_the_first_call_only():
     assert json.loads(proc.stdout) == [0, 7, 7, 7]
 
 
+def test_subcommands_are_found_by_name_at_each_call(monkeypatch, capsys):
+    # the kept parser holds no subcommand function: a cmd_* rebound after
+    # the first call, as a tracer or a test rebinds it, is the one that runs
+    assert run_cli(capsys, "taut", "(P1 -> P1)") == (0, "true\n", "")
+    seen = []
+    for name in ("eval", "update", "check-proof", "search", "validate", "taut"):
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                            lambda args, name=name: seen.append(name) or 1)
+    for argv in (["taut", "(P1 -> P1)"], ["eval", "m.json", "w", "P1"],
+                 ["update", "m.json", "P1", "--out", "o.json"],
+                 ["check-proof", "p.json", "full"], ["search", "P1"],
+                 ["validate", "m.json"]):
+        assert run_cli(capsys, *argv) == (1, "", "")
+    assert seen == ["taut", "eval", "update", "check-proof", "search", "validate"]
+
+
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
     """A proof file, a CS file and a path to write models to."""

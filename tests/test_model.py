@@ -245,3 +245,23 @@ def test_file_round_trip(tmp_path, two_world):
     q = tmp_path / "cs.json"
     q.write_text('{"mode": "empty"}')
     assert load_cs(str(q)) == ConstantSpec("empty")
+
+
+def test_load_model_refuses_deep_nesting_in_one_line(tmp_path):
+    # nesting past the recursion limit is a ValueError naming the file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError) as e:
+        load_model(str(deep))
+    assert str(e.value) == "%s nests too deeply to read" % deep
+
+
+def test_load_cs_refuses_an_overlong_integer_in_one_line(tmp_path):
+    # an integer of more digits than int() converts is a ValueError naming
+    # the file and the digit count, with no advice to call
+    # sys.set_int_max_str_digits
+    big = tmp_path / "big.json"
+    big.write_text('{"mode": "explicit", "pairs": [[%s, "P1"]]}' % ("1" * 5001))
+    with pytest.raises(ValueError) as e:
+        load_cs(str(big))
+    assert str(e.value) == "%s is not valid JSON: integer of 5001 digits is too long" % big

@@ -391,6 +391,12 @@ def test_shared_group_memo_agrees_with_fresh_parses():
     for runs in CHAINS_AT_CAP:
         op, n = runs[-1]
         texts += [_chain(*runs), _chain(*runs[:-1], (op, n + 1))]
+    # application terms nested where a term stands, as right and as left
+    # operands, at the cap and one level past it: the outermost "(" opens a
+    # unary level and a group level, and each nested one a level
+    for n in (MAX_NESTING - 1, MAX_NESTING):
+        texts += ["(c1 *[P1] " * n + "x1" + ")" * n + " : P1",
+                  "(c1 *[P1] " + "(" * (n - 1) + "x1" + " *[P1] x2)" * (n - 1) + ") : P1"]
     groups = {}
     for text in texts:
         _assert_same(_outcome(text, groups), _outcome(text), text)
@@ -545,6 +551,20 @@ def test_memo_group_after_up_or_as_a_term(hits):
     assert _outcome("(c1 *[P2] (x1 *[P1] x2)) : P3", dict(groups)) is Justifies(
         App(Constant(1), P2, App(Variable(1), P1, Variable(2))), Prop(3))
     assert hits == ["(x1 *[P1] x2)"]
+
+
+def test_memo_serves_a_term_group_in_formula_position(hits):
+    # a "(" is read by one method wherever it stands, so an application
+    # term read where a term stands is stored, and then serves a "(" in
+    # formula position
+    groups = {}
+    assert _outcome("(c1 *[P2] (x1 *[P1] x2)) : P3", groups) is Justifies(
+        App(Constant(1), P2, App(Variable(1), P1, Variable(2))), Prop(3))
+    assert "(x1 *[P1] x2)" in {entry[0] for entry in groups.values()}
+    for text in ["(x1 *[P1] x2) : P3", "((x1 *[P1] x2) *[P2] c1) : P3"]:
+        hits.clear()
+        _assert_same(_outcome(text, groups), _outcome(text), text)
+        assert hits == ["(x1 *[P1] x2)"], text
 
 
 def test_memo_entry_one_level_either_side_of_the_cap(hits):
