@@ -594,14 +594,17 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
     for start in range(seed, seed + trials, BATCH):
         drawn = [_draw(sig, s, shapes) for s in range(start, min(start + BATCH, seed + trials))]
         ctx = _forced(_pack(drawn), universe)
-        false = [(f, mask) for f in conclusions if (mask := false_at_normal(ctx, f))]
-        refuted = 0
-        for _, mask in false:
-            refuted |= mask
-        for b in _set_bits(ctx.batch.models_in(refuted)):
+        # per refuted lane, the conclusions false in it, in their order
+        false = {}
+        for f in conclusions:
+            mask = false_at_normal(ctx, f)
+            if mask:
+                for b in _set_bits(ctx.batch.models_in(mask)):
+                    false.setdefault(b, []).append((f, mask))
+        for b in sorted(false):
             shape, index = drawn[b]
             m = decoded(ctx, shape.model(index), constants, b)
-            for f, mask in false:
+            for f, mask in false[b]:
                 violations.extend((f, m, w) for w in worlds_in(mask, m.worlds, ctx.batch.width, b))
     return violations
 

@@ -35,6 +35,16 @@ application terms included, keep the value they had before the push;
 application evidence bottoms out at the canonical maximal choice
 E[s] & E[t] & wmp in the base models.
 
+Where a value is computed: announcing C changes the entry for up(C) only,
+so a formula with no up-term in it (the node flag _upfree of jus.syntax)
+has the same truth value under every chain; that is the semantic content
+of Indep. A pushed context answers such a formula from the root's memo,
+computed there once per batch and stored in both memos, and evaluates
+[C]B with an up-free B as B in its own context, without pushing C. So
+only formulas that read some up-term are evaluated in a pushed context,
+and only announcements whose body reads one are pushed. A pushed context
+refers to the root; the root refers to no context.
+
 The memos hold finished values only. Formulas are interned DAGs and no
 announcement reads its own up-term, so no query is cyclic, and a query
 that fails part-way (a RecursionError on a very deep formula, say)
@@ -215,7 +225,7 @@ class EvalContext:
     attribute batch holds the packed layout.
     """
 
-    __slots__ = ("batch", "chain", "_parent", "_children", "_memo", "_eff")
+    __slots__ = ("batch", "chain", "_parent", "_root", "_children", "_memo", "_eff")
 
     def __init__(self, base, _parent: "EvalContext" = None, _c: Formula = None):
         if _parent is None:
@@ -226,10 +236,14 @@ class EvalContext:
                 base = Batch.pack(models)
             self.batch = base
             self.chain = ()
+            # the root names no root: a context referring to itself would
+            # be a reference cycle, kept alive until the cyclic collector ran
+            self._root = None
             state = ({}, {}, {})
         else:
             self.batch = _parent.batch
             self.chain = _parent.chain + (_c,)
+            self._root = _parent._root or _parent
             # a pushed context's memos live in its parent's _children, so
             # no context refers to its children: without a reference cycle
             # a dropped tree, with its batch of models, is freed at once
@@ -246,28 +260,51 @@ class EvalContext:
         got = self._memo.get(f)
         if got is not None:
             return got
-        if isinstance(f, Prop):
-            got = self.batch.v0.get(f.index, 0)
-        elif isinstance(f, Not):
-            got = ~self.truth_mask(f.body)
-        elif isinstance(f, Implies):
-            got = ~self.truth_mask(f.left) | self.truth_mask(f.right)
-        elif isinstance(f, Justifies):
-            t = f.term
-            if isinstance(t, App):
-                got = self.truth_mask(
-                    Justifies(t.left, Implies(t.annotation, f.body))
-                ) & self.truth_mask(Justifies(t.right, t.annotation))
+        root = self._root
+        if root is not None and getattr(f, "_upfree", False):
+            # no announcement changes it: the root's value, computed once
+            got = root._memo.get(f)
+            if got is None:
+                got = root.truth_mask(f)
+            self._memo[f] = got
+            return got
+        cls = f.__class__
+        if cls is Prop:
+            got = self.batch.v0.get(f._args[0], 0)
+        elif cls is Not:
+            got = ~self.truth_mask(f._args[0])
+        elif cls is Implies:
+            left, right = f._args
+            got = ~self.truth_mask(left) | self.truth_mask(right)
+        elif cls is Justifies:
+            t, body = f._args
+            if t.__class__ is App:
+                s, a, r = t._args
+                got = (self.truth_mask(Justifies(s, Implies(a, body)))
+                       & self.truth_mask(Justifies(r, a)))
             else:
-                # slot i holds in the models where no evidence escapes the body
-                outside = ~self.truth_mask(f.body)
-                rows = self.evidence_mask(t)
+                # slot i holds in the models where no evidence escapes the
+                # body: fold the escaping bits' slot fields onto the lowest
+                outside = ~self.truth_mask(body)
                 batch = self.batch
+                width = batch.width
+                span = batch.slots * width
+                full = batch.full
                 got = 0
-                for row, offset in zip(rows, batch.offsets):
-                    got |= (batch.full & ~batch.models_in(row & outside)) << offset
-        elif isinstance(f, Update):
-            got = self.push(f.announcement).truth_mask(f.body)
+                for row, offset in zip(self.evidence_mask(t), batch.offsets):
+                    row &= outside
+                    step = width
+                    while step < span:
+                        row |= row >> step
+                        step <<= 1
+                    got |= (full & ~row) << offset
+        elif cls is Update:
+            c, body = f._args
+            # an up-free body reads the same under any announcement
+            if getattr(body, "_upfree", False):
+                got = self.truth_mask(body)
+            else:
+                got = self.push(c).truth_mask(body)
         else:
             raise TypeError("expected a formula, got %r" % (f,))
         got = self._memo[f] = self.batch.v1.get(f, 0) | (self.batch.normal & got)

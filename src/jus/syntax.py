@@ -4,7 +4,8 @@ Terms justify formulas; `up(A)` names the evidence produced by announcing A,
 and `(s *[A] t)` applies an implication's evidence to a premise's evidence.
 All nodes are interned: constructing the same shape twice returns the same
 object, so equality is identity and hashing is O(1). Treat instances as
-immutable.
+immutable. Each node also carries `_upfree`, true when no up-term is
+reachable from it, set once from its children's flags when it is interned.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ def _intern(cls, *args):
     if node is None:
         node = object.__new__(cls)
         node._args = args
+        # indices and the non-node children some constructors let through
+        # have no flag, and count as up-free
+        node._upfree = cls is not Up
+        for a in args:
+            if not getattr(a, "_upfree", True):
+                node._upfree = False
         _pool[key] = node
     return node
 
@@ -27,7 +34,7 @@ def _intern(cls, *args):
 class Term:
     """Base class for evidence terms."""
 
-    __slots__ = ("_args",)
+    __slots__ = ("_args", "_upfree")
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
@@ -36,7 +43,7 @@ class Term:
 class Formula:
     """Base class for formulas."""
 
-    __slots__ = ("_args",)
+    __slots__ = ("_args", "_upfree")
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
@@ -240,10 +247,13 @@ def up_independent(f: Formula) -> bool:
 
     Checks every subformula of the shape [C]B for up(C) in atm(B). One
     walk of f finds the announcements C whose up(C) occurs in f at all,
-    and only their updates are tested, one children-first pass per such C.
-    The update axioms that commute announcements in and out of a formula
-    are only sound under this restriction.
+    and only their updates are tested, one children-first pass per such C;
+    a formula with no up-term at all needs no walk. The update axioms that
+    commute announcements in and out of a formula are only sound under
+    this restriction.
     """
+    if getattr(f, "_upfree", False):
+        return True
     nodes = _reachable(f)  # children first
     ups = {y.body: y for y in nodes if isinstance(y, Up)}
     suspects = [g for g in nodes if isinstance(g, Update) and g.announcement in ups]

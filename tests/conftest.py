@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
 from jus.model import model_from_json
 
 HERE = os.path.dirname(__file__)
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(HERE)), "bench", "reference.py")
 
 
 def data_path(name):
@@ -21,3 +24,18 @@ def two_world_path():
 def two_world(two_world_path):
     with open(two_world_path, encoding="utf-8") as fh:
         return model_from_json(json.load(fh))
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The benchmark's reference checkers, which share no code with jus,
+    loaded from their source without writing a bytecode cache beside it."""
+    keep = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module

@@ -8,11 +8,8 @@ smaller, one model at a time. The bit-sliced enumerator must agree with
 both exactly: the same count, the same models, in the same order.
 """
 
-import importlib.util
 import itertools
-import os
 import random
-import sys
 
 import pytest
 
@@ -570,17 +567,8 @@ def test_orbits_count_the_canonical_masks(monkeypatch):
                 assert masks == explore._orbits(*shape.counts), (sig, k, m, chunk)
 
 
-REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "bench", "reference.py")
-
-
-def test_orbits_match_the_reference_count(monkeypatch):
-    # the benchmark's own Burnside count, which shares no code with jus,
-    # loaded from its source without writing a bytecode cache beside it
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
+def test_orbits_match_the_reference_count(reference):
+    # the benchmark's own Burnside count, which shares no code with jus
     for n in range(1, 5):
         for m in range(n):
             for props, support, atoms in itertools.product(range(4), repeat=3):

@@ -7,8 +7,10 @@ which flips the justified-disbelief formula from true to false.
 """
 
 import dataclasses
+import gc
 import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -37,10 +39,11 @@ from jus.syntax import (
     Up,
     Update,
     Variable,
+    eval_closure,
     subformulas,
 )
 
-from strategies import formulas
+from strategies import formulas, terms
 
 P1, P2 = Prop(1), Prop(2)
 DISBELIEF = parse_formula("x1 : ~ up(P1) : P1")
@@ -382,3 +385,167 @@ def test_batch_agrees_with_batches_of_one_on_random_models():
     assert {len(m.worlds) for m in models} == {1, 2, 3, 4}
     _assert_batches_agree(models, formulas, 64)
 
+
+# -- where memo entries go ---------------------------------------------------
+# An up-free formula reads the same under every announcement chain, so a
+# pushed context takes it from the root, and [C]B with an up-free B is B
+# where it stands; a formula that reads an up-term is evaluated where it
+# is asked. Each test below also asks for a formula that reads up(P1), so
+# an evaluator that sent every formula to the root fails it.
+
+UP_JUST = Justifies(Up(P1), P1)
+
+
+def test_an_up_free_formula_under_pushes_is_computed_once_per_batch(two_world):
+    # nine copies of the model keep the masks above the small-int cache,
+    # so identity tells the root's value from a recomputed equal one
+    ctx = EvalContext([two_world] * 9)
+    f = Implies(Justifies(Variable(1), P1), Update(P2, Not(P1)))
+    pushed = ctx.push(P1)
+    twice = pushed.push(P2)
+    for sub in (twice, pushed):
+        sub.truth_mask(f)
+        sub.truth_mask(UP_JUST)
+    assert pushed._memo[f] is ctx._memo[f]
+    assert twice._memo[f] is ctx._memo[f]
+    assert UP_JUST not in ctx._memo
+    assert truth_set(pushed, UP_JUST) == frozenset({"w"})
+    assert truth_set(ctx, UP_JUST) == frozenset()
+
+
+def test_an_announcement_over_an_up_free_body_pushes_nothing(ctx):
+    for f in (Update(P1, Justifies(Variable(1), P1)), Update(UP_JUST, Not(P1)),
+              Update(P2, Update(P1, P1))):
+        assert truth_set(ctx, f) == truth_set(ctx, f.body)
+    assert ctx._children == {}
+    # a body that reads up(P1) is still pushed
+    assert holds(ctx, "w", Update(P1, UP_JUST))
+    assert list(ctx._children) == [P1]
+    assert UP_JUST in ctx.push(P1)._memo
+
+
+def test_up_terms_keep_their_values_under_the_placement_rule(ctx):
+    # [P1] up(P1) : P1 holds at w, up(P1) : P1 does not (module docstring)
+    assert truth_set(ctx, Update(P1, UP_JUST)) == frozenset({"w"})
+    assert truth_set(ctx, UP_JUST) == frozenset()
+    pushed = ctx.push(P2)
+    assert truth_set(pushed, Update(P1, UP_JUST)) == frozenset({"w"})
+    assert truth_set(pushed, UP_JUST) == frozenset()
+    assert truth_set(pushed.push(P1), UP_JUST) == frozenset({"w"})
+
+
+def test_truth_mask_of_a_non_formula_raises_type_error(ctx):
+    pushed = ctx.push(P1)
+    for sub in (ctx, pushed, pushed.push(P2)):
+        for x in (Variable(1), Up(P1), "x", Not("x"), Update(P1, "x"), Not(Up(P1))):
+            with pytest.raises(TypeError, match="expected a formula"):
+                sub.truth_mask(x)
+        # and the refused queries leave the context answering as before
+        assert holds(sub, "w", Update(P1, UP_JUST))
+
+
+def test_a_dropped_context_tree_leaves_no_cycle(two_world):
+    # contexts refer up the tree, to their parent and the root, never down
+    # or to themselves, so dropping the last reference frees the tree at
+    # once; a cycle would keep each tree until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = EvalContext([two_world, two_world])
+        pushed = ctx.push(P1).push(P2)
+        for f in (UP_JUST, Update(P1, UP_JUST), Implies(P1, Update(P2, P1)),
+                  Update(UP_JUST, Justifies(Up(UP_JUST), P2))):
+            ctx.truth_mask(f)
+            pushed.truth_mask(f)
+        assert ctx._children and pushed._memo
+        del ctx, pushed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- against the reference evaluator ----------------------------------------
+
+def _to_reference(ref, x):
+    """The reference node of a jus term or formula, by its public
+    attributes."""
+    name = type(x).__name__
+    if name in ("Prop", "Constant", "Variable"):
+        return {"Prop": ref.P, "Constant": ref.C, "Variable": ref.X}[name](x.index)
+    if name == "Not":
+        return ref.NOT(_to_reference(ref, x.body))
+    if name == "Implies":
+        return ref.IMP(_to_reference(ref, x.left), _to_reference(ref, x.right))
+    if name == "Justifies":
+        return ref.J(_to_reference(ref, x.term), _to_reference(ref, x.body))
+    if name == "Update":
+        return ref.UPD(_to_reference(ref, x.announcement), _to_reference(ref, x.body))
+    if name == "Up":
+        return ref.UP(_to_reference(ref, x.body))
+    return ref.APP(_to_reference(ref, x.left), _to_reference(ref, x.annotation),
+                   _to_reference(ref, x.right))
+
+
+@st.composite
+def _models(draw, support, atoms):
+    """A valid model of 1 to 3 worlds, some of them non-normal, whose v1
+    ranges over the support and whose evidence over the atoms."""
+    worlds = ("w1", "w2", "w3")[:draw(st.integers(1, 3))]
+    normal = frozenset(w for w in worlds if w == "w1" or draw(st.booleans()))
+    subsets = st.frozensets(st.sampled_from(worlds))
+    return SubsetModel(
+        worlds, normal,
+        {(w, q): True for w in normal for q in (1, 2, 3) if draw(st.booleans())},
+        {(u, f): True for u in worlds if u not in normal for f in support
+         if draw(st.booleans())},
+        {(w, t): draw(subsets) for w in normal for t in atoms if draw(st.booleans())},
+        draw(st.sampled_from(("all", "empty"))))
+
+
+def _coupled():
+    """Formulas that read up(C) under announcements of C, nested or not,
+    and justifications by application terms."""
+    small = formulas(1)
+    return st.one_of(
+        st.builds(lambda c, a: Update(c, Justifies(Up(c), a)), small, small),
+        st.builds(lambda c, a: Not(Justifies(Up(c), a)), small, small),
+        st.builds(lambda c, d, a: Update(c, Update(d, Justifies(Up(c), Justifies(Up(d), a)))),
+                  small, small, small),
+        st.builds(lambda s, a, t, b: Justifies(App(s, a, t), b), terms(1), small, terms(1), small),
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.lists(st.one_of(formulas(3), _coupled()), min_size=1, max_size=4), st.data())
+def test_truth_and_evidence_agree_with_the_reference_evaluator(reference, fs, data):
+    closure = sorted({g for f in fs for g in eval_closure(f)}, key=repr)
+    terms_in = sorted({g.term for g in closure if isinstance(g, Justifies)}, key=repr)
+    atoms = [t for t in terms_in if not isinstance(t, App)]
+    models = data.draw(st.lists(_models(closure, atoms), min_size=2, max_size=8))
+    # announcements that cut some up-term in the formulas, and others
+    chains = data.draw(st.lists(
+        st.sampled_from([t.body for t in terms_in if isinstance(t, Up)] + [P1, Not(P2)]),
+        max_size=3))
+    terms_in += [t for t in data.draw(st.lists(terms(2), max_size=2)) if t not in terms_in]
+    ref_fs = [_to_reference(reference, f) for f in fs]
+    ref_terms = [_to_reference(reference, t) for t in terms_in]
+    ref_chain = tuple(_to_reference(reference, c) for c in chains)
+    for batch in [models] + [[m] for m in models]:
+        contexts = [EvalContext(batch)]
+        for c in chains:
+            contexts.append(contexts[-1].push(c))
+        for b, m in enumerate(batch):
+            oracle = reference.Evaluator(reference.Model(
+                m.worlds, m.normal, m.v0,
+                {(u, _to_reference(reference, f)): val for (u, f), val in m.v1.items()},
+                {(w, _to_reference(reference, t)): e for (w, t), e in m.evidence.items()},
+                m.evidence_default))
+            for k, sub in enumerate(contexts):
+                chain = ref_chain[:k]
+                for f, rf in zip(fs, ref_fs):
+                    assert truth_set(sub, f, b) == oracle.truth(rf, chain), (f, chains[:k], m)
+                for w in m.normal:
+                    for t, rt in zip(terms_in, ref_terms):
+                        assert (evidence_effective(sub, w, t, b)
+                                == oracle.evidence(w, rt, chain)), (t, w, chains[:k], m)
