@@ -28,7 +28,7 @@ from .model import (
     validate_model,
 )
 from .parse import SourceError, _echo, parse_formula, print_formula, print_term
-from .proof import check_proof, cs_contains, proof_from_json, taut_check
+from .proof import check_proof, licensed_pairs, proof_from_json, taut_check
 from .semantics import EvalContext, cs_violations, decoded, holds
 from .syntax import Constant, Up, constants_in
 
@@ -134,15 +134,11 @@ def cmd_search(args) -> int:
     except ValueError as e:
         raise InputError("bad search bounds: %s" % e) from e
     cs = _cs_arg(args.cs)
-    if cs.mode == "full":
-        # the slice of the full CS that can bear on this formula: its own
-        # constants paired with the formulas its evaluation touches
-        pairs = [(Constant(i), g) for i in sorted(constants_in(f)) for g in sig.v1_support]
-    else:
-        pairs = cs.pairs
+    # the pairs that can bear on this formula: its own constants with the
+    # formulas its evaluation touches, beside the CS's own
+    bearing = [(Constant(i), g) for i in sorted(constants_in(f)) for g in sig.v1_support]
     try:
-        # only the pairs the checker's rule licenses, as in check-proof
-        universe = [(c, g) for c, g in pairs if cs_contains(cs, c, g)]
+        universe = licensed_pairs(cs, bearing)
     except ValueError as e:  # taut_check's refusal of a too-large table
         raise InputError(str(e)) from e
     report = find_countermodel(f, sig, universe)
@@ -166,15 +162,10 @@ def cmd_validate(args) -> int:
     problems = validate_model(m)
     cs_problems = []
     if not problems and args.cs is not None:
-        cs = _cs_arg(args.cs)
-        if cs.mode == "explicit":
-            ctx = EvalContext(m)
-            for w, c, a in cs_violations(ctx, cs.pairs):
-                cs_problems.append({
-                    "world": w,
-                    "constant": print_term(c),
-                    "formula": print_formula(a),
-                })
+        # every listed pair, licensed or not; only explicit mode lists any
+        pairs = _cs_arg(args.cs).pairs
+        cs_problems = [{"world": w, "constant": print_term(c), "formula": print_formula(a)}
+                       for w, c, a in cs_violations(EvalContext(m), pairs)]
     if not problems and not cs_problems:
         _emit(args, {"ok": True}, "ok")
         return 0

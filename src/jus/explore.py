@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from .model import ConstantSpec, SubsetModel, model_to_json
 from .parse import _printed, print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
-                    norm_instance, pers_instance, up_instance)
+                    licensed_pairs, norm_instance, pers_instance, up_instance)
 from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
                         pattern, worlds_in)
 from .syntax import (
@@ -562,11 +562,13 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
     first, since sweeping an unproved conclusion as a theorem would test
     nothing; bare formulas are swept as given, which is how a deliberately
     bogus claim gets its refutation. The CS universe forced onto the models
-    is the set of pairs the proofs' necessitation steps rely on, plus any
-    explicit pairs.
+    is the pairs the proofs' necessitation steps rely on, then the
+    specification's own licensed pairs (proof.licensed_pairs), each once.
+    As in search, only licensed pairs are forced, so an explicit pair that
+    licenses nothing cannot hide a violation; validate checks every listed
+    pair.
     """
-    universe = []
-    seen = set()
+    necessitated = []
     conclusions = []
     for entry in theorems:
         if isinstance(entry, Formula):
@@ -577,17 +579,9 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
             raise ValueError(
                 "unproved theorem %s (%s)" % (print_formula(entry.conclusion), fail))
         conclusions.append(entry.conclusion)
-        for step in entry.steps:
-            if step.rule == "an":
-                pair = _peel_an(step.formula)
-                if pair not in seen:
-                    seen.add(pair)
-                    universe.append(pair)
-    if cs.mode == "explicit":
-        for pair in cs.pairs:
-            if pair not in seen:
-                seen.add(pair)
-                universe.append(pair)
+        necessitated += [_peel_an(step.formula) for step in entry.steps if step.rule == "an"]
+    # check_proof has just licensed the necessitation pairs
+    universe = list(dict.fromkeys(necessitated + licensed_pairs(cs)))
     constants = {c for c, _ in universe}
     shapes = {}
     violations = []

@@ -260,6 +260,16 @@ def cs_contains(cs: ConstantSpec, c: Constant, f: Formula) -> bool:
     return _iterated_cs_shape(f)
 
 
+def licensed_pairs(cs: ConstantSpec, candidates=()) -> list:
+    """The pairs a CS-model must honour: the specification's own pairs,
+    then the candidates, each once in first-seen order, keeping those
+    cs_contains licenses. This is the one rule of search and sweep; an
+    explicit pair that licenses nothing is dropped, so it cannot hide a
+    countermodel."""
+    return [(c, f) for c, f in dict.fromkeys((*cs.pairs, *candidates))
+            if cs_contains(cs, c, f)]
+
+
 # -- proofs and checking --------------------------------------------------
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ has a field of one bit per model: with B models, bit i*B + b stands for
 slot i of model b, and slot i is the model's i-th world in file order.
 Slots run up to the batch's largest world count; a model with fewer
 worlds leaves its missing slots out of every set. For a batch of one, bit
-i is just the i-th world. worlds_in is the one reader of this layout,
-and decoded the one decoder of a lane. A context also carries a chain of
-announcements applied left to right. Contexts form a tree rooted at the
-plain batch; pushing the same announcement twice gives contexts that
-share one memo. Truth values and evidence are memoized per chain, since
-the update recursion revisits the same formulas often.
+i is just the i-th world. The layout is read where a mask meets worlds
+or models: worlds_in lists a lane's worlds, evaluate and
+evidence_effective take one world's bit or row, truth_mask folds slot
+fields in the justification clause and Batch.models_in folds a mask onto
+its models. decoded is the one decoder of a lane. A context also
+carries a chain of announcements applied left to right. Contexts form a
+tree rooted at the plain batch; pushing the same announcement twice gives
+contexts that share one memo. Truth values and evidence are memoized
+per chain, since the update recursion revisits the same formulas often.
 
 Non-normal worlds read v1 for the whole formula, whatever its shape, so
 their bits never depend on the chain: f holds in V1[f] | (normal &

@@ -154,6 +154,12 @@ def test_check_proof_failure(capsys, tmp_path):
     assert obj["ok"] is False
     assert obj["step"] == 1
     assert "not in the constant specification" in obj["reason"]
+    path = write_proof(tmp_path, [{"formula": "c1 : (P1 -> P1)", "rule": "an",
+                                   "constant": "c2"}])
+    code, out, err = run_cli(capsys, "check-proof", path, "full")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "step": 1,
+                               "reason": "declared constant does not occur in the step"}
 
 
 def test_check_proof_human_failure(capsys, tmp_path):
@@ -361,12 +367,34 @@ def test_validate_lists_each_violation_once(capsys, tmp_path):
     assert (code, out) == (1, "v0 key 'v' is not a normal world\n")
 
 
-def test_validate_malformed_file(capsys, tmp_path):
+def test_validate_malformed_file(capsys, tmp_path, two_world_path):
     p = tmp_path / "bad.json"
     p.write_text('{"worlds": ["w"], "normal": ["w"], "flavor": 3}')
     assert run_cli(capsys, "validate", str(p))[0] == 2
     p.write_text("not json")
     assert run_cli(capsys, "validate", str(p))[0] == 2
+    # each shape is refused with one line naming what is wrong
+    for model, cs, message in [
+            (None, {"mode": "explicit", "pairs": "c1"}, "pairs must be a list"),
+            (None, {"mode": "explicit", "pairs": [[1, "P1"]]}, "pairs key 1 must be a string"),
+            ({"worlds": "w", "normal": ["w"]}, None, "'worlds' must be a list of world names"),
+            ({"worlds": ["w", 1], "normal": ["w"]}, None,
+             "'worlds' must be a list of world names"),
+            ({"worlds": ["w"], "normal": ["w"], "v0": ["w"]}, None,
+             "'v0' must map world names to objects"),
+            ({"worlds": ["w"], "normal": ["w"], "v0": {"w": True}}, None,
+             "'v0' must map world names to objects")]:
+        argv = ["validate", two_world_path]
+        if model is not None:
+            p.write_text(json.dumps(model))
+            argv[1] = str(p)
+        if cs is not None:
+            c = tmp_path / "cs.json"
+            c.write_text(json.dumps(cs))
+            argv += ["--cs", str(c)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["%s: %s" % (argv[-1], message)]
 
 
 def test_validate_against_cs(capsys, tmp_path):

@@ -608,10 +608,26 @@ def test_forcing_that_never_settles_raises():
         except RuntimeError:
             raised.add(seed)
     assert raised == {0, 1, 2, 3, 4, 7, 9, 10, 11, 14, 16}
+    # c1 : P1 is no axiom, so the pair licenses nothing and a sweep drops
+    # it rather than forcing it, seed 7's oscillating trial included
     cs = ConstantSpec("explicit", tuple(uni))
-    soundness_sweep([P1], cs, sig, 2, seed=5)
-    with pytest.raises(RuntimeError, match="kept shifting"):
-        soundness_sweep([P1], cs, sig, 3, seed=5)
+    assert (soundness_sweep([P1], cs, sig, 3, seed=5)
+            == soundness_sweep([P1], ConstantSpec("empty"), sig, 3, seed=5))
+
+
+def test_sweep_forces_only_licensed_explicit_pairs():
+    # (c1, P1) licenses nothing, as check_proof says, so the sweep forces
+    # no model to honour it and refutes c1 : P1 as under the empty CS
+    c1, c2 = Constant(1), Constant(2)
+    claim = Justifies(c1, P1)
+    sig = signature_for(claim, 2, 1)
+    empty = soundness_sweep([claim], ConstantSpec("empty"), sig, 200, seed=0)
+    assert len(empty) == 103
+    cs = ConstantSpec("explicit", ((c1, P1),))
+    assert soundness_sweep([claim], cs, sig, 200, seed=0) == empty
+    # a licensed pair in the same specification is still forced
+    cs = ConstantSpec("explicit", ((c1, P1), (c2, Implies(P1, P1))))
+    assert soundness_sweep([Justifies(c2, Implies(P1, P1))], cs, sig, 200, seed=0) == []
 
 
 def _first_countermodel(f, sig, universe=()):

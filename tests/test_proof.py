@@ -29,6 +29,7 @@ from jus.proof import (
     app_instance,
     check_proof,
     cs_contains,
+    licensed_pairs,
     funct_instance,
     indep_instance,
     match_axiom,
@@ -555,6 +556,17 @@ def test_cs_contains_explicit_and_empty():
     assert not cs_contains(cs, Constant(2), Implies(P1, P1))
 
 
+def test_licensed_pairs_keeps_the_licensed_once_in_first_seen_order():
+    c1, c2 = Constant(1), Constant(2)
+    a, b = Implies(P1, P1), Implies(P2, P2)
+    cs = ConstantSpec("explicit", ((c2, b), (c1, P1), (c1, a), (c2, b)))
+    assert licensed_pairs(cs) == [(c2, b), (c1, a)]
+    # a candidate adds nothing an explicit specification does not list
+    assert licensed_pairs(cs, [(c1, a), (c2, a), (c1, P2)]) == [(c2, b), (c1, a)]
+    assert licensed_pairs(FULL, [(c2, P1), (c2, a), (c1, b), (c2, a)]) == [(c2, a), (c1, b)]
+    assert licensed_pairs(EMPTY, [(c1, a)]) == []
+
+
 # -- proof checking -------------------------------------------------------
 
 def test_check_proof_single_axiom():
@@ -616,6 +628,22 @@ def test_check_proof_failure_modes():
         assert check_proof(p, EMPTY) == CheckFailure(3, "modus ponens needs two earlier step indices")
     p = Proof((ProofStep(P1, "guess"),))
     assert "unknown rule" in check_proof(p, EMPTY).reason
+
+
+_A = Implies(P1, P1)
+
+
+@pytest.mark.parametrize("steps, reason", [
+    ((ProofStep(P1, "an"),),
+     "necessitation step is not of the form [updates]c:A"),
+    ((ProofStep(Justifies(Constant(1), _A), "an", constant=Constant(2)),),
+     "declared constant does not occur in the step"),
+    ((ProofStep(_A, "axiom"), ProofStep(Implies(_A, Implies(P2, _A)), "axiom"),
+      ProofStep(P2, "mp", premises=(1, 2))),
+     "modus ponens premises do not yield this formula"),
+])
+def test_check_proof_refusals(steps, reason):
+    assert check_proof(Proof(steps), FULL) == CheckFailure(len(steps), reason)
 
 
 def test_check_proof_reports_first_failure():
@@ -728,6 +756,22 @@ def test_prove_box_replays_mp():
     boxed = prove_box(b.proof(), P3, EMPTY)
     assert_checks(boxed, EMPTY)
     assert boxed.conclusion == Update(P3, goal)
+
+
+def test_prove_box_of_necessitated_proofs():
+    # every step of a necessitated proof is an an step or rests on them,
+    # so boxing one replays necessitation under the announcement
+    b = ProofBuilder()
+    a = Implies(P1, P1)
+    b.mp(b.axiom(a), b.axiom(Implies(a, Implies(P2, a))))
+    for p in (b.proof(), prove_box(b.proof(), P3, EMPTY),
+              prove_ramsey(Variable(1), P1, P2, FULL)):
+        t, q = prove_necessitation(p, FULL)
+        for c in (P1, parse_formula("up(P2) : P2")):
+            boxed = prove_box(q, c, FULL)
+            assert any(step.rule == "an" for step in boxed.steps)
+            assert_checks(boxed)
+            assert boxed.conclusion == Update(c, Justifies(t, p.conclusion))
 
 
 def test_prove_box_requires_checked_input():
