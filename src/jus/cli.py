@@ -29,7 +29,7 @@ from .model import (
 )
 from .parse import SourceError, _echo, parse_formula, print_formula, print_term
 from .proof import check_proof, licensed_pairs, proof_from_json, taut_check
-from .semantics import EvalContext, cs_violations, decoded, holds
+from .semantics import Batch, EvalContext, cs_violations, decoded, holds
 from .syntax import Constant, Up, constants_in
 
 
@@ -52,6 +52,12 @@ def _model_arg(path: str, validate: bool = True):
         return model_from_json(obj, validate=validate)
     except ValueError as e:
         raise InputError("%s: %s" % (path, e)) from e
+
+
+def _context(m) -> EvalContext:
+    """A context over a model already validated, so it is packed as it
+    stands rather than validated again."""
+    return EvalContext(Batch.pack((m,)))
 
 
 def _formula_arg(text: str):
@@ -88,7 +94,7 @@ def cmd_eval(args) -> int:
     f = _formula_arg(args.formula)
     if args.world not in m.worlds:
         raise InputError("world %s is not in the model" % _echo(args.world))
-    value = holds(EvalContext(m), args.world, f)
+    value = holds(_context(m), args.world, f)
     _emit(args, value, "%s at %s" % ("true" if value else "false", args.world))
     return 0 if value else 1
 
@@ -96,7 +102,7 @@ def cmd_eval(args) -> int:
 def cmd_update(args) -> int:
     m = _model_arg(args.model)
     c = _formula_arg(args.formula)
-    updated = decoded(EvalContext(m).push(c), m, [Up(c)])
+    updated = decoded(_context(m).push(c), m, [Up(c)])
     try:
         save_model(updated, args.out)
     except OSError as e:
@@ -165,7 +171,7 @@ def cmd_validate(args) -> int:
         # every listed pair, licensed or not; only explicit mode lists any
         pairs = _cs_arg(args.cs).pairs
         cs_problems = [{"world": w, "constant": print_term(c), "formula": print_formula(a)}
-                       for w, c, a in cs_violations(EvalContext(m), pairs)]
+                       for w, c, a in cs_violations(_context(m), pairs)]
     if not problems and not cs_problems:
         _emit(args, {"ok": True}, "ok")
         return 0

@@ -25,11 +25,14 @@ A SubsetModel is built only for a reported countermodel and for the
 models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
-drawn by world counts and a uniform raw index of that shape, and a batch
-of trials of mixed shapes packs by one transpose of their indices' bits,
-from which each block is cut with one shift. A window and a batch of
-trials write their masks through one assembler, _assemble, which walks
-each shape's blocks and fills the lane layout of semantics.Batch. The CS
+drawn by world counts and a uniform raw index of that shape. A batch of
+trials of mixed shapes packs by interleaving their indices' bits into one
+integer, from which each shape's blocks are cut with one shift and one
+AND by its lanes. Blocks of one kind, world slot and digit size hold the
+same keys in every shape, so they are gathered across shapes and split
+into columns once. A window and a batch of trials write their masks
+through one assembler, _assemble, which takes the columns block by block
+and fills the lane layout of semantics.Batch. The CS
 is forced on the batch's masks: a constant's evidence rows become the
 meet of its paired formulas' truth masks until the meets stop changing.
 Only a trial with a reported violation, and random_cs_model's answer,
@@ -222,7 +225,8 @@ class _Shape:
     window of indices each digit is a periodic pattern (semantics.pattern),
     so a window of models packs into a Batch without building any of
     them. A sweep's random trial is a raw index too, and _pack packs any
-    list of them; both go through _assemble, block by block.
+    list of them, gathering the blocks of one kind, slot and digit size
+    from every shape; both go through _assemble, block by block.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -294,11 +298,10 @@ class _Shape:
                 out |= pattern(lo, size, values, start, width) << u * width
             return out
 
-        def columns(shape):
-            return [column(d, size) for _, _, keys, size, lo in shape.blocks
-                    for d in range(lo + (len(keys) - 1) * size, lo - 1, -size)]
-
-        return _assemble(width, {self: (1 << width) - 1}, columns)
+        blocks = [(kind, i, keys, [column(d, size)
+                                   for d in range(lo + (len(keys) - 1) * size, lo - 1, -size)])
+                  for kind, i, keys, size, lo in self.blocks]
+        return _assemble(width, {self: (1 << width) - 1}, blocks)
 
     def model(self, index: int) -> SubsetModel:
         """The raw model at an index."""
@@ -382,49 +385,59 @@ def _pack(trials) -> Batch:
     packed as one Batch: lane b is trial b.
 
     Each index becomes a binary row of one width, its evidence digits
-    rewritten from a set's rank to the set's member bits, and one
-    transpose of all rows puts raw bit j of trial b at bit j * width + b of
-    one integer. A block of lo and count digits of size bits is then one
-    field of count * size * width bits there, cut out with one shift and
-    split into its digits' columns, which _assemble takes under the
-    shape's own lanes.
+    rewritten from a set's rank to the set's member bits. The rows are
+    interleaved into one string, row b at every width-th character from
+    the end, so one int() puts raw bit j of trial b at bit j * width + b.
+    A block of lo and count digits of size bits is then one field of
+    count * size * width bits there, cut out with one shift and one AND
+    by the shape's lanes repeated over the field. A block's keys, and so
+    its field's layout, follow from its kind, world slot and digit size,
+    so the fields of all shapes that share those are ORed into one, and
+    each gathered field is split into its digits' columns once.
     """
     width = len(trials)
-    form = "0%db" % max(shape.bits for shape, _ in trials)
-    rows = []
-    for shape, index in reversed(trials):
+    bits = max(shape.bits for shape, _ in trials) or 1  # format writes a digit at least
+    form = "0%db" % bits
+    flat = bytearray(bits * width)
+    own = {}
+    for b, (shape, index) in enumerate(trials):
+        own[shape] = own.get(shape, 0) | 1 << b
         if shape.n > 2:  # up to two worlds, a set's rank is its member bits
             top = (1 << shape.n) - 1
             for lo in range(0, shape.evidence_bits, shape.n):
                 d = index >> lo & top
                 index ^= (d ^ shape.subsets[d]) << lo
-        rows.append(format(index, form))
-    raw = int("".join(map("".join, zip(*rows))), 2)
-    own = {}
-    for b, (shape, _) in enumerate(trials):
-        own[shape] = own.get(shape, 0) | 1 << b
+        flat[width - 1 - b::width] = format(index, form).encode()
+    raw = int(flat, 2)
+    # per digit count, one lane in each of that many fields of width bits
+    units = {}
+    fields = {}
+    for shape, mine in own.items():
+        for kind, i, keys, size, lo in shape.blocks:
+            digits = len(keys) * size
+            unit = units.get(digits)
+            if unit is None:
+                unit = units[digits] = ((1 << digits * width) - 1) // ((1 << width) - 1)
+            field = fields.setdefault((kind, i, size), [keys, 0])
+            field[1] |= raw >> lo * width & mine * unit
+    blocks = []
+    for (kind, i, size), (keys, field) in fields.items():
+        span = size * width
+        top = (1 << span) - 1
+        blocks.append((kind, i, keys,
+                       [field >> d & top for d in range((len(keys) - 1) * span, -1, -span)]))
+    return _assemble(width, own, blocks)
 
-    def columns(shape):
-        out = []
-        for _, _, keys, size, lo in shape.blocks:
-            span = size * width
-            cut = raw >> lo * width & (1 << len(keys) * span) - 1
-            top = (1 << span) - 1
-            out += [cut >> d & top for d in range((len(keys) - 1) * span, -1, -span)]
-        return out
 
-    return _assemble(width, own, columns)
-
-
-def _assemble(width: int, own: dict, columns) -> Batch:
+def _assemble(width: int, own: dict, blocks) -> Batch:
     """The Batch of width lanes in which own maps each shape, over one
-    signature, to its lanes (bit b for lane b). columns(shape) is the
-    column of each digit of the shape's raw index, block by block in the
-    order of shape.blocks, and in each block first key first. A digit's
-    column is a mask whose bit u * width + b is member bit u of lane b's
-    digit: the truth value itself, or whether the evidence set holds
-    world slot u. Evidence is stored at normal slots only, since it is
-    read nowhere else."""
+    signature, to its lanes (bit b for lane b). blocks holds (kind, slot,
+    keys, columns) per block of digits, as in _Shape.blocks, with the
+    column of each key. A digit's column is a mask whose bit u * width + b
+    is member bit u of lane b's digit: the truth value itself, or whether
+    the evidence set holds world slot u. A column sets bits only in the
+    lanes of shapes that have its block. Evidence is stored at normal
+    slots only, since it is read nowhere else."""
     slots = max(shape.n for shape in own)
     normal = lanes = 0
     v0 = {}
@@ -437,16 +450,14 @@ def _assemble(width: int, own: dict, columns) -> Batch:
             spread |= mine << i * width
         normal |= spread & (1 << shape.k * width) - 1
         lanes |= spread
-        # with keys first, zip(keys, got) takes just one block's columns
-        got = iter(columns(shape))
-        for kind, i, keys, _, _ in shape.blocks:
-            if kind == "ev":
-                for t, column in zip(keys, got):
-                    stored[t][i] |= column & spread
-            else:
-                table = v0 if kind == "v0" else v1
-                for x, column in zip(keys, got):
-                    table[x] = table.get(x, 0) | (column & mine) << i * width
+    for kind, i, keys, columns in blocks:
+        if kind == "ev":
+            for t, column in zip(keys, columns):
+                stored[t][i] |= column
+        else:
+            table = v0 if kind == "v0" else v1
+            for x, column in zip(keys, columns):
+                table[x] = table.get(x, 0) | column << i * width
     evidence = {t: tuple(rows) for t, rows in stored.items()}
     return Batch(width, slots, normal, lanes, v0, v1, evidence, lanes)
 

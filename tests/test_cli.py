@@ -433,6 +433,30 @@ def test_validate_against_cs(capsys, tmp_path):
     assert run_cli(capsys, "validate", str(model), "--cs", str(cs))[0] == 0
 
 
+def test_each_model_file_is_validated_once(capsys, monkeypatch, tmp_path, two_world_path):
+    # model_from_json validates through jus.model's name and cmd_validate
+    # through jus.cli's; the context over the file's model validates it
+    # no second time
+    calls = []
+    real = jus.model.validate_model
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(jus.model, "validate_model", counted)
+    monkeypatch.setattr(cli, "validate_model", counted)
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"mode": "explicit", "pairs": [["c1", "P1"]]}))
+    for argv, code in [(["eval", two_world_path, "w", "[P1] up(P1) : P1"], 0),
+                       (["update", two_world_path, "P1", "--out", str(tmp_path / "u.json")], 0),
+                       (["validate", two_world_path], 0),
+                       (["validate", two_world_path, "--cs", str(cs)], 1)]:
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == code, argv
+        assert len(calls) == 1, argv
+
+
 # -- taut ---------------------------------------------------------------------
 
 def test_taut_verdicts(capsys):

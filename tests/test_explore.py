@@ -261,6 +261,10 @@ BLOCK_SIGS = [
     ModelSignature((), (Variable(1),), 4, 2, ()),
 ]
 
+# a signature of up to 5 worlds: evidence digits of 5 bits, whose ranks
+# the packer rewrites, and 15 shapes for one batch to gather blocks from
+FIVE_SIG = ModelSignature((1,), (Constant(1), Up(P1)), 5, 4, (P1, Implies(P1, P2)))
+
 
 def test_block_signatures_leave_blocks_empty_and_evidence_untiled():
     shapes = [explore._Shape(sig, k, m) for sig in BLOCK_SIGS for k, m in _oracle_shapes(sig)]
@@ -528,7 +532,8 @@ def test_packed_trials_match_packed_models(monkeypatch):
     # lane b of a packed trial list is the raw model of trial b, as
     # Batch.pack lays it out: mixed shapes, first and last raw indices
     rng = random.Random(3)
-    for sig in _seeded_signatures() + BLOCK_SIGS:
+    gathered = 0  # the most shapes one batch packed
+    for sig in _seeded_signatures() + BLOCK_SIGS + [FIVE_SIG]:
         shapes = {}
         for _ in range(12):
             trials = [explore._draw(sig, rng.randrange(1 << 30), shapes)
@@ -538,6 +543,17 @@ def test_packed_trials_match_packed_models(monkeypatch):
                 trials[rng.randrange(len(trials))] = (shape, shape.size - 1)
             want = Batch.pack([shape.model(index) for shape, index in trials])
             _assert_read_alike(explore._pack(trials), want, sig.atoms)
+            gathered = max(gathered, len({shape for shape, _ in trials}))
+    assert gathered == 15
+    # a batch of one trial, at the first, the last and a random index of
+    # every shape
+    rng = random.Random(5)
+    for sig in BLOCK_SIGS + [FIVE_SIG]:
+        for k, m in _oracle_shapes(sig):
+            shape = explore._Shape(sig, k, m)
+            for index in (0, shape.size - 1, rng.randrange(shape.size)):
+                _assert_read_alike(explore._pack([(shape, index)]),
+                                   Batch.pack([shape.model(index)]), sig.atoms)
     # and lane b of a window is its raw model start + b; windows of 128
     # models at most keep the reference packing cheap
     monkeypatch.setattr(explore, "CHUNK", 128)
@@ -768,6 +784,24 @@ def test_soundness_sweep_reports_the_models_random_cs_model_draws():
                  if w in m.normal and not holds(ctx, w, f)]
     assert got == want
     assert {f for f, _, _ in got} == {bogus, claims[2], falsum()}
+
+
+def test_sweep_results_do_not_depend_on_the_batch_size(monkeypatch):
+    # a trial's lane, its batch's width and the shapes beside it change
+    # with the batch size; the forced models and the reported triples
+    # may not, at up to 5 worlds
+    pair = (Constant(1), parse_formula("[P1] up(P1) : P1"))
+    cs = ConstantSpec("explicit", (pair,))
+    claims = [parse_formula("up(P1) : P1"), Justifies(*pair),
+              Implies(P2, Justifies(Constant(1), P1))]
+    sig = ModelSignature((1, 2), (Constant(1), Up(P1)), 5, 4, (P1, P2))
+    got = []
+    for size in (1, 7, 64):
+        monkeypatch.setattr(explore, "BATCH", size)
+        got.append(soundness_sweep(claims, cs, sig, 90, seed=21))
+    assert got[0]
+    assert got[1] == got[0]
+    assert got[2] == got[0]
 
 
 def test_random_axiom_instances_match_their_schema():
