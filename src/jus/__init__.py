@@ -51,7 +51,6 @@ from .syntax import (
     falsum,
     length,
     subformulas,
-    up_independent,
 )
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -5,12 +5,16 @@ prefix; conjunction and biconditional below are the fixed expansions):
 
     Taut   any propositional tautology
     App    (t:(A->B) & s:A) <-> (t *[A] s):B
-    Indep  [C]A <-> A, provided [C]A is up-independent
+    Indep  [C]A <-> A, provided up(C) does not occur in A
     Funct  [C]~A <-> ~[C]A
     Norm   [C](A->B) <-> ([C]A -> [C]B)
     Up     [A] up(A):A
-    Pers   up(A):B -> [A] up(A):B, provided [A]B is up-independent
+    Pers   up(A):B -> [A] up(A):B, provided up(A) does not occur in B
 
+The proviso is the one the semantics needs: announcing C changes the
+evidence of up(C) and nothing else, so a formula in which up(C) does not
+occur keeps its truth set under [C], whatever other announcements and
+up-terms it, or C, contains. That is Indep.
 Without its proviso Pers is unsound: for B = ~up(A):A, announcing A
 shrinks the evidence of up(A) into the truth set of A, which makes
 up(A):A true and B false.
@@ -57,7 +61,6 @@ from .syntax import (
     is_atomic,
     prefix_splits,
     subformulas,
-    up_independent,
 )
 
 SCHEMAS = ("Taut", "App", "Indep", "Funct", "Norm", "Up", "Pers")
@@ -109,8 +112,8 @@ def _core_schemas(g: Formula) -> list:
     """Schemas whose prefix-free shape g matches, Taut excluded: g is routed
     by its outer node kinds, and a schema matches when its builder, given
     the parameters at their fixed positions in g, rebuilds g itself. The
-    Indep and Pers builders walk g for their proviso, so they are called
-    only once the defining identity of their shape holds."""
+    Indep and Pers builders walk a body for their proviso, so they are
+    called only once the defining identity of their shape holds."""
     tries = []
     if isinstance(g, Update):
         tries.append(("Up", up_instance, g.announcement))
@@ -185,11 +188,13 @@ def _axiom_failure(f: Formula, schema: str = None):
 # -- schema instance builders -------------------------------------------
 
 def _require_up_independent(boxed: Formula) -> Formula:
-    """The proviso of Indep and Pers, on the update [C]A they share."""
-    if not up_independent(boxed):
+    """The proviso of Indep and Pers, on the update [C]A they share: up(C)
+    does not occur in A. This is the one place that decides it."""
+    a = boxed.body
+    if not a._upfree and Up(boxed.announcement) in atm(a):
         raise ValueError(
-            "the update is not up-independent: an announced formula's own "
-            "up-term occurs under it"
+            "the update is not up-independent: the announcement's own "
+            "up-term occurs inside its body"
         )
     return boxed
 
@@ -566,29 +571,13 @@ def prove_persistence_fo(t: Term, a: Formula, c: Formula, cs: ConstantSpec) -> P
 
     Beyond the justification-free requirement on a, the recursion is only
     sound when every application annotation inside t is justification-free
-    too, when up(c) is not an atomic subterm of any non-up(c) leaf, and
-    when c itself is up-independent, which the Indep and Pers builders
-    check at each leaf; these are enforced, not assumed.
+    too, and when up(c) is not an atomic subterm of any non-up(c) leaf,
+    which the Indep builder checks at each such leaf; these are enforced,
+    not assumed.
     """
     if not _justification_free(a):
         raise ValueError("justified formula %s contains a justification" % print_formula(a))
 
-    def scan(term: Term):
-        if isinstance(term, App):
-            if not _justification_free(term.annotation):
-                raise ValueError(
-                    "annotation %s contains a justification"
-                    % print_formula(term.annotation)
-                )
-            scan(term.left)
-            scan(term.right)
-        elif not (isinstance(term, Up) and term.body is c) and Up(c) in atm(term):
-            raise ValueError(
-                "up(%s) occurs inside the term %s, so independence fails"
-                % (print_formula(c), print_term(term))
-            )
-
-    scan(t)
     b = ProofBuilder()
 
     def derive(term: Term, body: Formula) -> int:
@@ -599,6 +588,10 @@ def prove_persistence_fo(t: Term, a: Formula, c: Formula, cs: ConstantSpec) -> P
         if is_atomic(term):
             ind = b.axiom(indep_instance(c, claim), "Indep")
             return b.taut_consequence([ind], goal)
+        if not _justification_free(term.annotation):
+            raise ValueError(
+                "annotation %s contains a justification" % print_formula(term.annotation)
+            )
         left = derive(term.left, Implies(term.annotation, body))
         right = derive(term.right, term.annotation)
         app_idx = b.axiom(app_instance(term.left, term.right, term.annotation, body), "App")

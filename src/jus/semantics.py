@@ -39,14 +39,16 @@ application evidence bottoms out at the canonical maximal choice
 E[s] & E[t] & wmp in the base models.
 
 Where a value is computed: announcing C changes the entry for up(C) only,
-so a formula with no up-term in it (the node flag _upfree of jus.syntax)
-has the same truth value under every chain; that is the semantic content
-of Indep. A pushed context answers such a formula from the root's memo,
-computed there once per batch and stored in both memos, and evaluates
-[C]B with an up-free B as B in its own context, without pushing C. So
-only formulas that read some up-term are evaluated in a pushed context,
-and only announcements whose body reads one are pushed. A pushed context
-refers to the root; the root refers to no context.
+so a formula in which up(C) does not occur keeps its truth value under
+[C]; that is Indep, under the proviso jus.proof decides. Its special case
+is a formula with no up-term in it at all (the node flag _upfree of
+jus.syntax), which has the same truth value under every chain. A pushed
+context answers such a formula from the root's memo, computed there once
+per batch and stored in both memos, and evaluates [C]B with an up-free B
+as B in its own context, without pushing C. So only formulas that read
+some up-term are evaluated in a pushed context, and only announcements
+whose body reads one are pushed. A pushed context refers to the root; the
+root refers to no context.
 
 The memos hold finished values only. Formulas are interned DAGs and no
 announcement reads its own up-term, so no query is cyclic, and a query

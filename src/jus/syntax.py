@@ -242,34 +242,6 @@ def subformulas(f: Formula) -> frozenset:
     return frozenset(y for y in _reachable(f, _CONNECTIVES) if isinstance(y, Formula))
 
 
-def up_independent(f: Formula) -> bool:
-    """True when no announced formula's own up-term occurs under its update.
-
-    Checks every subformula of the shape [C]B for up(C) in atm(B). One
-    walk of f finds the announcements C whose up(C) occurs in f at all,
-    and only their updates are tested, one children-first pass per such C;
-    a formula with no up-term at all needs no walk. The update axioms that
-    commute announcements in and out of a formula are only sound under
-    this restriction.
-    """
-    if getattr(f, "_upfree", False):
-        return True
-    nodes = _reachable(f)  # children first
-    ups = {y.body: y for y in nodes if isinstance(y, Up)}
-    suspects = [g for g in nodes if isinstance(g, Update) and g.announcement in ups]
-    if not suspects:
-        return True
-    subs = subformulas(f)
-    for c in {g.announcement for g in suspects}:
-        up = ups[c]
-        under = {}  # per node, whether up(c) is one of its atomic subterms
-        for y in nodes:
-            under[y] = y is up or isinstance(y, _PARENTS) and any(map(under.__getitem__, y._args))
-        if any(g.announcement is c and g in subs and under[g.body] for g in suspects):
-            return False
-    return True
-
-
 # which nodes a walk enters: those length counts the children of, every
 # node with children, and the formulas whose formula children are
 # subformulas

@@ -38,6 +38,28 @@ def formulas(depth):
     )
 
 
+def coupled_formulas():
+    """Formulas over two propositions in which up-terms of announced
+    formulas, nested in up bodies and application annotations too, turn
+    up often, under their own announcements and beside them."""
+    p1, p2, x1 = Prop(1), Prop(2), Variable(1)
+    return st.recursive(
+        st.sampled_from([p1, p2]),
+        lambda fs: st.one_of(
+            fs.map(Not),
+            st.tuples(fs, fs).map(lambda x: Implies(*x)),
+            st.tuples(st.one_of(st.just(x1), fs.map(Up), st.tuples(fs, fs).map(
+                lambda x: App(Up(x[0]), x[1], x1))), fs).map(lambda x: Justifies(*x)),
+            st.tuples(fs, fs).map(lambda x: Update(*x)),
+            # an update whose body justifies by its own up-term
+            st.tuples(fs, fs).map(lambda x: Update(x[0], Justifies(Up(x[0]), x[1]))),
+            # and one beside its up-term
+            st.tuples(fs, fs).map(lambda x: Implies(Justifies(Up(x[0]), x[1]), Update(*x))),
+        ),
+        max_leaves=10,
+    )
+
+
 # opening text, core, closing text; a family nests its opening n times
 _DEEP = {
     "~": ("~", "P1", ""),

@@ -7,9 +7,10 @@ how many violations, and a concrete witness, so a red line here is a
 finding, not a shrug. Nothing in this file weakens a check to stay green;
 the expansion axioms are asserted exactly as the checker licenses them,
 and any schema the semantics does not actually validate will fail its line
-with the evidence attached. Indep and Pers carry the same up-independence
-proviso; the instances it excludes are kept as contrasts that must still
-fail (criteria 3 and 5), so the proviso is shown to be needed.
+with the evidence attached. Indep and Pers carry the same proviso on
+[C]B: up(C) does not occur in B. The instances it excludes are kept as
+contrasts that must still fail (criteria 3 and 5), so the proviso is shown
+to be needed.
 """
 
 import random
@@ -60,7 +61,6 @@ from jus.syntax import (
     is_atomic,
     prop_indices,
     subformulas,
-    up_independent,
 )
 
 P1, P2 = Prop(1), Prop(2)
@@ -157,8 +157,8 @@ def test_criterion_3_axiom_identities_on_enumerated_models():
     c_pool = (P1, Not(P1), jx)
     counts = Counter()
     first = {}
-    # failures of up(C):A -> [C]up(C):A where [C]A is up-dependent, which
-    # the Pers proviso excludes
+    # failures of up(C):A -> [C]up(C):A where up(C) occurs in A, which the
+    # Pers proviso excludes
     excluded = set()
 
     def note(schema, model, w, f):
@@ -179,14 +179,13 @@ def test_criterion_3_axiom_identities_on_enumerated_models():
                     if lhs != rhs:
                         note("Funct", m, w, Update(c, Not(a)))
                     boxed = Update(c, a)
-                    if up_independent(boxed) and evaluate(
-                        ctx, w, boxed
-                    ) != evaluate(ctx, w, a):
+                    proviso = Up(c) not in atm(a)
+                    if proviso and evaluate(ctx, w, boxed) != evaluate(ctx, w, a):
                         note("Indep", m, w, boxed)
                     if evaluate(ctx, w, Justifies(Up(c), a)) == 1 and evaluate(
                         ctx, w, Update(c, Justifies(Up(c), a))
                     ) == 0:
-                        if up_independent(boxed):
+                        if proviso:
                             note("Pers", m, w, Justifies(Up(c), a))
                         else:
                             claim = Justifies(Up(c), a)
@@ -209,7 +208,7 @@ def test_criterion_3_axiom_identities_on_enumerated_models():
     )
     assert not counts, detail
     # contrast: without the proviso Pers fails, and the checker refuses
-    # every failing instance
+    # every failing instance, each of which has up(C) in its B
     assert excluded
     for f in excluded:
         assert match_axiom(f) == [], print_formula(f)
@@ -222,7 +221,7 @@ def _qualifying_ramsey_triples(count):
         s = _rand_term(rng, 2)
         c = _rand_formula(rng, 2)
         a = _rand_formula(rng, 2)
-        if up_independent(Update(c, Justifies(s, Implies(c, a)))):
+        if Up(c) not in atm(Justifies(s, Implies(c, a))):
             out.append((s, c, a))
     return out
 
@@ -255,7 +254,7 @@ def _qualifying_persistence_triples(count):
         t = _rand_term(rng, 2)
         a = _rand_formula(rng, 2)
         c = _rand_formula(rng, 2)
-        if not (_justification_free(a) and up_independent(c)):
+        if not _justification_free(a):
             continue
         annotations_ok = all(
             _justification_free(x.annotation)

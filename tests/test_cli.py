@@ -198,6 +198,17 @@ def test_check_proof_rejects_unsound_pers(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "countermodel"
 
 
+def test_check_proof_accepts_pers_whose_announcement_reads_its_own_up_term(capsys, tmp_path):
+    # the proviso asks only that up(A) not occur in B; A = [P2] up(P2) : P2
+    # reads up(P2), which does not count against it
+    pers = ("(up([P2] up(P2) : P2) : P1 -> "
+            "[[P2] up(P2) : P2] up([P2] up(P2) : P2) : P1)")
+    path = write_proof(tmp_path, [{"formula": pers, "rule": "axiom", "schema": "pers"}])
+    code, out, err = run_cli(capsys, "check-proof", path, "full")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ok": True}
+
+
 def test_check_proof_refuses_non_axiom_pair(capsys, tmp_path):
     # an explicit CS may list (c1, P1), but P1 is no axiom, so the pair
     # licenses nothing and the necessitation step fails

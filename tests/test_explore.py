@@ -703,11 +703,12 @@ def test_find_countermodel_exhausts_on_up_axiom():
 
 
 def test_pers_under_the_weaker_proviso_has_no_small_countermodel():
-    # up(A) is not in atm(B) here, but A mentions its own up-term, so the
-    # checker's proviso refuses this Pers instance; search finds no
-    # countermodel among the 9,126,704 models up to 3 worlds
+    # A mentions its own up-term, but up(A) is not in atm(B), so the
+    # checker accepts this Pers instance; search finds no countermodel
+    # among the 9,126,704 models up to 3 worlds
     a = parse_formula("[P2] up(P2) : P2")
     f = Implies(Justifies(Up(a), P1), Update(a, Justifies(Up(a), P1)))
+    assert [(i.schema, i.prefix) for i in match_axiom(f)] == [("Pers", ())]
     report = find_countermodel(f, signature_for(f, max_worlds=3, max_nonnormal=2))
     assert (report.outcome, report.models_scanned) == ("exhausted", 9126704)
 

@@ -236,21 +236,11 @@ def _brute_atoms_of(x, out):
         _brute_atoms_of(x.body, out)
 
 
-def _brute_up_independent(f) -> bool:
-    # walk formula structure only; term content is not a subformula
-    if isinstance(f, Update):
-        atoms = set()
-        _brute_atoms_of(f.body, atoms)
-        if Up(f.announcement) in atoms:
-            return False
-        return _brute_up_independent(f.announcement) and _brute_up_independent(f.body)
-    if isinstance(f, Not):
-        return _brute_up_independent(f.body)
-    if isinstance(f, Implies):
-        return _brute_up_independent(f.left) and _brute_up_independent(f.right)
-    if isinstance(f, Justifies):
-        return _brute_up_independent(f.body)
-    return True
+def _brute_reads_up(c, b) -> bool:
+    """Whether up(c) occurs in b: the proviso of Indep and Pers fails."""
+    atoms = set()
+    _brute_atoms_of(b, atoms)
+    return Up(c) in atoms
 
 
 def _brute_taut(f) -> bool:
@@ -296,7 +286,7 @@ def _brute_core(g) -> set:
             a, b = t.body, g.left.body
             if g == Implies(
                 Justifies(Up(a), b), Update(a, Justifies(Up(a), b))
-            ) and _brute_up_independent(Update(a, b)):
+            ) and not _brute_reads_up(a, b):
                 out.add("Pers")
     if (
         isinstance(g, Not)
@@ -312,7 +302,7 @@ def _brute_core(g) -> set:
                 out.add("App")
         if isinstance(x, Update):
             c, a = x.announcement, x.body
-            if g == _liff(Update(c, a), a) and _brute_up_independent(Update(c, a)):
+            if g == _liff(Update(c, a), a) and not _brute_reads_up(c, a):
                 out.add("Indep")
             if isinstance(a, Not) and g == _liff(
                 Update(c, Not(a.body)), Not(Update(c, a.body))
@@ -879,13 +869,16 @@ def test_prove_persistence_fo_rejections():
         prove_persistence_fo(
             App(Variable(1), Justifies(Variable(2), P1), Variable(2)), P1, P2, FULL
         )
-    with pytest.raises(ValueError, match="occurs inside"):
-        # up(P2) hides inside a different up-term, where Indep cannot reach
-        prove_persistence_fo(Up(Justifies(Up(P2), P1)), P1, P2, FULL)
-    dependent = Update(P2, Justifies(Up(P2), P2))
     with pytest.raises(ValueError, match="not up-independent"):
-        # the up(c) leaf is a Pers instance, whose proviso needs c independent
-        prove_persistence_fo(Up(dependent), P1, dependent, FULL)
+        # up(P2) hides inside a different up-term, and the Indep instance
+        # at that leaf reads it
+        prove_persistence_fo(Up(Justifies(Up(P2), P1)), P1, P2, FULL)
+    # the announcement reads its own up-term, which the Pers proviso
+    # allows: up(c) does not occur in P1
+    dependent = Update(P2, Justifies(Up(P2), P2))
+    p = prove_persistence_fo(Up(dependent), P1, dependent, FULL)
+    assert_checks(p)
+    assert [s.schema for s in p.steps] == ["Pers"]
 
 
 # -- proof files ----------------------------------------------------------

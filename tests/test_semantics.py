@@ -22,6 +22,7 @@ from jus.explore import (
 )
 from jus.model import SubsetModel
 from jus.parse import parse_formula
+from jus.proof import indep_instance
 from jus.semantics import (
     EvalContext,
     evaluate,
@@ -39,11 +40,12 @@ from jus.syntax import (
     Up,
     Update,
     Variable,
+    atm,
     eval_closure,
     subformulas,
 )
 
-from strategies import formulas, terms
+from strategies import coupled_formulas, formulas, terms
 
 P1, P2 = Prop(1), Prop(2)
 DISBELIEF = parse_formula("x1 : ~ up(P1) : P1")
@@ -193,18 +195,16 @@ def test_normality_identity(ctx):
 
 
 def test_independence_identity(ctx):
-    from jus.syntax import Update, up_independent
-
     for a in (P1, Implies(P1, P2), Justifies(Variable(1), P1)):
         f = Update(P2, a)
-        assert up_independent(f)
+        indep_instance(P2, a)  # the proviso holds
         assert evaluate(ctx, "w", f) == evaluate(ctx, "w", a)
 
 
 def test_announcement_can_break_persistence():
     # Belief in a formula that denies up(P1)-justification survives only
-    # until P1 is actually announced. This is why Pers carries the
-    # up-independence proviso; the checker refuses this instance, and the
+    # until P1 is actually announced. This is why Pers carries the proviso
+    # that up(A) not occur in B; the checker refuses this instance, and the
     # acceptance suite keeps the same effect as a contrast in criterion 3.
     # Here the smallest witness is pinned.
     body = Not(Justifies(Up(P1), P1))
@@ -486,6 +486,15 @@ def _to_reference(ref, x):
                    _to_reference(ref, x.right))
 
 
+def _oracle(ref, m):
+    """The reference evaluator over the model m."""
+    return ref.Evaluator(ref.Model(
+        m.worlds, m.normal, m.v0,
+        {(u, _to_reference(ref, f)): val for (u, f), val in m.v1.items()},
+        {(w, _to_reference(ref, t)): e for (w, t), e in m.evidence.items()},
+        m.evidence_default))
+
+
 @st.composite
 def _models(draw, support, atoms):
     """A valid model of 1 to 3 worlds, some of them non-normal, whose v1
@@ -536,11 +545,7 @@ def test_truth_and_evidence_agree_with_the_reference_evaluator(reference, fs, da
         for c in chains:
             contexts.append(contexts[-1].push(c))
         for b, m in enumerate(batch):
-            oracle = reference.Evaluator(reference.Model(
-                m.worlds, m.normal, m.v0,
-                {(u, _to_reference(reference, f)): val for (u, f), val in m.v1.items()},
-                {(w, _to_reference(reference, t)): e for (w, t), e in m.evidence.items()},
-                m.evidence_default))
+            oracle = _oracle(reference, m)
             for k, sub in enumerate(contexts):
                 chain = ref_chain[:k]
                 for f, rf in zip(fs, ref_fs):
@@ -549,3 +554,50 @@ def test_truth_and_evidence_agree_with_the_reference_evaluator(reference, fs, da
                     for t, rt in zip(terms_in, ref_terms):
                         assert (evidence_effective(sub, w, t, b)
                                 == oracle.evidence(w, rt, chain)), (t, w, chains[:k], m)
+
+
+# -- the proviso of Indep and Pers ------------------------------------------
+# Announcing C changes the evidence of up(C) only, so a B in which up(C)
+# does not occur keeps its truth set under [C], whatever other up-terms
+# and announcements B and C hold. The checker's Indep builder decides
+# which B those are; each B it accepts must read the same after the push.
+
+def _bodies(c):
+    """Formulas that read up(c), or other up-terms, beside or under
+    announcements that read their own up-terms."""
+    fs = coupled_formulas()
+    return st.one_of(
+        fs,
+        st.builds(lambda a: Justifies(Up(c), a), fs),
+        st.builds(lambda a: Not(Justifies(Up(c), a)), fs),
+        st.builds(lambda d, a: Update(d, Justifies(Up(c), a)), fs, fs),
+        st.builds(lambda d, a: Update(d, Justifies(Up(d), a)), fs, fs),
+        st.builds(lambda d, a: Implies(Justifies(Up(d), a), Update(c, Justifies(Up(d), a))),
+                  fs, fs),
+        st.builds(lambda s, a: Justifies(App(s, a, Up(c)), a), terms(1), fs),
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(formulas(2), coupled_formulas()), st.data())
+def test_the_proviso_keeps_the_truth_set_under_the_announcement(reference, c, data):
+    b = data.draw(_bodies(c))
+    try:
+        indep_instance(c, b)
+    except ValueError:
+        assert Up(c) in atm(b)  # refused only when B reads up(C)
+        return
+    closure = sorted(eval_closure(b) | eval_closure(Update(c, b)), key=repr)
+    atoms = sorted({g.term for g in closure if isinstance(g, Justifies)
+                    and not isinstance(g.term, App)}, key=repr)
+    models = data.draw(st.lists(_models(closure, atoms), min_size=1, max_size=6))
+    ctx = EvalContext(models)
+    pushed = ctx.push(c)
+    assert pushed.truth_mask(b) == ctx.truth_mask(b)
+    rb, rc = _to_reference(reference, b), _to_reference(reference, c)
+    for k, m in enumerate(models):
+        oracle = _oracle(reference, m)
+        want = oracle.truth(rb)
+        assert oracle.truth(rb, (rc,)) == want, (c, b, m)
+        assert truth_set(pushed, b, k) == truth_set(ctx, b, k) == want, (c, b, m)

@@ -23,10 +23,10 @@ from jus.syntax import (
     length,
     prop_indices,
     subformulas,
-    up_independent,
 )
+from jus.proof import indep_instance, pers_instance
 
-from strategies import formulas, terms
+from strategies import coupled_formulas, formulas, terms
 
 P1, P2 = Prop(1), Prop(2)
 c1, x1 = Constant(1), Variable(1)
@@ -52,17 +52,37 @@ def test_atm_update_has_no_up_term():
     assert atm(Update(P1, Justifies(x1, P1))) == {x1}
 
 
+# The proviso of Indep and Pers: [C]B is up-independent when up(C) does
+# not occur in B. The builders decide it; the tests below ask them.
+
+def _up_independent(c, b):
+    """Whether the Indep and Pers builders accept [c]b; they share one
+    proviso, so they must agree."""
+    verdicts = set()
+    for build in (indep_instance, pers_instance):
+        try:
+            build(c, b)
+            verdicts.add(True)
+        except ValueError:
+            verdicts.add(False)
+    assert len(verdicts) == 1, (c, b)
+    return verdicts.pop()
+
+
 def test_up_independent_plain_justification():
-    assert up_independent(Update(P1, Justifies(x1, P1)))
+    assert _up_independent(P1, Justifies(x1, P1))
 
 
 def test_up_independent_fails_on_up_axiom_shape():
-    assert not up_independent(Update(P1, Justifies(Up(P1), P1)))
+    assert not _up_independent(P1, Justifies(Up(P1), P1))
 
 
 def test_up_independent_inner_subformula_violates():
+    # the inner update reads its own up-term, but only up(P2) counts
+    # against the outer one
     f = Update(P2, Update(P1, Justifies(Up(P1), P1)))
-    assert not up_independent(f)
+    assert not _up_independent(f.body.announcement, f.body.body)
+    assert _up_independent(f.announcement, f.body)
 
 
 def test_length_atoms():
@@ -140,60 +160,65 @@ def test_length_dominates_children(f):
 
 @given(formulas(4))
 def test_up_independent_restricts_to_subformulas(f):
-    if up_independent(f):
-        for g in subformulas(f):
-            if isinstance(g, Update):
-                assert up_independent(g)
-
-
-def _up_independent_per_update(f):
-    """The proviso as defined, without the walk that finds suspects: an
-    atm walk under every update subformula."""
+    # a subformula of B has fewer atoms than B
     for g in subformulas(f):
-        if isinstance(g, Update) and Up(g.announcement) in atm(g.body):
-            return False
-    return True
+        if isinstance(g, Update) and _up_independent(g.announcement, g.body):
+            for h in subformulas(g.body):
+                assert _up_independent(g.announcement, h)
 
 
-# formulas over two propositions, so that up-terms of announced formulas,
-# nested in up bodies and application annotations too, turn up often
-_COUPLED = st.recursive(
-    st.sampled_from([P1, P2]),
-    lambda fs: st.one_of(
-        fs.map(Not),
-        st.tuples(fs, fs).map(lambda x: Implies(*x)),
-        st.tuples(st.one_of(st.just(x1), fs.map(Up), st.tuples(fs, fs).map(
-            lambda x: App(Up(x[0]), x[1], x1))), fs).map(lambda x: Justifies(*x)),
-        st.tuples(fs, fs).map(lambda x: Update(*x)),
-        # an update whose body justifies by its own up-term
-        st.tuples(fs, fs).map(lambda x: Update(x[0], Justifies(Up(x[0]), x[1]))),
-        # and one beside its up-term
-        st.tuples(fs, fs).map(lambda x: Implies(Justifies(Up(x[0]), x[1]), Update(*x))),
-    ),
-    max_leaves=10,
-)
+def _children(x):
+    if isinstance(x, (Not, Up)):
+        return (x.body,)
+    if isinstance(x, Implies):
+        return (x.left, x.right)
+    if isinstance(x, Justifies):
+        return (x.term, x.body)
+    if isinstance(x, Update):
+        return (x.announcement, x.body)
+    if isinstance(x, App):
+        return (x.left, x.annotation, x.right)
+    return ()
+
+
+def _occurs(u, x):
+    """Whether u occurs in x, by a plain walk through every child, term
+    content included."""
+    return x is u or any(_occurs(u, y) for y in _children(x))
 
 
 @settings(max_examples=300)
-@given(st.one_of(formulas(4), _COUPLED))
+@given(st.one_of(formulas(4), coupled_formulas()))
 def test_up_independent_matches_the_per_update_definition(f):
-    assert up_independent(f) == _up_independent_per_update(f)
+    for g in subformulas(f):
+        if isinstance(g, Update):
+            c, b = g.announcement, g.body
+            assert _up_independent(c, b) == (not _occurs(Up(c), b))
 
 
 def test_up_independent_looks_at_subformulas_only():
-    # an update inside an up-term is no subformula, so it cannot fail
+    # up(P1) inside the announcement does not count against it: this is
+    # the Pers instance up(A):P2 -> [A]up(A):P2 with A = [P1]up(P1):P1
     inner = Update(P1, Justifies(Up(P1), P1))
-    assert up_independent(Justifies(Up(inner), P2))
-    assert not up_independent(Implies(P2, inner))
+    assert _up_independent(inner, P2)
+    # but inside an up-term of the body it does
+    assert not _up_independent(P1, Justifies(Up(inner), P2))
+    assert not _up_independent(P1, Implies(P2, inner))
+    assert _up_independent(P2, Implies(P2, inner))
     # up(P1) outside the update does not count against it
-    assert up_independent(Implies(Justifies(Up(P1), P1), Update(P1, P1)))
-    # several announcements have their up-terms in f, and one fails
+    assert _up_independent(P1, P1)
+    assert not _up_independent(P1, Implies(Justifies(Up(P1), P1), Update(P1, P1)))
+    # several announcements have their up-terms in B, and one is announced
     fine = [Implies(Justifies(Up(a), P1), Update(a, P2)) for a in (P1, P2, Not(P1), Not(P2))]
-    for bad in (Update(a, Justifies(Up(a), P2)) for a in (P1, P2, Not(P1), Not(P2))):
-        for f in (Implies(bad, conj(*fine[:2])), Implies(conj(*fine[2:]), bad),
+    for a in (P1, P2, Not(P1), Not(P2)):
+        bad = Update(a, Justifies(Up(a), P2))
+        assert not _up_independent(a, bad.body)
+        for b in (Implies(bad, conj(*fine[:2])), Implies(conj(*fine[2:]), bad),
                   Update(P1, Implies(fine[1], Implies(fine[3], bad)))):
-            assert not up_independent(f)
-            assert up_independent(f) == _up_independent_per_update(f)
+            for d in (P1, P2, Not(P1), Not(P2), Not(Not(P1))):
+                assert _up_independent(d, b) == (not _occurs(Up(d), b))
+            assert not _up_independent(a, b)
+            assert _up_independent(Not(Not(P1)), b)
 
 
 def test_up_independent_on_2000_nested_announcements():
@@ -201,10 +226,12 @@ def test_up_independent_on_2000_nested_announcements():
     for _ in range(2000):
         f = Update(P1, f)
         g = Update(P1, g) if g is not P1 else Update(P1, Justifies(Up(P1), P1))
-    for x, want in ((f, True), (Implies(Justifies(Up(P1), P1), f), True), (g, False),
-                    (Update(P2, Implies(f, Justifies(Up(P2), P1))), False)):
+    # whether [P1]B and [P2]B are up-independent, for each B
+    for b, want in ((f, (True, True)), (Implies(Justifies(Up(P1), P1), f), (False, True)),
+                    (g, (False, True)),
+                    (Update(P2, Implies(f, Justifies(Up(P2), P1))), (True, False))):
         start = time.perf_counter()
-        assert up_independent(x) == want
+        assert (_up_independent(P1, b), _up_independent(P2, b)) == want
         assert time.perf_counter() - start < 0.5
 
 
@@ -215,8 +242,13 @@ def test_walks_are_linear_in_shared_dags():
     for _ in range(24):
         f = Implies(f, Not(Justifies(x1, Update(P2, f))))
         g = Implies(g, Not(g))
+    def up_independent_under_p2(x):
+        return _up_independent(P2, x)
+
+    # up(P1) beside f, so the proviso walks all of f
     for walk, x, want in ((atm, f, {x1}), (prop_indices, f, {1, 2}),
-                          (constants_in, f, set()), (up_independent, f, True),
+                          (constants_in, f, set()),
+                          (up_independent_under_p2, Implies(Justifies(Up(P1), P1), f), True),
                           (length, f, 7 * 2 ** 24 - 6), (length, g, 3 * 2 ** 24 - 2)):
         start = time.perf_counter()
         got = walk(x)
