@@ -9,8 +9,9 @@ split, since evaluation is invariant under any such relabeling).
 The raw assignments of one shape (so many normal and non-normal worlds)
 form one binary index, laid out in blocks: per world slot, a v0 block of
 a bit per proposition, a v1 block of a bit per support formula, or an
-evidence block of a digit per atom. Over a window of that index every
-digit of the model is a periodic bit pattern. So a window is evaluated
+evidence block of a digit per atom, whose bit u is set when world slot u
+is in the atom's evidence set. Over a window of that index every bit of
+the model is a periodic bit pattern, and so a window is evaluated
 bit-sliced, as one Batch, without building a model. The representatives
 are the models whose encoding no renaming makes lexicographically
 smaller (lex-leader symmetry breaking), and a window's are a mask too,
@@ -123,17 +124,13 @@ def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> Mo
 @functools.cache
 def _world_sets(k: int, m: int) -> tuple:
     """The normal worlds and all the worlds of k normal and m non-normal
-    ones, then every set of worlds in itertools.combinations order, as
-    member bits (bit u for world slot u) and as world names, and per world
-    slot u the digits (indices into the sets) whose set contains u."""
+    ones, then every set of worlds as world names, indexed by its member
+    bits (bit u for world slot u)."""
     normal = tuple("w%d" % (i + 1) for i in range(k))
     worlds = normal + tuple("u%d" % (i + 1) for i in range(m))
-    subsets = tuple(sum(1 << u for u in c) for r in range(k + m + 1)
-                    for c in itertools.combinations(range(k + m), r))
-    sets = tuple(frozenset(w for u, w in enumerate(worlds) if s >> u & 1) for s in subsets)
-    members = tuple(frozenset(d for d, s in enumerate(subsets) if s >> u & 1)
-                    for u in range(k + m))
-    return normal, worlds, subsets, sets, members
+    sets = tuple(frozenset(w for u, w in enumerate(worlds) if s >> u & 1)
+                 for s in range(1 << k + m))
+    return normal, worlds, sets
 
 
 # the values of a one-bit digit that set its column
@@ -146,10 +143,11 @@ def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tup
     the (own, renamed) encoding columns that can differ, over props
     propositions, support v1 formulas and atoms atoms. A column is (lo,
     size, values) as _Shape lays out its blocks, lowest first: evidence,
-    then v1, then v0, each in reverse cell order."""
+    then v1, then v0, each in reverse cell order. An evidence column is
+    one bit of the set's rank in sorted-tuple order, so its values are
+    the member masks whose set's rank has that bit."""
     n = k + m
-    subsets = _world_sets(k, m)[2]
-    by_tuple = sorted(subsets, key=lambda s: [u for u in range(n) if s >> u & 1])
+    by_tuple = sorted(range(1 << n), key=lambda s: [u for u in range(n) if s >> u & 1])
     rank = {s: r for r, s in enumerate(by_tuple)}
     v1 = k * atoms * n  # the lowest bit of the v1 cells
     v0 = v1 + m * support  # and of the v0 cells
@@ -157,7 +155,8 @@ def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tup
     def encoding(perm):
         # the model renamed by perm (slot i to slot perm[i]), most
         # significant column first
-        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)] for s in subsets]
+        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)]
+                   for s in range(1 << n)]
         bits = [frozenset(d for d, r in enumerate(renamed) if r >> j & 1)
                 for j in reversed(range(n))]
         old = sorted(range(n), key=perm.__getitem__)  # the slot renamed to each slot
@@ -215,16 +214,15 @@ class _Shape:
     A raw model is one binary index in itertools.product order over its
     cells: v0 cells (normal world, proposition) first and most
     significant, then v1 cells (non-normal world, support formula), then
-    evidence cells (normal world, atom), each an n-bit digit that picks
-    the evidence set from subsets, all the sets of worlds in
-    itertools.combinations order. So the index is laid out in blocks, one
-    per world slot and kind (blocks): a normal slot's v0 block holds a
-    bit per proposition and its evidence block an n-bit digit per atom,
-    a non-normal slot's v1 block a bit per support formula, and where each
-    block starts follows from the world and key counts alone. Over a
-    window of indices each digit is a periodic pattern (semantics.pattern),
-    so a window of models packs into a Batch without building any of
-    them. A sweep's random trial is a raw index too, and _pack packs any
+    evidence cells (normal world, atom), each an n-bit digit that is the
+    evidence set's member bits (bit u for world slot u). So the index is
+    laid out in blocks, one per world slot and kind (blocks): a normal
+    slot's v0 block holds a bit per proposition and its evidence block
+    an n-bit digit per atom, a non-normal slot's v1 block a bit per
+    support formula, and where each block starts follows from the world
+    and key counts alone. Over a window of indices each bit is a
+    periodic pattern (semantics.pattern), so a window of models packs
+    into a Batch without building any of them. A sweep's random trial is a raw index too, and _pack packs any
     list of them, gathering the blocks of one kind, slot and digit size
     from every shape; both go through _assemble, block by block.
 
@@ -239,7 +237,7 @@ class _Shape:
     """
 
     def __init__(self, sig: ModelSignature, k: int, m: int):
-        self.normal, self.worlds, self.subsets, self.sets, self.members = _world_sets(k, m)
+        self.normal, self.worlds, self.sets = _world_sets(k, m)
         self.k = k
         self.n = n = k + m
         self.sig = sig
@@ -248,7 +246,7 @@ class _Shape:
         props, support, atoms = self.counts[2:]
         # the evidence blocks fill the lowest bits, then the v1 blocks, then
         # the v0 blocks; within each kind the first slot's block is highest
-        self.evidence_bits = v1 = k * atoms * n
+        v1 = k * atoms * n
         v0 = v1 + m * support
         self.bits = v0 + k * props
         self.size = 1 << self.bits
@@ -290,12 +288,11 @@ class _Shape:
     def batch(self, start: int, width: int) -> Batch:
         """The window's models packed for evaluation, in index order."""
         def column(lo, size):
-            # a one-bit digit, truth value or one-world set, has member bit 1
-            if size == 1:
-                return pattern(lo, 1, _ONE, start, width)
-            out = 0
-            for u, values in enumerate(self.members):
-                out |= pattern(lo, size, values, start, width) << u * width
+            # member bit u of the digit is index bit lo + u; a one-bit
+            # digit's column is its pattern itself
+            out = pattern(lo, 1, _ONE, start, width)
+            for u in range(1, size):
+                out |= pattern(lo + u, 1, _ONE, start, width) << u * width
             return out
 
         blocks = [(kind, i, keys, [column(d, size)
@@ -384,10 +381,10 @@ def _pack(trials) -> Batch:
     """Trials, (shape, raw index) pairs of any shapes over one signature,
     packed as one Batch: lane b is trial b.
 
-    Each index becomes a binary row of one width, its evidence digits
-    rewritten from a set's rank to the set's member bits. The rows are
-    interleaved into one string, row b at every width-th character from
-    the end, so one int() puts raw bit j of trial b at bit j * width + b.
+    Each index becomes a binary row of one width, in which an evidence
+    digit is already its set's member bits. The rows are interleaved
+    into one string, row b at every width-th character from the end, so
+    one int() puts raw bit j of trial b at bit j * width + b.
     A block of lo and count digits of size bits is then one field of
     count * size * width bits there, cut out with one shift and one AND
     by the shape's lanes repeated over the field. A block's keys, and so
@@ -402,11 +399,6 @@ def _pack(trials) -> Batch:
     own = {}
     for b, (shape, index) in enumerate(trials):
         own[shape] = own.get(shape, 0) | 1 << b
-        if shape.n > 2:  # up to two worlds, a set's rank is its member bits
-            top = (1 << shape.n) - 1
-            for lo in range(0, shape.evidence_bits, shape.n):
-                d = index >> lo & top
-                index ^= (d ^ shape.subsets[d]) << lo
         flat[width - 1 - b::width] = format(index, form).encode()
     raw = int(flat, 2)
     # per digit count, one lane in each of that many fields of width bits

@@ -201,8 +201,9 @@ def _raw_models(sig, k, m):
     """Every raw model of the shape, in index order."""
     normal, other = _world_names(k, m)
     worlds = normal + other
-    subsets = [frozenset(c) for r in range(len(worlds) + 1)
-               for c in itertools.combinations(worlds, r)]
+    # an evidence digit is its set's member bits: bit u for world u
+    subsets = [frozenset(w for u, w in enumerate(worlds) if s >> u & 1)
+               for s in range(1 << len(worlds))]
     v0_cells = [(w, p) for w in normal for p in sig.propositions]
     v1_cells = [(w, g) for w in other for g in sig.v1_support]
     ev_cells = [(w, t) for w in normal for t in sig.atoms]
@@ -261,8 +262,8 @@ BLOCK_SIGS = [
     ModelSignature((), (Variable(1),), 4, 2, ()),
 ]
 
-# a signature of up to 5 worlds: evidence digits of 5 bits, whose ranks
-# the packer rewrites, and 15 shapes for one batch to gather blocks from
+# a signature of up to 5 worlds: evidence digits of 5 member bits, and
+# 15 shapes for one batch to gather blocks from
 FIVE_SIG = ModelSignature((1,), (Constant(1), Up(P1)), 5, 4, (P1, Implies(P1, P2)))
 
 
@@ -272,8 +273,10 @@ def test_block_signatures_leave_blocks_empty_and_evidence_untiled():
     assert any("ev" not in got for got in kinds)
     assert any("v1" not in got and shape.n > shape.k for got, shape in zip(kinds, shapes))
     assert any(got.get("v0") == 1 for got in kinds) and any("v0" not in got for got in kinds)
-    untiled = {(shape.n, shape.evidence_bits) for shape in shapes
-               if shape.n > 2 and shape.evidence_bits % 12}
+    regions = [sum(len(keys) * size for kind, _, keys, size, _ in shape.blocks if kind == "ev")
+               for shape in shapes]
+    untiled = {(shape.n, bits) for shape, bits in zip(shapes, regions)
+               if shape.n > 2 and bits % 12}
     assert {bits for n, bits in untiled if n == 3} >= {3, 6, 9}
     assert {bits for n, bits in untiled if n == 4} >= {4, 8, 16, 32}
 
@@ -658,20 +661,26 @@ def _first_countermodel(f, sig, universe=()):
     return ("exhausted", scanned, None, None)
 
 
+# text is (formula, max worlds, max non-normal, worlds of the hit or None
+# when exhausted). The last query's first hit lies in a 3-world shape, so
+# the raw order of 3-world evidence digits decides which model it is
 @pytest.mark.parametrize("text, universe", [
-    (PERSIST, ()),
-    (parse_formula("(x1 : P1 -> x1 : ~~P1)"), ()),
-    (parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"), ()),
-    (parse_formula("~c1 : (P1 -> P1)"), ((Constant(1), Implies(P1, P1)),)),
-    (parse_formula("c1 : (P1 -> P1)"), ((Constant(1), Implies(P1, P1)),)),
-    (parse_formula("(c1 : (P1 -> P1) -> c1 : ~~(P1 -> P1))"),
+    ((PERSIST, 2, 1, 1), ()),
+    ((parse_formula("(x1 : P1 -> x1 : ~~P1)"), 2, 1, 2), ()),
+    ((parse_formula("(up(P1) : P2 -> [P1] up(P1) : P2)"), 2, 1, None), ()),
+    ((parse_formula("~c1 : (P1 -> P1)"), 2, 1, 1), ((Constant(1), Implies(P1, P1)),)),
+    ((parse_formula("c1 : (P1 -> P1)"), 2, 1, None), ((Constant(1), Implies(P1, P1)),)),
+    ((parse_formula("(c1 : (P1 -> P1) -> c1 : ~~(P1 -> P1))"), 2, 1, 2),
      ((Constant(1), Implies(P1, P1)),)),
+    ((parse_formula("~(((P1 & P2) & ~x1 : P1) & (~x1 : P2 & x1 : (P1 | P2)))"), 3, 0, 3), ()),
 ])
 def test_find_countermodel_matches_a_plain_scan(text, universe):
-    sig = signature_for(text)
-    report = find_countermodel(text, sig, universe)
+    f, worlds, nonnormal, hit_worlds = text
+    sig = signature_for(f, worlds, nonnormal)
+    report = find_countermodel(f, sig, universe)
     got = (report.outcome, report.models_scanned, report.model, report.world)
-    assert got == _first_countermodel(text, sig, universe)
+    assert got == _first_countermodel(f, sig, universe)
+    assert (len(report.model.worlds) if report.model else None) == hit_worlds
 
 
 def test_random_cs_model_empty_universe():
@@ -809,6 +818,12 @@ def test_random_axiom_instances_match_their_schema():
     for schema in ("Taut", "App", "Indep", "Funct", "Norm", "Up", "Pers"):
         for f in random_axiom_instances(schema, 15, seed=9):
             assert any(i.schema == schema for i in match_axiom(f)), schema
+
+
+def test_random_axiom_instances_refuse_an_unknown_schema():
+    with pytest.raises(ValueError) as e:
+        random_axiom_instances("Nope", 1, 0)
+    assert str(e.value) == "unknown schema 'Nope'"
 
 
 def test_random_axiom_instances_couple_announcements():

@@ -987,6 +987,32 @@ def test_proof_json_malformed_step_after_shared_groups():
     assert str(e.value) == "step %d formula: %s" % (k, alone.value)
 
 
+def _mismatched_mp():
+    b = ProofBuilder()
+    i = b.axiom(Implies(P1, P1), "Taut")
+    j = b.axiom(Implies(P2, P2), "Taut")
+    b.mp(i, j)
+
+
+def _necessitated_under_empty():
+    b = ProofBuilder()
+    b.axiom(Implies(P1, P1), "Taut")
+    prove_necessitation(b.proof(), EMPTY)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_mismatched_mp, "step 2 does not apply to step 1"),
+    (_necessitated_under_empty,
+     "the empty constant specification cannot witness necessitation"),
+    (lambda: proof_from_json([{"formula": "(P1 -> P1)", "rule": "axiom", "constant": "c1"}]),
+     "step 1: only necessitation steps take a constant"),
+])
+def test_builder_and_reader_refusals(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_proof_json_rejections():
     with pytest.raises(ValueError, match="nonempty"):
         proof_from_json([])

@@ -1,6 +1,7 @@
 import time
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from jus.syntax import (
@@ -139,6 +140,21 @@ def test_bad_indices_rejected():
             except ValueError:
                 continue
             raise AssertionError("%s(%d) should be rejected" % (ctor.__name__, bad))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Constant(0), ValueError, "constant index must be >= 1"),
+    (lambda: Variable(0), ValueError, "variable index must be >= 1"),
+    (lambda: Prop(0), ValueError, "proposition index must be >= 1"),
+    (lambda: Up(x1), TypeError, "up() takes a formula"),
+    (lambda: App(P1, P1, x1), TypeError, "application combines two terms"),
+    (lambda: App(x1, x1, x1), TypeError, "application annotation must be a formula"),
+    (lambda: Justifies(P1, P1), TypeError, "justification needs a term on the left"),
+])
+def test_constructors_refuse_bad_arguments(build, error, message):
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message
 
 
 @given(formulas(4))
