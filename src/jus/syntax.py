@@ -6,18 +6,29 @@ All nodes are interned: constructing the same shape twice returns the same
 object, so equality is identity and hashing is O(1). Treat instances as
 immutable. Each node also carries `_upfree`, true when no up-term is
 reachable from it, set once from its children's flags when it is interned.
+
+Each node class has its own pool, the class attribute `_pool`, a dict from
+the constructor's argument tuple to the node; `__init_subclass__` gives every
+subclass a fresh one, so no two classes share a node. A pool lives as long
+as its class: as long as this module, or any of the class's nodes, is
+referenced. So when a fresh import of `jus` after purging `sys.modules`
+replaces this module, the garbage collector frees the old classes with all
+their nodes. That is why no `typing` construct that names a node class may
+sit at module level, such as an alias `Union[Term, Formula]`: `typing`
+caches its subscriptions process-wide, and the cache would keep the classes,
+and through their methods' globals this whole module, alive for good.
+Annotations are strings here, under `from __future__ import annotations`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
-
-_pool: dict = {}
+from typing import Iterator
 
 
+# Pool keys compare by ==, so the index constructors refuse what equals an
+# int without being one: Prop(True) would otherwise be Prop(1)'s node.
 def _intern(cls, *args):
-    key = (cls, args)
-    node = _pool.get(key)
+    node = cls._pool.get(args)
     if node is None:
         node = object.__new__(cls)
         node._args = args
@@ -27,7 +38,7 @@ def _intern(cls, *args):
         for a in args:
             if not getattr(a, "_upfree", True):
                 node._upfree = False
-        _pool[key] = node
+        cls._pool[args] = node
     return node
 
 
@@ -35,6 +46,10 @@ class Term:
     """Base class for evidence terms."""
 
     __slots__ = ("_args", "_upfree")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._pool = {}
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
@@ -45,6 +60,10 @@ class Formula:
 
     __slots__ = ("_args", "_upfree")
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._pool = {}
+
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
 
@@ -53,6 +72,8 @@ class Constant(Term):
     __slots__ = ()
 
     def __new__(cls, index: int):
+        if type(index) is not int:
+            raise TypeError("constant index must be an int")
         if index < 1:
             raise ValueError("constant index must be >= 1")
         return _intern(cls, index)
@@ -66,6 +87,8 @@ class Variable(Term):
     __slots__ = ()
 
     def __new__(cls, index: int):
+        if type(index) is not int:
+            raise TypeError("variable index must be an int")
         if index < 1:
             raise ValueError("variable index must be >= 1")
         return _intern(cls, index)
@@ -119,6 +142,8 @@ class Prop(Formula):
     __slots__ = ()
 
     def __new__(cls, index: int):
+        if type(index) is not int:
+            raise TypeError("proposition index must be an int")
         if index < 1:
             raise ValueError("proposition index must be >= 1")
         return _intern(cls, index)
@@ -190,9 +215,6 @@ class Update(Formula):
         return self._args[1]
 
 
-Node = Union[Term, Formula]
-
-
 # Derived connectives are not part of the stored syntax. They expand to the
 # fixed shapes below at construction or parse time; which expansion is chosen
 # matters, because justification is hyperintensional (equivalent but distinct
@@ -224,7 +246,7 @@ def is_atomic(t: Term) -> bool:
     return isinstance(t, (Constant, Variable, Up))
 
 
-def atm(x: Node) -> frozenset:
+def atm(x: Term | Formula) -> frozenset:
     """The atomic subterms of a term or formula.
 
     An up-term counts as atomic itself but its announcement body is searched
@@ -275,14 +297,14 @@ def _postorder(roots, inner) -> dict:
     return done
 
 
-def _reachable(x: Node, inner=_PARENTS) -> dict:
+def _reachable(x: Term | Formula, inner=_PARENTS) -> dict:
     """_postorder((x,), inner) of a term or formula x."""
     if not isinstance(x, (Term, Formula)):
         raise TypeError("expected a term or formula, got %r" % (x,))
     return _postorder((x,), inner)
 
 
-def length(x: Node) -> int:
+def length(x: Term | Formula) -> int:
     """Structural length; atomic terms count 1 regardless of their bodies.
     Each shared node is measured once, so the cost is linear in the DAG."""
     n = _reachable(x, _COMPOUND)  # filled in children first
@@ -344,11 +366,11 @@ def eval_closure(f: Formula) -> frozenset:
     return frozenset(seen)
 
 
-def constants_in(x: Node) -> frozenset:
+def constants_in(x: Term | Formula) -> frozenset:
     """Indices of all constants occurring anywhere in a term or formula."""
     return frozenset(y.index for y in _reachable(x) if isinstance(y, Constant))
 
 
-def prop_indices(x: Node) -> frozenset:
+def prop_indices(x: Term | Formula) -> frozenset:
     """Indices of all propositions occurring anywhere, term content included."""
     return frozenset(y.index for y in _reachable(x) if isinstance(y, Prop))

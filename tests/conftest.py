@@ -2,13 +2,19 @@ import importlib.util
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import jus
 from jus.model import model_from_json
 
 HERE = os.path.dirname(__file__)
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(HERE)), "bench", "reference.py")
+
+# a subprocess imports the same jus as this process, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(jus.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def data_path(name):

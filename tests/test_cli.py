@@ -8,7 +8,6 @@ wires up the same way.
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -25,13 +24,9 @@ from jus.model import ConstantSpec, model_from_json
 from jus.proof import proof_to_json, prove_necessitation, prove_ramsey
 from jus.syntax import Prop, Variable
 
-from conftest import data_path
+from conftest import SUBPROCESS_ENV, data_path
 
 P1 = Prop(1)
-
-# a subprocess imports the same jus as this process, installed or not
-SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [str(Path(jus.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -27,6 +29,7 @@ from jus.syntax import (
 )
 from jus.proof import indep_instance, pers_instance
 
+from conftest import SUBPROCESS_ENV
 from strategies import coupled_formulas, formulas, terms
 
 P1, P2 = Prop(1), Prop(2)
@@ -130,6 +133,34 @@ def test_interning_gives_identity_equality():
     a = Justifies(App(c1, P1, x1), P2)
     b = Justifies(App(Constant(1), Prop(1), Variable(1)), Prop(2))
     assert a is b
+    # each class has its own pool: equal arguments, distinct nodes
+    assert len({id(Constant(1)), id(Variable(1)), id(Prop(1))}) == 3
+    assert Constant(1) is c1 and Variable(1) is x1 and Prop(1) is P1
+
+    class Atom(Prop):
+        pass
+
+    atom = Atom(7)  # built before Prop(7)
+    assert type(atom) is Atom and atom is Atom(7)
+    assert type(Prop(7)) is Prop and type(Atom(1)) is Atom
+
+
+# a fresh import of jus after purging sys.modules, as bench/run.py makes,
+# leaves the previous classes, and with them their pools, to the collector
+REIMPORT = (
+    "import gc, importlib, sys, weakref; "
+    "ref = weakref.ref(importlib.import_module('jus').syntax.Prop); "
+    "[sys.modules.pop(m) for m in list(sys.modules) if m == 'jus' or m.startswith('jus.')]; "
+    "importlib.import_module('jus'); gc.collect(); "
+    "sys.exit('the previous jus.syntax.Prop is still alive' if ref() else 0)"
+)
+
+
+def test_a_fresh_import_releases_the_previous_one():
+    # in a child interpreter, so this session's jus stays loaded
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_bad_indices_rejected():
@@ -146,6 +177,12 @@ def test_bad_indices_rejected():
     (lambda: Constant(0), ValueError, "constant index must be >= 1"),
     (lambda: Variable(0), ValueError, "variable index must be >= 1"),
     (lambda: Prop(0), ValueError, "proposition index must be >= 1"),
+    # not ints; True and 1.0 equal 1, and would take index 1's node
+    (lambda: Constant(True), TypeError, "constant index must be an int"),
+    (lambda: Variable(1.0), TypeError, "variable index must be an int"),
+    (lambda: Prop(True), TypeError, "proposition index must be an int"),
+    (lambda: Prop(1.0), TypeError, "proposition index must be an int"),
+    (lambda: Prop("1"), TypeError, "proposition index must be an int"),
     (lambda: Up(x1), TypeError, "up() takes a formula"),
     (lambda: App(P1, P1, x1), TypeError, "application combines two terms"),
     (lambda: App(x1, x1, x1), TypeError, "application annotation must be a formula"),
