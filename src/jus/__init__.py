@@ -38,6 +38,7 @@ from .syntax import (
     Formula,
     Implies,
     Justifies,
+    Node,
     Not,
     Prop,
     Term,

@@ -70,6 +70,7 @@ from .syntax import (
     Up,
     Update,
     Variable,
+    _valid_index,
     atm,
     conj,
     disj,
@@ -96,7 +97,7 @@ class ModelSignature:
             raise ValueError("the number of non-normal worlds cannot be negative")
         if not all(is_atomic(t) for t in self.atoms):
             raise ValueError("signature atoms must be atomic terms")
-        if not all(isinstance(p, int) and p >= 1 for p in self.propositions):
+        if not all(map(_valid_index, self.propositions)):
             raise ValueError("signature propositions must be indices >= 1")
         if not all(isinstance(g, Formula) for g in self.v1_support):
             raise ValueError("the signature's v1 support must be formulas")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .parse import SourceError, _echo, parse_formula, parse_term, print_formula, print_term
-from .syntax import Constant, Formula, Prop, Term, is_atomic
+from .syntax import Constant, Formula, Prop, Term, _valid_index, is_atomic
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def validate_model(m: SubsetModel) -> list:
     for (w, p), val in m.v0.items():
         if w not in m.normal:
             bad.append("v0 key %s is not a normal world" % _echo(w))
-        if not (isinstance(p, int) and p >= 1):
+        if not _valid_index(p):
             bad.append("v0 proposition index %s must be an integer >= 1" % _echo(p))
         if not isinstance(val, bool):
             bad.append("v0 value for (%s, P%s) must be a boolean" % (_echo(w), _echo(p)))

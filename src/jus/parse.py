@@ -369,34 +369,28 @@ def parse_term(text: str) -> Term:
 def _printed(roots) -> tuple:
     """The dicts (formulas, terms) from each node reachable from the
     sequence roots to its text, by one children-first pass over them all
-    (see the module docstring). Formulas and terms are printed into dicts
-    of their own, so a term in a formula position is a KeyError."""
+    (see the module docstring)."""
     fs, ts = {}, {}
-    try:
-        for y in _postorder(roots, _PARENTS):
-            cls = y.__class__
-            if cls is Prop:
-                fs[y] = "P%d" % y.index
-            elif cls is Not:
-                fs[y] = "~" + fs[y.body]
-            elif cls is Implies:
-                fs[y] = "(%s -> %s)" % (fs[y.left], fs[y.right])
-            elif cls is Justifies:
-                fs[y] = "%s : %s" % (ts[y.term], fs[y.body])
-            elif cls is Update:
-                fs[y] = "[%s] %s" % (fs[y.announcement], fs[y.body])
-            elif cls is Constant:
-                ts[y] = "c%d" % y.index
-            elif cls is Variable:
-                ts[y] = "x%d" % y.index
-            elif cls is Up:
-                ts[y] = "up(%s)" % fs[y.body]
-            elif cls is App:
-                ts[y] = "(%s *[%s] %s)" % (ts[y.left], fs[y.annotation], ts[y.right])
-            else:  # no node, so in a formula position: constructors check the others
-                raise TypeError("expected a formula, got %r" % (y,))
-    except KeyError as e:
-        raise TypeError("expected a formula, got %r" % e.args) from None
+    for y in _postorder(roots, _PARENTS):
+        cls = y.__class__
+        if cls is Prop:
+            fs[y] = "P%d" % y.index
+        elif cls is Not:
+            fs[y] = "~" + fs[y.body]
+        elif cls is Implies:
+            fs[y] = "(%s -> %s)" % (fs[y.left], fs[y.right])
+        elif cls is Justifies:
+            fs[y] = "%s : %s" % (ts[y.term], fs[y.body])
+        elif cls is Update:
+            fs[y] = "[%s] %s" % (fs[y.announcement], fs[y.body])
+        elif cls is Constant:
+            ts[y] = "c%d" % y.index
+        elif cls is Variable:
+            ts[y] = "x%d" % y.index
+        elif cls is Up:
+            ts[y] = "up(%s)" % fs[y.body]
+        elif cls is App:
+            ts[y] = "(%s *[%s] %s)" % (ts[y.left], fs[y.annotation], ts[y.right])
     return fs, ts
 
 

@@ -306,7 +306,7 @@ class EvalContext:
         elif cls is Update:
             c, body = f._args
             # an up-free body reads the same under any announcement
-            if getattr(body, "_upfree", False):
+            if body._upfree:
                 got = self.truth_mask(body)
             else:
                 got = self.push(c).truth_mask(body)

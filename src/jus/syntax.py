@@ -2,10 +2,21 @@
 
 Terms justify formulas; `up(A)` names the evidence produced by announcing A,
 and `(s *[A] t)` applies an implication's evidence to a premise's evidence.
-All nodes are interned: constructing the same shape twice returns the same
-object, so equality is identity and hashing is O(1). Treat instances as
-immutable. Each node also carries `_upfree`, true when no up-term is
-reachable from it, set once from its children's flags when it is interned.
+
+One table defines the nodes. Each node class lists its fields in `_fields`,
+as (name, kind) pairs in argument order: the kind `int` is an index, a
+plain int of at least 1 (`_valid_index`), and any other kind is the node class
+the child must be an instance of. `Node`, the base of `Term` and
+`Formula`, makes each field a read-only property and holds the one
+constructor. That constructor checks every argument against its kind,
+raising TypeError for a wrong kind or count and ValueError for an int
+below 1, so no node holds a child that is not of its kind. It then sets
+`_upfree`, true when no up-term is reachable from the node, from its
+children's flags, and interns the node: constructing the same shape twice
+returns the same object, so equality is identity and hashing is O(1).
+Treat instances as immutable. A node found in its pool holds only checked
+children, so only a pool miss is checked, and of a hit only the type of an
+index, since `True == 1` would find `Prop(1)`'s node.
 
 Each node class has its own pool, the class attribute `_pool`, a dict from
 the constructor's argument tuple to the node; `__init_subclass__` gives every
@@ -25,194 +36,122 @@ from __future__ import annotations
 from typing import Iterator
 
 
-# Pool keys compare by ==, so the index constructors refuse what equals an
-# int without being one: Prop(True) would otherwise be Prop(1)'s node.
-def _intern(cls, *args):
-    node = cls._pool.get(args)
-    if node is None:
+def _valid_index(x) -> bool:
+    """Whether x can index a proposition, constant or variable: a plain int
+    of at least 1. A bool or float that equals one is no index."""
+    return type(x) is int and x >= 1
+
+
+class Node:
+    """Base class of terms and formulas: see the module docstring."""
+
+    __slots__ = ("_args", "_upfree")
+    _fields = ()  # none: the class is abstract
+    _pool = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._pool = {}
+        cls._indexed = any(kind is int for _, kind in cls._fields)
+        for i, (name, _) in enumerate(vars(cls).get("_fields", ())):
+            setattr(cls, name, property(lambda self, i=i: self._args[i]))
+
+    def __new__(cls, *args):
+        node = cls._pool.get(args)
+        # a hit holds checked children, but True == 1 finds Prop(1)'s node
+        # (an index is the one field of its class)
+        if node is not None and (not cls._indexed or type(args[0]) is int):
+            return node
+        fields = cls._fields
+        if not fields:
+            raise TypeError("%s is abstract: build one of its subclasses" % cls.__name__)
+        if len(args) != len(fields):
+            raise TypeError("%s takes the arguments (%s), got %d" % (
+                cls.__name__, ", ".join(name for name, _ in fields), len(args)))
+        upfree = cls is not Up
+        for a, (name, kind) in zip(args, fields):
+            if kind is int:
+                if not _valid_index(a):
+                    raise (ValueError if type(a) is int else TypeError)(
+                        "%s %s must be an int >= 1, got %r" % (cls.__name__, name, a))
+            elif isinstance(a, kind):
+                upfree = upfree and a._upfree
+            else:
+                raise TypeError("%s %s must be a %s, got %r"
+                                % (cls.__name__, name, kind.__name__, a))
         node = object.__new__(cls)
         node._args = args
-        # indices and the non-node children some constructors let through
-        # have no flag, and count as up-free
-        node._upfree = cls is not Up
-        for a in args:
-            if not getattr(a, "_upfree", True):
-                node._upfree = False
+        node._upfree = upfree
         cls._pool[args] = node
-    return node
+        return node
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
 
 
-class Term:
+class Term(Node):
     """Base class for evidence terms."""
 
-    __slots__ = ("_args", "_upfree")
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._pool = {}
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
+    __slots__ = ()
 
 
-class Formula:
+class Formula(Node):
     """Base class for formulas."""
 
-    __slots__ = ("_args", "_upfree")
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._pool = {}
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._args)))
+    __slots__ = ()
 
 
 class Constant(Term):
     __slots__ = ()
-
-    def __new__(cls, index: int):
-        if type(index) is not int:
-            raise TypeError("constant index must be an int")
-        if index < 1:
-            raise ValueError("constant index must be >= 1")
-        return _intern(cls, index)
-
-    @property
-    def index(self) -> int:
-        return self._args[0]
+    _fields = (("index", int),)
 
 
 class Variable(Term):
     __slots__ = ()
-
-    def __new__(cls, index: int):
-        if type(index) is not int:
-            raise TypeError("variable index must be an int")
-        if index < 1:
-            raise ValueError("variable index must be >= 1")
-        return _intern(cls, index)
-
-    @property
-    def index(self) -> int:
-        return self._args[0]
+    _fields = (("index", int),)
 
 
 class Up(Term):
     """Announcement evidence: the term `up(A)` for an announcement A."""
 
     __slots__ = ()
-
-    def __new__(cls, body: Formula):
-        if not isinstance(body, Formula):
-            raise TypeError("up() takes a formula")
-        return _intern(cls, body)
-
-    @property
-    def body(self) -> Formula:
-        return self._args[0]
+    _fields = (("body", Formula),)
 
 
 class App(Term):
     """Application `(s *[A] t)`: evidence for A -> B applied to evidence for A."""
 
     __slots__ = ()
-
-    def __new__(cls, left: Term, annotation: Formula, right: Term):
-        if not (isinstance(left, Term) and isinstance(right, Term)):
-            raise TypeError("application combines two terms")
-        if not isinstance(annotation, Formula):
-            raise TypeError("application annotation must be a formula")
-        return _intern(cls, left, annotation, right)
-
-    @property
-    def left(self) -> Term:
-        return self._args[0]
-
-    @property
-    def annotation(self) -> Formula:
-        return self._args[1]
-
-    @property
-    def right(self) -> Term:
-        return self._args[2]
+    _fields = (("left", Term), ("annotation", Formula), ("right", Term))
 
 
 class Prop(Formula):
     __slots__ = ()
-
-    def __new__(cls, index: int):
-        if type(index) is not int:
-            raise TypeError("proposition index must be an int")
-        if index < 1:
-            raise ValueError("proposition index must be >= 1")
-        return _intern(cls, index)
-
-    @property
-    def index(self) -> int:
-        return self._args[0]
+    _fields = (("index", int),)
 
 
 class Not(Formula):
     __slots__ = ()
-
-    def __new__(cls, body: Formula):
-        return _intern(cls, body)
-
-    @property
-    def body(self) -> Formula:
-        return self._args[0]
+    _fields = (("body", Formula),)
 
 
 class Implies(Formula):
     __slots__ = ()
-
-    def __new__(cls, left: Formula, right: Formula):
-        return _intern(cls, left, right)
-
-    @property
-    def left(self) -> Formula:
-        return self._args[0]
-
-    @property
-    def right(self) -> Formula:
-        return self._args[1]
+    _fields = (("left", Formula), ("right", Formula))
 
 
 class Justifies(Formula):
     """`t : A`, the term t justifies the formula A."""
 
     __slots__ = ()
-
-    def __new__(cls, term: Term, body: Formula):
-        if not isinstance(term, Term):
-            raise TypeError("justification needs a term on the left")
-        return _intern(cls, term, body)
-
-    @property
-    def term(self) -> Term:
-        return self._args[0]
-
-    @property
-    def body(self) -> Formula:
-        return self._args[1]
+    _fields = (("term", Term), ("body", Formula))
 
 
 class Update(Formula):
     """`[C] A`, the formula A after announcing C."""
 
     __slots__ = ()
-
-    def __new__(cls, announcement: Formula, body: Formula):
-        return _intern(cls, announcement, body)
-
-    @property
-    def announcement(self) -> Formula:
-        return self._args[0]
-
-    @property
-    def body(self) -> Formula:
-        return self._args[1]
+    _fields = (("announcement", Formula), ("body", Formula))
 
 
 # Derived connectives are not part of the stored syntax. They expand to the
@@ -246,7 +185,7 @@ def is_atomic(t: Term) -> bool:
     return isinstance(t, (Constant, Variable, Up))
 
 
-def atm(x: Term | Formula) -> frozenset:
+def atm(x: Node) -> frozenset:
     """The atomic subterms of a term or formula.
 
     An up-term counts as atomic itself but its announcement body is searched
@@ -297,24 +236,19 @@ def _postorder(roots, inner) -> dict:
     return done
 
 
-def _reachable(x: Term | Formula, inner=_PARENTS) -> dict:
+def _reachable(x: Node, inner=_PARENTS) -> dict:
     """_postorder((x,), inner) of a term or formula x."""
-    if not isinstance(x, (Term, Formula)):
+    if not isinstance(x, Node):
         raise TypeError("expected a term or formula, got %r" % (x,))
     return _postorder((x,), inner)
 
 
-def length(x: Term | Formula) -> int:
+def length(x: Node) -> int:
     """Structural length; atomic terms count 1 regardless of their bodies.
     Each shared node is measured once, so the cost is linear in the DAG."""
     n = _reachable(x, _COMPOUND)  # filled in children first
     for y in n:
-        if isinstance(y, _COMPOUND):
-            n[y] = 1 + sum(map(n.__getitem__, y._args))
-        elif isinstance(y, (Term, Formula)):
-            n[y] = 1
-        else:
-            raise TypeError("expected a term or formula, got %r" % (y,))
+        n[y] = 1 + sum(map(n.__getitem__, y._args)) if isinstance(y, _COMPOUND) else 1
     return n[x]
 
 
@@ -366,11 +300,11 @@ def eval_closure(f: Formula) -> frozenset:
     return frozenset(seen)
 
 
-def constants_in(x: Term | Formula) -> frozenset:
+def constants_in(x: Node) -> frozenset:
     """Indices of all constants occurring anywhere in a term or formula."""
     return frozenset(y.index for y in _reachable(x) if isinstance(y, Constant))
 
 
-def prop_indices(x: Term | Formula) -> frozenset:
+def prop_indices(x: Node) -> frozenset:
     """Indices of all propositions occurring anywhere, term content included."""
     return frozenset(y.index for y in _reachable(x) if isinstance(y, Prop))

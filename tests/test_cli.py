@@ -754,7 +754,8 @@ def test_console_entry_point_exits_with_the_answer(monkeypatch, capsys, text, co
 
 def test_closed_pipe_keeps_exit_code_without_traceback():
     # the reader is gone before anything is written, as with `| head -1`
-    # on a long answer: no traceback, and the countermodel still exits 1
+    # on a long answer: no traceback, and the countermodel still exits 1.
+    # Without main's BrokenPipeError branch, stderr gets the traceback.
     proc = subprocess.Popen(
         [sys.executable, "-m", "jus.cli", "search",
          "(up(P1) : ~up(P1) : P1 -> [P1] up(P1) : ~up(P1) : P1)", "--human"],

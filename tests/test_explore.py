@@ -58,8 +58,10 @@ def test_signature_validation():
         ModelSignature((1,), (), 2, -1, ())
     # random draws and enumerated models are packed unvalidated, so the
     # signature must rule out every invalid model it could describe
-    with pytest.raises(ValueError, match="propositions"):
-        ModelSignature((0,), (), 1, 0, ())
+    # True and 1.0 equal 1, and would key the models' v0 as P1
+    for p in (0, True, 1.0):
+        with pytest.raises(ValueError, match="propositions"):
+            ModelSignature((p,), (), 1, 0, ())
     with pytest.raises(ValueError, match="formulas"):
         ModelSignature((1,), (), 2, 1, ("P1",))
 
@@ -403,6 +405,16 @@ def test_search_computes_masks_only_in_its_hit_shape(monkeypatch):
     # the hit's has its mask, each once
     starts = sorted(start for *_, start in calls)
     assert starts == list(range(0, starts[-1] + 64, 64))
+
+
+def test_find_countermodel_refuses_a_hit_its_recheck_disagrees_with(monkeypatch):
+    # each hit is evaluated again in a context of its own before it is
+    # reported; a re-check that finds the query true refuses the hit
+    f = parse_formula("up(P1) : P1")
+    assert find_countermodel(f, signature_for(f)).outcome == "countermodel"
+    monkeypatch.setattr(explore, "holds", lambda ctx, w, g: True)
+    with pytest.raises(RuntimeError, match="countermodel failed re-verification"):
+        find_countermodel(f, signature_for(f))
 
 
 def test_roadmap_targets_scan_their_orbit_counts():

@@ -94,6 +94,26 @@ def test_validate_model_names_each_violation_once_in_order():
     ]
 
 
+def test_validate_model_refuses_an_index_that_only_equals_an_int():
+    # ("w", True) would read as P1, since True == 1
+    for p in (True, 1.0, 0, "1"):
+        m = SubsetModel(worlds=("w",), normal=frozenset({"w"}), v0={("w", p): True})
+        assert validate_model(m) == [
+            "v0 proposition index %r must be an integer >= 1" % (p,)]
+
+
+def test_validate_model_refuses_a_v1_key_or_value_of_the_wrong_kind():
+    m = SubsetModel(
+        worlds=("w", "u"),
+        normal=frozenset({"w"}),
+        v1={("u", "P1"): True, ("u", P1): 1},
+    )
+    assert validate_model(m) == [
+        "v1 key 'P1' is not a formula",
+        "v1 value at 'u' must be a boolean",
+    ]
+
+
 def test_validate_model_more_shapes():
     m = SubsetModel(
         worlds=("w", "w"),

@@ -118,10 +118,11 @@ def test_printing_enters_print_formula_once_per_call(monkeypatch):
 def test_printing_refuses_what_is_not_of_its_kind():
     with pytest.raises(TypeError, match="expected a term, got Prop"):
         print_term(P1)
-    with pytest.raises(TypeError, match="expected a formula, got 'x'"):
-        print_formula(Not("x"))
-    with pytest.raises(TypeError, match="expected a formula, got Variable"):
-        print_formula(Implies(x1, P1))
+    # a child not of its kind is refused when the node is built
+    with pytest.raises(TypeError, match="Not body must be a Formula, got 'x'"):
+        Not("x")
+    with pytest.raises(TypeError, match="Implies left must be a Formula, got Variable"):
+        Implies(x1, P1)
     with pytest.raises(TypeError, match="expected a formula"):
         print_formula(x1)
     for walk in (atm, subformulas, constants_in, prop_indices, length):

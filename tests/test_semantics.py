@@ -437,9 +437,13 @@ def test_up_terms_keep_their_values_under_the_placement_rule(ctx):
 def test_truth_mask_of_a_non_formula_raises_type_error(ctx):
     pushed = ctx.push(P1)
     for sub in (ctx, pushed, pushed.push(P2)):
-        for x in (Variable(1), Up(P1), "x", Not("x"), Update(P1, "x"), Not(Up(P1))):
+        for x in (Variable(1), Up(P1), "x"):
             with pytest.raises(TypeError, match="expected a formula"):
                 sub.truth_mask(x)
+        # a formula cannot hold a child that is not a formula
+        for build in (lambda: Not("x"), lambda: Update(P1, "x"), lambda: Not(Up(P1))):
+            with pytest.raises(TypeError, match="must be a Formula"):
+                sub.truth_mask(build())
         # and the refused queries leave the context answering as before
         assert holds(sub, "w", Update(P1, UP_JUST))
 

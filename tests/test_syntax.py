@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from jus.syntax import (
     App,
     Constant,
+    Formula,
     Implies,
     Justifies,
+    Node,
     Not,
     Prop,
     Up,
@@ -145,6 +147,17 @@ def test_interning_gives_identity_equality():
     assert type(Prop(7)) is Prop and type(Atom(1)) is Atom
 
 
+def test_each_field_is_a_read_only_property_from_the_table():
+    a = App(c1, P1, x1)
+    assert (a.left, a.annotation, a.right) == (c1, P1, x1)
+    assert (Justifies(x1, P2).term, Justifies(x1, P2).body) == (x1, P2)
+    for cls in (Constant, Variable, Up, App, Prop, Not, Implies, Justifies, Update):
+        assert issubclass(cls, Node)
+        assert all(isinstance(getattr(cls, name), property) for name, _ in cls._fields)
+    with pytest.raises(AttributeError):
+        a.left = x1
+
+
 # a fresh import of jus after purging sys.modules, as bench/run.py makes,
 # leaves the previous classes, and with them their pools, to the collector
 REIMPORT = (
@@ -174,19 +187,31 @@ def test_bad_indices_rejected():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Constant(0), ValueError, "constant index must be >= 1"),
-    (lambda: Variable(0), ValueError, "variable index must be >= 1"),
-    (lambda: Prop(0), ValueError, "proposition index must be >= 1"),
+    (lambda: Constant(0), ValueError, "Constant index must be an int >= 1, got 0"),
+    (lambda: Variable(0), ValueError, "Variable index must be an int >= 1, got 0"),
+    (lambda: Prop(0), ValueError, "Prop index must be an int >= 1, got 0"),
     # not ints; True and 1.0 equal 1, and would take index 1's node
-    (lambda: Constant(True), TypeError, "constant index must be an int"),
-    (lambda: Variable(1.0), TypeError, "variable index must be an int"),
-    (lambda: Prop(True), TypeError, "proposition index must be an int"),
-    (lambda: Prop(1.0), TypeError, "proposition index must be an int"),
-    (lambda: Prop("1"), TypeError, "proposition index must be an int"),
-    (lambda: Up(x1), TypeError, "up() takes a formula"),
-    (lambda: App(P1, P1, x1), TypeError, "application combines two terms"),
-    (lambda: App(x1, x1, x1), TypeError, "application annotation must be a formula"),
-    (lambda: Justifies(P1, P1), TypeError, "justification needs a term on the left"),
+    (lambda: Constant(True), TypeError, "Constant index must be an int >= 1, got True"),
+    (lambda: Variable(1.0), TypeError, "Variable index must be an int >= 1, got 1.0"),
+    (lambda: Prop(True), TypeError, "Prop index must be an int >= 1, got True"),
+    (lambda: Prop(1.0), TypeError, "Prop index must be an int >= 1, got 1.0"),
+    (lambda: Prop("1"), TypeError, "Prop index must be an int >= 1, got '1'"),
+    (lambda: Up(x1), TypeError, "Up body must be a Formula, got Variable(1)"),
+    (lambda: App(P1, P1, x1), TypeError, "App left must be a Term, got Prop(1)"),
+    (lambda: App(x1, x1, x1), TypeError, "App annotation must be a Formula, got Variable(1)"),
+    (lambda: Justifies(P1, P1), TypeError, "Justifies term must be a Term, got Prop(1)"),
+    # every child is checked, whatever its kind
+    (lambda: Not(1), TypeError, "Not body must be a Formula, got 1"),
+    (lambda: Not(True), TypeError, "Not body must be a Formula, got True"),
+    (lambda: Implies("x", None), TypeError, "Implies left must be a Formula, got 'x'"),
+    (lambda: Implies(P1, None), TypeError, "Implies right must be a Formula, got None"),
+    (lambda: Update(P1, "x"), TypeError, "Update body must be a Formula, got 'x'"),
+    (lambda: Justifies(x1, x1), TypeError, "Justifies body must be a Formula, got Variable(1)"),
+    (lambda: Not(Up(P1)), TypeError, "Not body must be a Formula, got Up(Prop(1))"),
+    (lambda: Not(P1, P2), TypeError, "Not takes the arguments (body), got 2"),
+    (lambda: Implies(P1), TypeError, "Implies takes the arguments (left, right), got 1"),
+    (lambda: Prop(), TypeError, "Prop takes the arguments (index), got 0"),
+    (lambda: Formula(), TypeError, "Formula is abstract: build one of its subclasses"),
 ])
 def test_constructors_refuse_bad_arguments(build, error, message):
     with pytest.raises(error) as e:
