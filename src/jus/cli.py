@@ -30,7 +30,7 @@ from .model import (
 from .parse import SourceError, _echo, parse_formula, print_formula, print_term
 from .proof import check_proof, licensed_pairs, proof_from_json, taut_check
 from .semantics import Batch, EvalContext, cs_violations, decoded, holds
-from .syntax import Constant, Up, constants_in
+from .syntax import Up
 
 
 class InputError(Exception):
@@ -140,11 +140,8 @@ def cmd_search(args) -> int:
     except ValueError as e:
         raise InputError("bad search bounds: %s" % e) from e
     cs = _cs_arg(args.cs)
-    # the pairs that can bear on this formula: its own constants with the
-    # formulas its evaluation touches, beside the CS's own
-    bearing = [(Constant(i), g) for i in sorted(constants_in(f)) for g in sig.v1_support]
     try:
-        universe = licensed_pairs(cs, bearing)
+        universe = licensed_pairs(cs, [f])
     except ValueError as e:  # taut_check's refusal of a too-large table
         raise InputError(str(e)) from e
     report = find_countermodel(f, sig, universe)

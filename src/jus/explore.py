@@ -223,9 +223,10 @@ class _Shape:
     support formula, and where each block starts follows from the world
     and key counts alone. Over a window of indices each bit is a
     periodic pattern (semantics.pattern), so a window of models packs
-    into a Batch without building any of them. A sweep's random trial is a raw index too, and _pack packs any
-    list of them, gathering the blocks of one kind, slot and digit size
-    from every shape; both go through _assemble, block by block.
+    into a Batch without building any of them. A sweep's random trial
+    is a raw index too, and _pack packs any list of them, gathering the
+    blocks of one kind, slot and digit size from every shape; both go
+    through _assemble, block by block.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -358,7 +359,9 @@ def random_cs_model(sig: ModelSignature, cs_universe, seed: int) -> SubsetModel:
     """A random model over the signature, with each listed constant's
     evidence forced into its paired formulas' truth sets; RuntimeError if
     the forcing never settles (see _forced). It is the trial seeded with
-    seed of any soundness_sweep over the signature and universe."""
+    seed of any soundness_sweep over the signature that forces the same
+    universe: the proofs' necessitation pairs, then
+    proof.licensed_pairs(cs, bare formulas)."""
     shape, index = trial = _draw(sig, seed, {})
     return decoded(_forced(_pack([trial]), cs_universe), shape.model(index),
                    {c for c, _ in cs_universe})
@@ -566,26 +569,33 @@ def soundness_sweep(theorems, cs: ConstantSpec, sig: ModelSignature, trials: int
     first, since sweeping an unproved conclusion as a theorem would test
     nothing; bare formulas are swept as given, which is how a deliberately
     bogus claim gets its refutation. The CS universe forced onto the models
-    is the pairs the proofs' necessitation steps rely on, then the
-    specification's own licensed pairs (proof.licensed_pairs), each once.
+    is the pairs the proofs' necessitation steps rely on, then
+    proof.licensed_pairs of the bare formulas, each once: the pairs search
+    forces for the same formula, so a bare formula's violation is a
+    CS-model that search would count too. A proof's conclusion adds no
+    pairs: once checked, it holds wherever its necessitation pairs do, and
+    more pairs would only add forcing rounds and risk their oscillation.
     As in search, only licensed pairs are forced, so an explicit pair that
     licenses nothing cannot hide a violation; validate checks every listed
-    pair.
+    pair. RuntimeError if the forcing of some batch never settles (see
+    _forced), which a bare formula's own pairs can cause under the full
+    CS; ValueError for an unproved theorem or a refused truth table.
     """
     necessitated = []
     conclusions = []
+    bare = []
     for entry in theorems:
         if isinstance(entry, Formula):
             conclusions.append(entry)
+            bare.append(entry)
             continue
         fail = check_proof(entry, cs)
         if fail is not None:
-            raise ValueError(
-                "unproved theorem %s (%s)" % (print_formula(entry.conclusion), fail))
+            raise ValueError("unproved theorem %s (%s)" % (print_formula(entry.conclusion), fail))
         conclusions.append(entry.conclusion)
         necessitated += [_peel_an(step.formula) for step in entry.steps if step.rule == "an"]
     # check_proof has just licensed the necessitation pairs
-    universe = list(dict.fromkeys(necessitated + licensed_pairs(cs)))
+    universe = list(dict.fromkeys(necessitated + licensed_pairs(cs, bare)))
     constants = {c for c, _ in universe}
     shapes = {}
     violations = []

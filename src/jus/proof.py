@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ConstantSpec, _require_keys, _source_text
-from .parse import _echo, parse_formula, parse_term, print_formula, print_term
+from .parse import _echo, _printed, parse_formula, parse_term, print_formula, print_term
 from .semantics import pattern
 from .syntax import (
     App,
@@ -54,10 +54,12 @@ from .syntax import (
     Up,
     Update,
     _postorder,
+    _valid_index,
     atm,
     conj,
     constants_in,
     equiv,
+    eval_closure,
     is_atomic,
     prefix_splits,
     subformulas,
@@ -265,14 +267,26 @@ def cs_contains(cs: ConstantSpec, c: Constant, f: Formula) -> bool:
     return _iterated_cs_shape(f)
 
 
-def licensed_pairs(cs: ConstantSpec, candidates=()) -> list:
-    """The pairs a CS-model must honour: the specification's own pairs,
-    then the candidates, each once in first-seen order, keeping those
-    cs_contains licenses. This is the one rule of search and sweep; an
-    explicit pair that licenses nothing is dropped, so it cannot hide a
-    countermodel."""
-    return [(c, f) for c, f in dict.fromkeys((*cs.pairs, *candidates))
-            if cs_contains(cs, c, f)]
+def licensed_pairs(cs: ConstantSpec, formulas=()) -> list:
+    """The pairs a CS-model must honour for the formulas: the
+    specification's own pairs, then the pairs that bear on each formula,
+    each once in first-seen order, keeping those cs_contains licenses.
+    This is the one rule of search and sweep; an explicit pair that
+    licenses nothing is dropped, so it cannot hide a countermodel.
+
+    The pairs that bear on a formula are its constants, ascending, each
+    with every formula of its eval_closure, sorted by printed form as
+    signature_for sorts v1_support. Only the full CS builds them: an
+    explicit candidate is licensed only when it is already listed, and
+    the empty CS licenses nothing. ValueError is taut_check's refusal of
+    a too-large table."""
+    bearing = []
+    for f in formulas if cs.mode == "full" else ():
+        if used := sorted(constants_in(f)):
+            closure = eval_closure(f)
+            closure = sorted(closure, key=_printed(closure)[0].__getitem__)
+            bearing += [(Constant(i), g) for i in used for g in closure]
+    return [(c, g) for c, g in dict.fromkeys((*cs.pairs, *bearing)) if cs_contains(cs, c, g)]
 
 
 # -- proofs and checking --------------------------------------------------
@@ -317,11 +331,6 @@ def _mp_premises(p: Proof, step: ProofStep):
     return None
 
 
-def _is_index(i) -> bool:
-    """An int that is no bool: JSON's true would read as step 1."""
-    return isinstance(i, int) and not isinstance(i, bool)
-
-
 def check_proof(p: Proof, cs: ConstantSpec):
     """None when every step is justified; otherwise the first failure."""
     if not p.steps:
@@ -350,7 +359,7 @@ def check_proof(p: Proof, cs: ConstantSpec):
             if (
                 step.premises is None
                 or len(step.premises) != 2
-                or not all(_is_index(i) and 1 <= i < k for i in step.premises)
+                or not all(_valid_index(i) and i < k for i in step.premises)
             ):
                 return CheckFailure(k, "modus ponens needs two earlier step indices")
             if _mp_premises(p, step) is None:
@@ -650,7 +659,7 @@ def proof_from_json(obj) -> Proof:
             if not (
                 isinstance(raw_prem, list)
                 and len(raw_prem) == 2
-                and all(map(_is_index, raw_prem))
+                and all(type(i) is int for i in raw_prem)
             ):
                 raise ValueError("step %d needs premises: [i, j]" % n)
             premises = tuple(raw_prem)

@@ -28,7 +28,8 @@ from jus.explore import (
 )
 from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
-from jus.proof import Proof, ProofBuilder, ProofStep, match_axiom
+from jus.proof import (Proof, ProofBuilder, ProofStep, check_proof, licensed_pairs,
+                       match_axiom)
 from jus.semantics import (Batch, EvalContext, cs_violations, decoded, evaluate, holds,
                            pattern)
 from jus.syntax import (
@@ -42,6 +43,7 @@ from jus.syntax import (
     Update,
     Variable,
     atm,
+    constants_in,
     falsum,
 )
 
@@ -659,6 +661,34 @@ def test_sweep_forces_only_licensed_explicit_pairs():
     # a licensed pair in the same specification is still forced
     cs = ConstantSpec("explicit", ((c1, P1), (c2, Implies(P1, P1))))
     assert soundness_sweep([Justifies(c2, Implies(P1, P1))], cs, sig, 200, seed=0) == []
+
+
+def test_sweep_forces_a_bare_formulas_bearing_pairs_under_the_full_cs():
+    # check_proof accepts c1 : (P1 -> P1) by necessitation and search
+    # exhausts it, so no CS-model refutes it; the sweep forces the pair
+    # (c1, P1 -> P1) that search forces, and reports nothing
+    f = Justifies(Constant(1), Implies(P1, P1))
+    full = ConstantSpec("full")
+    assert check_proof(Proof((ProofStep(f, "an"),)), full) is None
+    assert soundness_sweep([f], full, signature_for(f, 2, 1), 200, seed=0) == []
+
+
+def test_sweep_and_search_agree_on_the_cs_models_of_a_bare_formula():
+    # every violation the sweep reports under the full CS is a model that
+    # honours the pairs search forces for the formula, false where reported
+    full = ConstantSpec("full")
+    rng = random.Random(1)
+    swept = 0
+    while swept < 80:
+        f = explore._rand_formula(rng, 3)
+        if not constants_in(f):
+            continue
+        swept += 1
+        pairs = licensed_pairs(full, [f])
+        for g, m, w in soundness_sweep([f], full, signature_for(f, 2, 1), 64, seed=0):
+            ctx = EvalContext(m)
+            assert g is f and not holds(ctx, w, f)
+            assert cs_violations(ctx, pairs) == []
 
 
 def _first_countermodel(f, sig, universe=()):

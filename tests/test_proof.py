@@ -546,15 +546,24 @@ def test_cs_contains_explicit_and_empty():
     assert not cs_contains(cs, Constant(2), Implies(P1, P1))
 
 
-def test_licensed_pairs_keeps_the_licensed_once_in_first_seen_order():
+def test_licensed_pairs_keeps_the_licensed_once_in_first_seen_order(monkeypatch):
     c1, c2 = Constant(1), Constant(2)
     a, b = Implies(P1, P1), Implies(P2, P2)
     cs = ConstantSpec("explicit", ((c2, b), (c1, P1), (c1, a), (c2, b)))
     assert licensed_pairs(cs) == [(c2, b), (c1, a)]
-    # a candidate adds nothing an explicit specification does not list
-    assert licensed_pairs(cs, [(c1, a), (c2, a), (c1, P2)]) == [(c2, b), (c1, a)]
-    assert licensed_pairs(FULL, [(c2, P1), (c2, a), (c1, b), (c2, a)]) == [(c2, a), (c1, b)]
-    assert licensed_pairs(EMPTY, [(c1, a)]) == []
+    # under the full CS a formula bears through its constants, ascending,
+    # each with its evaluation closure in printed order; only pairs of
+    # iterated axiom shape are kept, each once
+    both = Implies(Justifies(c2, a), Justifies(c1, a))
+    assert licensed_pairs(FULL, [Justifies(c2, P1), both, Justifies(c1, a)]) == [
+        (c1, a), (c1, Justifies(c1, a)), (c1, Justifies(c2, a)),
+        (c2, a), (c2, Justifies(c1, a)), (c2, Justifies(c2, a))]
+    # an explicit specification licenses nothing it does not list, and the
+    # empty one nothing at all, so neither builds a formula's candidates
+    monkeypatch.setattr(proof_module, "eval_closure", None)
+    bearing = [Justifies(c1, a), Justifies(c2, a), Justifies(c1, P2)]
+    assert licensed_pairs(cs, bearing) == [(c2, b), (c1, a)]
+    assert licensed_pairs(EMPTY, bearing) == []
 
 
 # -- proof checking -------------------------------------------------------
