@@ -10,20 +10,22 @@ The raw assignments of one shape (so many normal and non-normal worlds)
 form one binary index, laid out in blocks: per world slot, a v0 block of
 a bit per proposition, a v1 block of a bit per support formula, or an
 evidence block of a digit per atom, whose bit u is set when world slot u
-is in the atom's evidence set. Over a window of that index every bit of
-the model is a periodic bit pattern, and so a window is evaluated
-bit-sliced, as one Batch, without building a model. The representatives
-are the models whose encoding no renaming makes lexicographically
-smaller (lex-leader symmetry breaking), and a window's are a mask too,
-computed only where they are needed: for the models enumerate_models
-yields, and in a search only in windows where some model falsifies the
-query. How many there are in a whole shape follows from its world and
-cell counts alone (Burnside's lemma, _orbits), so an exhausted search
-counts them without computing a mask. Search and enumeration share one
-scan (_windows), which takes each shape in windows of CHUNK models, so a
-search that stops early evaluates at most the rest of its hit's window.
-A SubsetModel is built only for a reported countermodel and for the
-models enumerate_models yields.
+is in the atom's evidence set. A window of that index starts at a
+multiple of its width, a power of two, so each index bit over it is a
+column of semantics.index_bits: below bit log2(width) a binary counter's,
+the same in every window, and above it a constant of the start's. So a
+window is evaluated bit-sliced, as one Batch, without building a model.
+The representatives are the models whose encoding no renaming makes
+lexicographically smaller (lex-leader symmetry breaking), and a window's
+are a mask too, computed only where they are needed: for the models
+enumerate_models yields, and in a search only in windows where some
+model falsifies the query. How many there are in a whole shape follows
+from its world and cell counts alone (Burnside's lemma, _orbits), so an
+exhausted search counts them without computing a mask. Search and
+enumeration share one scan (_windows), which takes each shape in windows
+of CHUNK models, so a search that stops early evaluates at most the rest
+of its hit's window. A SubsetModel is built only for a reported
+countermodel and for the models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape. A batch of
@@ -57,7 +59,7 @@ from .parse import _printed, print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     licensed_pairs, norm_instance, pers_instance, up_instance)
 from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
-                        pattern, worlds_in)
+                        index_bits, pattern, worlds_in)
 from .syntax import (
     App,
     Constant,
@@ -91,6 +93,10 @@ class ModelSignature:
     v1_support: tuple  # formulas a non-normal world may valuate
 
     def __post_init__(self):
+        # a bool or float bound would pass the comparisons below and then
+        # fail, or be read as 0 or 1, deep in the scan
+        if type(self.max_worlds) is not int or type(self.max_nonnormal) is not int:
+            raise ValueError("the signature's world bounds must be ints")
         if self.max_worlds < 1:
             raise ValueError("at least one world is needed (the normal core is nonempty)")
         if self.max_nonnormal < 0:
@@ -221,12 +227,13 @@ class _Shape:
     slot's v0 block holds a bit per proposition and its evidence block
     an n-bit digit per atom, a non-normal slot's v1 block a bit per
     support formula, and where each block starts follows from the world
-    and key counts alone. Over a window of indices each bit is a
-    periodic pattern (semantics.pattern), so a window of models packs
-    into a Batch without building any of them. A sweep's random trial
-    is a raw index too, and _pack packs any list of them, gathering the
-    blocks of one kind, slot and digit size from every shape; both go
-    through _assemble, block by block.
+    and key counts alone. Over a window of indices each bit is a column
+    of semantics.index_bits, and a digit's column stacks its member bits'
+    columns, so a window of models packs into a Batch without building
+    any of them. A sweep's random trial is a raw index too, and _pack
+    packs any list of them, gathering the blocks of one kind, slot and
+    digit size from every shape; both go through _assemble, block by
+    block.
 
     A model is canonical when its encoding is lexicographically no
     larger than that of any world renaming of it (renamings keep the
@@ -235,7 +242,8 @@ class _Shape:
     worlds; a set counts by the rank of its sorted tuple of world slots.
     Every digit is a function of one cell, so each renaming's encoding
     is a list of columns too, and the comparison is bit-sliced over the
-    window.
+    window: a v0 or v1 value's column is an index bit's, and a rank
+    bit's column a semantics.pattern of its evidence digit.
     """
 
     def __init__(self, sig: ModelSignature, k: int, m: int):
@@ -263,12 +271,16 @@ class _Shape:
     def canonical(self, start: int, width: int) -> int:
         """The mask of the window's canonical models: the AND over
         renamings of encoding <= renamed encoding."""
+        bits = index_bits(start, width, self.bits)
         cols = {}
 
         def col(spec):
             got = cols.get(spec)
             if got is None:
-                got = cols[spec] = pattern(*spec, start, width)
+                # a one-bit column, a v0 or v1 value, is an index bit
+                lo, size, values = spec
+                got = bits[lo] if size == 1 else pattern(lo, size, values, start, width)
+                cols[spec] = got
             return got
 
         keep = (1 << width) - 1
@@ -289,16 +301,11 @@ class _Shape:
 
     def batch(self, start: int, width: int) -> Batch:
         """The window's models packed for evaluation, in index order."""
-        def column(lo, size):
-            # member bit u of the digit is index bit lo + u; a one-bit
-            # digit's column is its pattern itself
-            out = pattern(lo, 1, _ONE, start, width)
-            for u in range(1, size):
-                out |= pattern(lo + u, 1, _ONE, start, width) << u * width
-            return out
-
-        blocks = [(kind, i, keys, [column(d, size)
-                                   for d in range(lo + (len(keys) - 1) * size, lo - 1, -size)])
+        bits = index_bits(start, width, self.bits)
+        # member bit u of a digit from bit d is index bit d + u
+        blocks = [(kind, i, keys,
+                   [bits[d] if size == 1 else sum(bits[d + u] << u * width for u in range(size))
+                    for d in range(lo + (len(keys) - 1) * size, lo - 1, -size)])
                   for kind, i, keys, size, lo in self.blocks]
         return _assemble(width, {self: (1 << width) - 1}, blocks)
 

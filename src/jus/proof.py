@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .model import ConstantSpec, _require_keys, _source_text
 from .parse import _echo, _printed, parse_formula, parse_term, print_formula, print_term
-from .semantics import pattern
+from .semantics import index_bits
 from .syntax import (
     App,
     Constant,
@@ -81,7 +81,10 @@ def taut_check(f: Formula) -> bool:
     One children-first pass lists the skeleton's nodes, atoms included.
     Columns of the table are big integers, one bit per assignment row, so
     the connectives reduce to bitwise operations, and each shared node's
-    column is computed once, after its children's.
+    column is computed once, after its children's. Atom i's column is bit
+    i of the row number, a column of semantics.index_bits over all
+    2^atoms rows: kept for tables of up to 16 atoms, built for the call
+    alone above that.
     """
     cols = _postorder((f,), _SKELETON)  # filled in children first
     atoms = [g for g in cols if not isinstance(g, _SKELETON)]
@@ -91,8 +94,7 @@ def taut_check(f: Formula) -> bool:
     rows = 1 << len(atoms)
     full = (1 << rows) - 1
     # bit r of an atom's column is its value in assignment row r: bit i of r
-    for i, atom in enumerate(atoms):
-        cols[atom] = pattern(i, 1, (1,), 0, rows)
+    cols.update(zip(atoms, index_bits(0, rows, len(atoms))))
     for g in cols:
         if isinstance(g, Not):
             cols[g] = full & ~cols[g.body]

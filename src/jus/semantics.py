@@ -193,9 +193,46 @@ class Batch:
         return self._wmp
 
 
+# the low index-bit columns per window width, kept for widths up to 2^16:
+# about 256 KB in all
+_COUNTERS = {}
+_KEPT = 1 << 16
+
+
+def index_bits(start: int, width: int, count: int) -> list:
+    """The columns of index bits 0 to count - 1 over the window of width
+    indices from start: bit b of column j, for b < width, is bit j of the
+    index start + b.
+
+    width is a power of two and start a multiple of it, so below bit
+    log2(width) the columns are those of a binary counter from 0, the
+    same in every window. They come from a per-width table in which each
+    column follows from the one above it by one shift and one XOR (the
+    "magic masks" of TAOCP 4A, 7.1.3). Every higher column is all ones or
+    0, as start's own bit says. A table wider than 2^16 bits, as for a
+    truth table of more than 16 atoms, is built for the call and not kept.
+    """
+    low = _COUNTERS.get(width)
+    if low is None:
+        half = width >> 1
+        column = (1 << width) - (1 << half)  # the top low bit: the upper half
+        low = [column] if half else []
+        while half > 1:
+            half >>= 1
+            column ^= column >> half
+            low.append(column)
+        low.reverse()
+        if width <= _KEPT:
+            _COUNTERS[width] = low
+    full = (1 << width) - 1
+    return low[:count] + [full if start >> j & 1 else 0 for j in range(len(low), count)]
+
+
 def pattern(lo: int, size: int, values, start: int, width: int) -> int:
     """Bit b, for b < width, is set when the digit of size bits at bit lo
-    of the index start + b is one of values.
+    of the index start + b is one of values. It serves digits whose value
+    sets are not one bit's (an evidence set's rank bits, say); a single
+    index bit is a column of index_bits.
 
     Over consecutive indices that digit runs through its values in runs
     of 2^lo, so the mask is a periodic pattern, built a run at a time

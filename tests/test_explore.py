@@ -31,7 +31,7 @@ from jus.parse import parse_formula
 from jus.proof import (Proof, ProofBuilder, ProofStep, check_proof, licensed_pairs,
                        match_axiom)
 from jus.semantics import (Batch, EvalContext, cs_violations, decoded, evaluate, holds,
-                           pattern)
+                           index_bits, pattern)
 from jus.syntax import (
     App,
     Constant,
@@ -66,6 +66,10 @@ def test_signature_validation():
             ModelSignature((p,), (), 1, 0, ())
     with pytest.raises(ValueError, match="formulas"):
         ModelSignature((1,), (), 2, 1, ("P1",))
+    # a float bound failed only inside the scan, and a bool was read as 0 or 1
+    for worlds, nonnormal in ((2.0, 1), (True, 0), (2, False), (2, 1.0)):
+        with pytest.raises(ValueError, match="world bounds must be ints"):
+            ModelSignature((1,), (), worlds, nonnormal, ())
 
 
 def test_signature_for_collects_the_needed_pieces():
@@ -311,6 +315,57 @@ def test_pattern_matches_the_index_digits():
                     want = sum(1 << b for b in range(width)
                                if (start + b) >> lo & ((1 << size) - 1) in values)
                     assert got == want, (lo, size, sorted(values), start, width)
+
+
+def test_index_bits_match_one_bit_patterns():
+    # below bit log2(width) a column comes from the width's table, above
+    # it it is a constant of start's
+    for width in (1 << e for e in range(13)):
+        for start in (0, width, 3 * width, 4096):
+            got = index_bits(start, width, 21)
+            assert got == [pattern(j, 1, {1}, start, width) for j in range(21)], (start, width)
+            assert index_bits(start, width, 5) == got[:5]
+
+
+def _packed_bit_by_bit(shape, start, width):
+    """The window's normal, lanes, v0, v1 and evidence rows, each index
+    bit's column a pattern of its own."""
+    full = (1 << width) - 1
+    v0, v1 = {}, {}
+    rows = {t: [0] * shape.n for t in shape.sig.atoms}
+    for kind, i, keys, size, lo in shape.blocks:
+        for j, key in enumerate(keys):
+            d = lo + (len(keys) - 1 - j) * size  # the first key's digit is highest
+            column = 0
+            for u in range(size):
+                column |= pattern(d + u, 1, {1}, start, width) << u * width
+            if kind == "ev":
+                rows[key][i] = column
+            else:
+                table = v0 if kind == "v0" else v1
+                table[key] = table.get(key, 0) | column << i * width
+    return (sum(full << i * width for i in range(shape.k)),
+            sum(full << i * width for i in range(shape.n)),
+            v0, v1, {t: tuple(got) for t, got in rows.items()})
+
+
+@pytest.mark.parametrize("chunk", (64, explore.CHUNK))
+def test_windows_pack_as_their_index_bits_say(chunk):
+    # every window of each shape of at most 2^16 models, and of a larger
+    # shape its first two, last and five seeded windows
+    rng = random.Random(chunk)
+    for sig in SHAPE_SIGS + BLOCK_SIGS:
+        for k, m in _oracle_shapes(sig):
+            shape = explore._Shape(sig, k, m)
+            width = min(chunk, shape.size)
+            count = shape.size // width
+            picks = range(count) if shape.size <= 1 << 16 else {
+                0, 1, count - 1, *(rng.randrange(count) for _ in range(5))}
+            for start in sorted(w * width for w in picks):
+                batch = shape.batch(start, width)
+                got = (batch.normal, batch.lanes, batch.v0, batch.v1,
+                       {t: batch.atomic_evidence(t) for t in sig.atoms})
+                assert got == _packed_bit_by_bit(shape, start, width), (sig, k, m, start)
 
 
 @pytest.mark.parametrize("sig", SHAPE_SIGS[:4] + BLOCK_SIGS)

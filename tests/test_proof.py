@@ -10,6 +10,8 @@ back through check_proof here and in the acceptance suite.
 
 import itertools
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -62,6 +64,8 @@ from jus.syntax import (
     prefix_splits,
 )
 
+from conftest import SUBPROCESS_ENV
+
 P1, P2, P3 = Prop(1), Prop(2), Prop(3)
 FULL = ConstantSpec("full")
 EMPTY = ConstantSpec("empty")
@@ -95,6 +99,29 @@ def test_taut_check_atom_granularity():
     assert taut_check(Implies(j, j))
     # distinct justification formulas are distinct atoms
     assert not taut_check(Implies(j, Justifies(Variable(2), P1)))
+
+
+def test_wide_truth_tables_are_not_kept():
+    # a table of more than 2^16 rows is built for its call only; kept, the
+    # 20 index-bit columns of 2^20 bits each would hold 2.6 MB
+    script = "\n".join([
+        "import os, tracemalloc",
+        "import jus",
+        "from jus.proof import taut_check",
+        "from jus.syntax import Implies, Prop",
+        "f = Prop(1)",
+        "for i in range(2, 21):",
+        "    f = Implies(Prop(i), f)",
+        "tracemalloc.start()",
+        "assert not taut_check(f)",
+        "mine = tracemalloc.Filter(True, os.path.join(os.path.dirname(jus.__file__), '*'))",
+        "snapshot = tracemalloc.take_snapshot().filter_traces([mine])",
+        "print(sum(stat.size for stat in snapshot.statistics('filename')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 1 << 20
 
 
 def test_checker_at_depth():
