@@ -290,8 +290,10 @@ class _Shape:
             for a, b in pairs:
                 a = col(a)
                 b = col(b)
-                below |= tied & b & ~a
-                tied &= ~(a ^ b)
+                # the first unequal pair decides: below where the renamed bit is set
+                unequal = tied & (a ^ b)
+                below |= unequal & b
+                tied ^= unequal
                 if not tied:
                     break
             keep = below | tied
@@ -552,7 +554,7 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         for c, a in cs_universe:
             if not hits:
                 break
-            hits &= ~ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
+            hits ^= hits & ctx.batch.models_in(false_at_normal(ctx, Justifies(c, a)))
         if not hits:
             continue
         low = hits & -hits

@@ -80,7 +80,8 @@ def taut_check(f: Formula) -> bool:
 
     One children-first pass lists the skeleton's nodes, atoms included.
     Columns of the table are big integers, one bit per assignment row, so
-    the connectives reduce to bitwise operations, and each shared node's
+    the connectives reduce to bitwise operations (a complement is an XOR
+    with full, so no column is a negative int), and each shared node's
     column is computed once, after its children's. Atom i's column is bit
     i of the row number, a column of semantics.index_bits over all
     2^atoms rows: kept for tables of up to 16 atoms, built for the call
@@ -97,9 +98,9 @@ def taut_check(f: Formula) -> bool:
     cols.update(zip(atoms, index_bits(0, rows, len(atoms))))
     for g in cols:
         if isinstance(g, Not):
-            cols[g] = full & ~cols[g.body]
+            cols[g] = full ^ cols[g.body]
         elif isinstance(g, Implies):
-            cols[g] = full & (~cols[g.left] | cols[g.right])
+            cols[g] = full ^ cols[g.left] | cols[g.right]
     return cols[f] == full
 
 

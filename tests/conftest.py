@@ -45,3 +45,23 @@ def reference():
     finally:
         sys.dont_write_bytecode = keep
     return module
+
+
+def to_reference(ref, x):
+    """The reference node of a jus term or formula, by its public
+    attributes."""
+    name = type(x).__name__
+    if name in ("Prop", "Constant", "Variable"):
+        return {"Prop": ref.P, "Constant": ref.C, "Variable": ref.X}[name](x.index)
+    if name == "Not":
+        return ref.NOT(to_reference(ref, x.body))
+    if name == "Implies":
+        return ref.IMP(to_reference(ref, x.left), to_reference(ref, x.right))
+    if name == "Justifies":
+        return ref.J(to_reference(ref, x.term), to_reference(ref, x.body))
+    if name == "Update":
+        return ref.UPD(to_reference(ref, x.announcement), to_reference(ref, x.body))
+    if name == "Up":
+        return ref.UP(to_reference(ref, x.body))
+    return ref.APP(to_reference(ref, x.left), to_reference(ref, x.annotation),
+                   to_reference(ref, x.right))

@@ -637,6 +637,78 @@ def test_packed_trials_match_packed_models(monkeypatch):
                 _assert_read_alike(shape.batch(start, width), want, sig.atoms)
 
 
+# what the invariant below is checked on: every clause, up-terms cut by
+# their announcements, application evidence, and v1 support formulas
+_LANE_FORMULAS = [parse_formula(text) for text in (
+    "~P1", "P1 -> ~P2", "x1 : P1", "~c1 : (P1 -> P2)", "up(P1) : ~P1", "[P1] up(P1) : P1",
+    "[~P2] (up(~P2) : P1 -> x1 : P2)", "[P1] [P1 -> P2] (up(P1) : P2 -> up(P1 -> P2) : P1)",
+    "(x1 *[P1] c1) : P2", "[P1] (up(P1) *[P2] x1) : ~P1", "~(c1 *[P1 -> P2] up(P1)) : P2")]
+_LANE_TERMS = [Variable(1), Constant(1), Up(P1), Up(Not(P2)), Up(Implies(P1, P2)),
+               App(Variable(1), P1, Constant(1)), App(Up(P1), P2, Variable(1)),
+               App(Constant(1), Implies(P1, P2), Up(P1))]
+_LANE_CHAINS = [(), (P1,), (Not(P2),), (P1, Implies(P1, P2))]
+
+
+def _assert_inside_lanes(ctx, atoms):
+    """Every mask of the context's batch, and every truth mask and
+    evidence row that it and its pushes compute, is a non-negative int
+    inside the batch's lanes: what lets a complement be an XOR with
+    them."""
+    batch = ctx.batch
+    lanes = batch.lanes
+
+    def inside(mask):
+        return type(mask) is int and mask >= 0 and mask | lanes == lanes
+
+    terms = _LANE_TERMS + list(atoms)
+    assert all(map(inside, [batch.normal, batch.wmp(), *batch.v0.values(),
+                            *batch.v1.values()]))
+    assert all(inside(row) for t in terms for row in batch.atomic_evidence(t))
+    for chain in _LANE_CHAINS:
+        pushed = ctx
+        for c in chain:
+            pushed = pushed.push(c)
+        for f in _LANE_FORMULAS + list(batch.v1):
+            assert inside(pushed.truth_mask(f)), (chain, f)
+        for t in terms:
+            assert all(map(inside, pushed.evidence_mask(t))), (chain, t)
+
+
+def test_every_mask_lies_inside_the_lanes(monkeypatch):
+    sig = ModelSignature((1, 2), (Variable(1), Constant(1), Up(P1)), 4, 3,
+                         (P1, P2, Implies(P1, P2)))
+    shapes = {}
+    trials = [explore._draw(sig, s, shapes) for s in range(40)]
+    # packed models of mixed world counts, with both evidence defaults:
+    # every other one has the default "empty" and half its entries
+    models = []
+    for b, (shape, index) in enumerate(trials):
+        m = shape.model(index)
+        if b % 2:
+            kept = dict(sorted(m.evidence.items(), key=repr)[::2])
+            m = SubsetModel(m.worlds, m.normal, m.v0, m.v1, kept, "empty")
+        models.append(m)
+    assert len({len(m.worlds) for m in models}) == 4
+    _assert_inside_lanes(EvalContext(Batch.pack(models)), sig.atoms)
+    # trials of mixed shapes, packed raw and then forced
+    universe = [(Constant(1), Implies(P1, Implies(P2, P1))),
+                (Constant(2), parse_formula("[P1] up(P1) : P1")), (Constant(2), P1)]
+    for sig in (sig, FIVE_SIG):
+        shapes = {}
+        trials = [explore._draw(sig, s, shapes) for s in range(64)]
+        _assert_inside_lanes(EvalContext(explore._pack(trials)), sig.atoms)
+        _assert_inside_lanes(explore._forced(explore._pack(trials), universe),
+                             sig.atoms + (Constant(2),))
+    # search windows, whole shapes and windows of 64 models
+    for chunk in (explore.CHUNK, 64):
+        monkeypatch.setattr(explore, "CHUNK", chunk)
+        for sig in SHAPE_SIGS:
+            for k, m in _oracle_shapes(sig):
+                shape = explore._Shape(sig, k, m)
+                for start, width in _scan_windows(shape.size):
+                    _assert_inside_lanes(EvalContext(shape.batch(start, width)), sig.atoms)
+
+
 def test_orbits_count_the_canonical_masks(monkeypatch):
     # a shape's renaming classes are its canonical models, window by
     # window at any width; shapes of up to 2^16 raw models keep the scan

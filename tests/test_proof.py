@@ -14,7 +14,9 @@ import subprocess
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from jus import parse as parse_module
 from jus import proof as proof_module
@@ -64,7 +66,7 @@ from jus.syntax import (
     prefix_splits,
 )
 
-from conftest import SUBPROCESS_ENV
+from conftest import SUBPROCESS_ENV, to_reference
 
 P1, P2, P3 = Prop(1), Prop(2), Prop(3)
 FULL = ConstantSpec("full")
@@ -99,6 +101,38 @@ def test_taut_check_atom_granularity():
     assert taut_check(Implies(j, j))
     # distinct justification formulas are distinct atoms
     assert not taut_check(Implies(j, Justifies(Variable(2), P1)))
+
+
+# atoms of the boolean skeleton: propositions and opaque formulas
+_SKELETON_ATOMS = [Prop(i) for i in range(1, 9)] + [
+    Justifies(Variable(1), P1), Justifies(Up(P1), P2), Update(P1, P2),
+    Justifies(App(Constant(1), P1, Variable(2)), P2), Not(Justifies(Constant(2), P3))]
+
+
+@st.composite
+def _boolean_formulas(draw):
+    """A formula over up to 12 skeleton atoms: random skeletons, half of
+    them reading every atom drawn, or a tautology built from them."""
+    atoms = draw(st.lists(st.sampled_from(_SKELETON_ATOMS), min_size=1, max_size=12,
+                          unique=True))
+    skeletons = st.recursive(
+        st.sampled_from(atoms),
+        lambda fs: st.one_of(fs.map(Not), st.tuples(fs, fs).map(lambda x: Implies(*x))),
+        max_leaves=16)
+    a, b = draw(skeletons), draw(skeletons)
+    if draw(st.booleans()):
+        for g in atoms:
+            a = Implies(g, a)
+    return draw(st.sampled_from([
+        a, Implies(a, b), Implies(a, a), Implies(a, Implies(b, a)), Implies(Not(Not(a)), a),
+        disj(a, Not(a)), equiv(conj(a, b), conj(b, a)),
+    ]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_boolean_formulas())
+def test_taut_check_agrees_with_the_reference_table(reference, f):
+    assert taut_check(f) == reference.is_tautology(to_reference(reference, f))
 
 
 def test_wide_truth_tables_are_not_kept():

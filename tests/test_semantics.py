@@ -8,12 +8,15 @@ which flips the justified-disbelief formula from true to false.
 
 import dataclasses
 import gc
+import os
 import sys
+import tokenize
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import jus
 from jus.explore import (
     ModelSignature,
     enumerate_models,
@@ -45,6 +48,7 @@ from jus.syntax import (
     subformulas,
 )
 
+from conftest import to_reference
 from strategies import coupled_formulas, formulas, terms
 
 P1, P2 = Prop(1), Prop(2)
@@ -470,32 +474,12 @@ def test_a_dropped_context_tree_leaves_no_cycle(two_world):
 
 # -- against the reference evaluator ----------------------------------------
 
-def _to_reference(ref, x):
-    """The reference node of a jus term or formula, by its public
-    attributes."""
-    name = type(x).__name__
-    if name in ("Prop", "Constant", "Variable"):
-        return {"Prop": ref.P, "Constant": ref.C, "Variable": ref.X}[name](x.index)
-    if name == "Not":
-        return ref.NOT(_to_reference(ref, x.body))
-    if name == "Implies":
-        return ref.IMP(_to_reference(ref, x.left), _to_reference(ref, x.right))
-    if name == "Justifies":
-        return ref.J(_to_reference(ref, x.term), _to_reference(ref, x.body))
-    if name == "Update":
-        return ref.UPD(_to_reference(ref, x.announcement), _to_reference(ref, x.body))
-    if name == "Up":
-        return ref.UP(_to_reference(ref, x.body))
-    return ref.APP(_to_reference(ref, x.left), _to_reference(ref, x.annotation),
-                   _to_reference(ref, x.right))
-
-
 def _oracle(ref, m):
     """The reference evaluator over the model m."""
     return ref.Evaluator(ref.Model(
         m.worlds, m.normal, m.v0,
-        {(u, _to_reference(ref, f)): val for (u, f), val in m.v1.items()},
-        {(w, _to_reference(ref, t)): e for (w, t), e in m.evidence.items()},
+        {(u, to_reference(ref, f)): val for (u, f), val in m.v1.items()},
+        {(w, to_reference(ref, t)): e for (w, t), e in m.evidence.items()},
         m.evidence_default))
 
 
@@ -541,9 +525,9 @@ def test_truth_and_evidence_agree_with_the_reference_evaluator(reference, fs, da
         st.sampled_from([t.body for t in terms_in if isinstance(t, Up)] + [P1, Not(P2)]),
         max_size=3))
     terms_in += [t for t in data.draw(st.lists(terms(2), max_size=2)) if t not in terms_in]
-    ref_fs = [_to_reference(reference, f) for f in fs]
-    ref_terms = [_to_reference(reference, t) for t in terms_in]
-    ref_chain = tuple(_to_reference(reference, c) for c in chains)
+    ref_fs = [to_reference(reference, f) for f in fs]
+    ref_terms = [to_reference(reference, t) for t in terms_in]
+    ref_chain = tuple(to_reference(reference, c) for c in chains)
     for batch in [models] + [[m] for m in models]:
         contexts = [EvalContext(batch)]
         for c in chains:
@@ -599,9 +583,21 @@ def test_the_proviso_keeps_the_truth_set_under_the_announcement(reference, c, da
     ctx = EvalContext(models)
     pushed = ctx.push(c)
     assert pushed.truth_mask(b) == ctx.truth_mask(b)
-    rb, rc = _to_reference(reference, b), _to_reference(reference, c)
+    rb, rc = to_reference(reference, b), to_reference(reference, c)
     for k, m in enumerate(models):
         oracle = _oracle(reference, m)
         want = oracle.truth(rb)
         assert oracle.truth(rb, (rc,)) == want, (c, b, m)
         assert truth_set(pushed, b, k) == truth_set(ctx, b, k) == want, (c, b, m)
+
+
+def test_the_mask_code_takes_no_bitwise_not():
+    # every mask is a non-negative int inside its universe, and a
+    # complement is an XOR with it: ~ makes a negative int, on which
+    # CPython's bitwise operations run 5 to 15 times slower at window size
+    folder = os.path.dirname(jus.__file__)
+    for name in ("semantics.py", "explore.py", "proof.py"):
+        with open(os.path.join(folder, name), "rb") as fh:
+            found = [tok.start for tok in tokenize.tokenize(fh.readline)
+                     if tok.type == tokenize.OP and tok.string == "~"]
+        assert found == [], name
