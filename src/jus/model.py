@@ -11,7 +11,10 @@ choice is computed on demand in the semantics module.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 from .parse import SourceError, _echo, parse_formula, parse_term, print_formula, print_term
@@ -272,9 +275,35 @@ def load_model(path: str) -> SubsetModel:
 
 
 def save_model(m: SubsetModel, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(m), fh, indent=2)
-        fh.write("\n")
+    """Writes the model as indented JSON. An existing file is overwritten
+    in place and cut to the new length, and path may name a device such as
+    /dev/null, which is written and never cut.
+
+    The file is never opened with O_TRUNC: truncating a file to zero arms
+    ext4's replace-via-truncate heuristic (auto_da_alloc), and the next
+    overwrite of it then waits for the previous write to reach the disk.
+    A cut to a nonzero length arms nothing. If a write fails part-way, a
+    regular file is cut to the bytes written before the error propagates,
+    so it never holds new bytes followed by the rest of the old file.
+    """
+    data = (json.dumps(model_to_json(m), indent=2) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        done = 0
+        try:
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        except OSError:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, done)
+            raise
+        if regular and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def load_cs(path: str) -> ConstantSpec:

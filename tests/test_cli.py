@@ -6,8 +6,10 @@ wires up the same way.
 """
 
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -122,6 +124,39 @@ def test_update_write_failure(capsys, two_world_path, tmp_path):
     )
     assert code == 2
     assert "cannot write" in err
+
+
+def test_update_writes_to_a_device(capsys, two_world_path):
+    # a device is written and never cut to length, which it would refuse
+    code, out, err = run_cli(capsys, "update", two_world_path, "P1", "--out", "/dev/null")
+    assert code == 0
+    assert json.loads(out) == {"written": "/dev/null"}
+    assert err == ""
+
+
+def test_update_failing_part_way_leaves_no_old_tail(capsys, two_world_path, tmp_path,
+                                                   monkeypatch):
+    out_path = tmp_path / "updated.json"
+    out_path.write_bytes(b"#" * 100000)
+    real_write = os.write
+
+    def write_a_prefix(fd, data):
+        real_write(fd, data[:100])
+        monkeypatch.setattr(os, "write", full_disk)
+        return 100
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", write_a_prefix)
+    code, out, err = run_cli(capsys, "update", two_world_path, "P1", "--out", str(out_path))
+    monkeypatch.undo()
+    assert code == 2
+    assert out == ""
+    assert err == "cannot write %s: %s\n" % (out_path, os.strerror(errno.ENOSPC))
+    written = out_path.read_bytes()
+    assert len(written) == 100
+    assert b"#" not in written
 
 
 # -- check-proof ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model data layer: wmp, stored evidence, validation, JSON files."""
 
 import json
+import os
 
 import pytest
 
@@ -265,6 +266,44 @@ def test_file_round_trip(tmp_path, two_world):
     q = tmp_path / "cs.json"
     q.write_text('{"mode": "empty"}')
     assert load_cs(str(q)) == ConstantSpec("empty")
+
+
+def model_bytes(m: SubsetModel) -> bytes:
+    return (json.dumps(model_to_json(m), indent=2) + "\n").encode("utf-8")
+
+
+def test_save_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, two_world):
+    p = tmp_path / "m.json"
+    p.write_bytes(b"x" * (3 * len(model_bytes(two_world))))
+    save_model(two_world, str(p))
+    assert p.read_bytes() == model_bytes(two_world)
+
+
+def test_saving_twice_onto_one_path_equals_a_fresh_save(tmp_path, two_world):
+    p, fresh = tmp_path / "m.json", tmp_path / "fresh.json"
+    save_model(two_world, str(p))
+    save_model(two_world, str(p))
+    save_model(two_world, str(fresh))
+    assert p.read_bytes() == fresh.read_bytes() == model_bytes(two_world)
+
+
+def test_save_model_never_opens_with_truncation(tmp_path, two_world, monkeypatch):
+    # truncating to zero on open makes ext4 flush the old data before the
+    # next overwrite of the file; the write stays in place instead
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    p = tmp_path / "m.json"
+    save_model(two_world, str(p))
+    save_model(two_world, str(p))
+    monkeypatch.undo()
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_load_model_refuses_deep_nesting_in_one_line(tmp_path):
