@@ -15,17 +15,20 @@ multiple of its width, a power of two, so each index bit over it is a
 column of semantics.index_bits: below bit log2(width) a binary counter's,
 the same in every window, and above it a constant of the start's. So a
 window is evaluated bit-sliced, as one Batch, without building a model.
-The representatives are the models whose encoding no renaming makes
-lexicographically smaller (lex-leader symmetry breaking), and a window's
-are a mask too, computed only where they are needed: for the models
-enumerate_models yields, and in a search only in windows where some
-model falsifies the query. How many there are in a whole shape follows
-from its world and cell counts alone (Burnside's lemma, _orbits), so an
-exhausted search counts them without computing a mask. Search and
-enumeration share one scan (_windows), which takes each shape in windows
-of CHUNK models, so a search that stops early evaluates at most the rest
-of its hit's window. A SubsetModel is built only for a reported
-countermodel and for the models enumerate_models yields.
+A world renaming permutes the index's bits, and the representative of a
+class is its least raw index, the model that no renaming makes smaller
+(lex-leader symmetry breaking). A window's representatives are a mask
+too, computed only where they are needed: for the models
+enumerate_models yields, and in a search to count the models before its
+hit. The hit itself needs none: falsity and CS-modelhood do not change
+under renaming, so the first raw model with both is the least of its
+class. How many representatives a whole shape has follows from its
+world and cell counts alone (Burnside's lemma, _orbits), so an exhausted
+search counts them without computing a mask. Search and enumeration
+share one scan (_windows), which takes each shape in windows of CHUNK
+models, so a search that stops early evaluates at most the rest of its
+hit's window. A SubsetModel is built only for a reported countermodel
+and for the models enumerate_models yields.
 
 A soundness sweep uses the same encoding. Its random trial is a shape
 drawn by world counts and a uniform raw index of that shape. A batch of
@@ -59,7 +62,7 @@ from .parse import _printed, print_formula, print_term
 from .proof import (_peel_an, app_instance, check_proof, funct_instance, indep_instance,
                     licensed_pairs, norm_instance, pers_instance, up_instance)
 from .semantics import (Batch, EvalContext, cs_violations, decoded, false_at_normal, holds,
-                        index_bits, pattern, worlds_in)
+                        index_bits, worlds_in)
 from .syntax import (
     App,
     Constant,
@@ -107,6 +110,12 @@ class ModelSignature:
             raise ValueError("signature propositions must be indices >= 1")
         if not all(isinstance(g, Formula) for g in self.v1_support):
             raise ValueError("the signature's v1 support must be formulas")
+        # a repeated key would be a second cell of the same value, and
+        # enumerate models that differ in nothing but it
+        for name, keys in (("propositions", self.propositions), ("atoms", self.atoms),
+                           ("v1 support", self.v1_support)):
+            if len(set(keys)) != len(keys):
+                raise ValueError("the signature's %s must not repeat" % name)
 
 
 def signature_for(f: Formula, max_worlds: int = 2, max_nonnormal: int = 1) -> ModelSignature:
@@ -140,46 +149,49 @@ def _world_sets(k: int, m: int) -> tuple:
     return normal, worlds, sets
 
 
-# the values of a one-bit digit that set its column
-_ONE = frozenset((1,))
+@functools.cache
+def _blocks(k: int, m: int, props: int, support: int, atoms: int) -> tuple:
+    """The blocks of the raw index of k normal and m non-normal worlds over
+    props propositions, support v1 formulas and atoms atoms, as (kind,
+    slot, count, size, lo): count digits of size bits from bit lo up, the
+    first key's highest. The evidence blocks fill the lowest bits, then
+    the v1 blocks, then the v0 blocks; within each kind the first slot's
+    block is highest. Empty blocks are left out."""
+    n = k + m
+    v1 = k * atoms * n
+    v0 = v1 + m * support
+    blocks = ([("v0", i, props, 1, v0 + (k - 1 - i) * props) for i in range(k)]
+              + [("v1", i, support, 1, v1 + (n - 1 - i) * support) for i in range(k, n)]
+              + [("ev", i, atoms, n, (k - 1 - i) * atoms * n) for i in range(k)])
+    return tuple(block for block in blocks if block[2])
 
 
 @functools.cache
 def _renaming_pairs(k: int, m: int, props: int, support: int, atoms: int) -> tuple:
     """Per renaming but the identity of k normal and m non-normal worlds,
-    the (own, renamed) encoding columns that can differ, over props
-    propositions, support v1 formulas and atoms atoms. A column is (lo,
-    size, values) as _Shape lays out its blocks, lowest first: evidence,
-    then v1, then v0, each in reverse cell order. An evidence column is
-    one bit of the set's rank in sorted-tuple order, so its values are
-    the member masks whose set's rank has that bit."""
+    the (bit, source bit) pairs of raw index bits that can differ, most
+    significant first, over the blocks of _blocks. The renamings are
+    slot i to slot perm[i], perm running through itertools.permutations
+    of the normal slots, then of the non-normal ones; bit of the renamed
+    model's index is source bit of the model's. A v0 or v1 bit moves with
+    its slot's block, and an evidence digit moves with its slot and has
+    its member bit u moved to perm[u]. Every unlisted bit is its own
+    source."""
     n = k + m
-    by_tuple = sorted(range(1 << n), key=lambda s: [u for u in range(n) if s >> u & 1])
-    rank = {s: r for r, s in enumerate(by_tuple)}
-    v1 = k * atoms * n  # the lowest bit of the v1 cells
-    v0 = v1 + m * support  # and of the v0 cells
-
-    def encoding(perm):
-        # the model renamed by perm (slot i to slot perm[i]), most
-        # significant column first
-        renamed = [rank[sum(1 << perm[u] for u in range(n) if s >> u & 1)]
-                   for s in range(1 << n)]
-        bits = [frozenset(d for d, r in enumerate(renamed) if r >> j & 1)
-                for j in reversed(range(n))]
-        old = sorted(range(n), key=perm.__getitem__)  # the slot renamed to each slot
-        out = []
-        for i in old[:k]:
-            out += [(v0 + (k - 1 - i) * props + p, 1, _ONE) for p in reversed(range(props))]
-            out += [(((k - 1 - i) * atoms + t) * n, n, values)
-                    for t in reversed(range(atoms)) for values in bits]
-        for i in old[k:]:
-            out += [(v1 + (n - 1 - i) * support + g, 1, _ONE) for g in reversed(range(support))]
-        return out
-
+    blocks = _blocks(k, m, props, support, atoms)
+    lows = {(kind, i): lo for kind, i, _, _, lo in blocks}
     perms = [pn + po for pn in itertools.permutations(range(k))
              for po in itertools.permutations(range(k, n))]
-    mine = encoding(perms[0])
-    return tuple(tuple((a, b) for a, b in zip(mine, encoding(p)) if a != b) for p in perms[1:])
+    out = []
+    for perm in perms[1:]:
+        pairs = []
+        for kind, i, count, size, lo in blocks:
+            to = lows[kind, perm[i]]
+            members = perm if kind == "ev" else (0,)
+            pairs += [(to + d + members[u], lo + d + u)
+                      for d in range(0, count * size, size) for u in range(size)]
+        out.append(tuple(sorted((pair for pair in pairs if pair[0] != pair[1]), reverse=True)))
+    return tuple(out)
 
 
 @functools.cache
@@ -223,73 +235,52 @@ class _Shape:
     significant, then v1 cells (non-normal world, support formula), then
     evidence cells (normal world, atom), each an n-bit digit that is the
     evidence set's member bits (bit u for world slot u). So the index is
-    laid out in blocks, one per world slot and kind (blocks): a normal
-    slot's v0 block holds a bit per proposition and its evidence block
-    an n-bit digit per atom, a non-normal slot's v1 block a bit per
-    support formula, and where each block starts follows from the world
-    and key counts alone. Over a window of indices each bit is a column
-    of semantics.index_bits, and a digit's column stacks its member bits'
-    columns, so a window of models packs into a Batch without building
-    any of them. A sweep's random trial is a raw index too, and _pack
-    packs any list of them, gathering the blocks of one kind, slot and
-    digit size from every shape; both go through _assemble, block by
-    block.
+    laid out in blocks, one per world slot and kind (blocks, as _blocks
+    lays them out): a normal slot's v0 block holds a bit per proposition
+    and its evidence block an n-bit digit per atom, a non-normal slot's
+    v1 block a bit per support formula. Over a window of indices each
+    bit is a column of semantics.index_bits, and a digit's column stacks
+    its member bits' columns, so a window of models packs into a Batch
+    without building any of them. A sweep's random trial is a raw index
+    too, and _pack packs any list of them, gathering the blocks of one
+    kind, slot and digit size from every shape; both go through
+    _assemble, block by block.
 
-    A model is canonical when its encoding is lexicographically no
-    larger than that of any world renaming of it (renamings keep the
-    normal/non-normal split). The encoding lists, world by world, the v0
-    values and the evidence sets, then the v1 values of the non-normal
-    worlds; a set counts by the rank of its sorted tuple of world slots.
-    Every digit is a function of one cell, so each renaming's encoding
-    is a list of columns too, and the comparison is bit-sliced over the
-    window: a v0 or v1 value's column is an index bit's, and a rank
-    bit's column a semantics.pattern of its evidence digit.
+    A model is canonical when its raw index is no larger than that of
+    any world renaming of it (renamings keep the normal/non-normal
+    split), so it is the least raw index of its class. A renaming
+    permutes index bits (_renaming_pairs), so the comparison is
+    bit-sliced over the window, both sides of each bit pair read from
+    semantics.index_bits.
     """
 
     def __init__(self, sig: ModelSignature, k: int, m: int):
         self.normal, self.worlds, self.sets = _world_sets(k, m)
         self.k = k
-        self.n = n = k + m
+        self.n = k + m
         self.sig = sig
-        # what the renaming tables and the class count depend on
+        # what the block layout, the renaming tables and the class count
+        # depend on
         self.counts = k, m, len(sig.propositions), len(sig.v1_support), len(sig.atoms)
-        props, support, atoms = self.counts[2:]
-        # the evidence blocks fill the lowest bits, then the v1 blocks, then
-        # the v0 blocks; within each kind the first slot's block is highest
-        v1 = k * atoms * n
-        v0 = v1 + m * support
-        self.bits = v0 + k * props
-        self.size = 1 << self.bits
-        blocks = ([("v0", i, sig.propositions, 1, v0 + (k - 1 - i) * props) for i in range(k)]
-                  + [("v1", i, sig.v1_support, 1, v1 + (n - 1 - i) * support)
-                     for i in range(k, n)]
-                  + [("ev", i, sig.atoms, n, (k - 1 - i) * atoms * n) for i in range(k)])
+        keys = {"v0": sig.propositions, "v1": sig.v1_support, "ev": sig.atoms}
         # (kind, slot, keys, size, lo): a block of one digit of size bits
         # per key from bit lo up, the first key's highest
-        self.blocks = [block for block in blocks if block[2]]
+        self.blocks = [(kind, i, keys[kind], size, lo)
+                       for kind, i, _, size, lo in _blocks(*self.counts)]
+        self.bits = sum(len(keys) * size for _, _, keys, size, _ in self.blocks)
+        self.size = 1 << self.bits
 
     def canonical(self, start: int, width: int) -> int:
         """The mask of the window's canonical models: the AND over
-        renamings of encoding <= renamed encoding."""
+        renamings of index <= renamed index."""
         bits = index_bits(start, width, self.bits)
-        cols = {}
-
-        def col(spec):
-            got = cols.get(spec)
-            if got is None:
-                # a one-bit column, a v0 or v1 value, is an index bit
-                lo, size, values = spec
-                got = bits[lo] if size == 1 else pattern(lo, size, values, start, width)
-                cols[spec] = got
-            return got
-
         keep = (1 << width) - 1
         for pairs in _renaming_pairs(*self.counts):
             tied = keep
             below = 0
             for a, b in pairs:
-                a = col(a)
-                b = col(b)
+                a = bits[a]
+                b = bits[b]
                 # the first unequal pair decides: below where the renamed bit is set
                 unequal = tied & (a ^ b)
                 below |= unequal & b
@@ -358,7 +349,8 @@ def _set_bits(mask: int):
 def enumerate_models(sig: ModelSignature):
     """Every model over the signature with total assignments, one per
     renaming class, worlds named w1.. (normal) and u1.. (non-normal):
-    shape by shape, the canonical models in raw index order."""
+    shape by shape, the canonical models, each the least raw index of its
+    class, in raw index order."""
     for shape, start, width in _windows(sig):
         for b in _set_bits(shape.canonical(start, width)):
             yield shape.model(start + b)
@@ -523,18 +515,19 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
     Each shape's raw models are evaluated a window of CHUNK models at a
     time, or all at once when fewer, so a search that stops early
     evaluates at most the rest of its hit's window past the hit. A
-    window's hits are its canonical models with a normal world where f is
-    false and with no normal world where c : A is false for a pair (c, A)
-    of the CS universe; its canonical mask is computed only when some
-    model of it falsifies f. The first hit in enumeration order is the
-    lowest bit, reported at its model's first normal world where f is
-    false. The hit is re-verified on a fresh batch of one, f and the CS
-    universe both, before being reported.
+    window's hits are its models with a normal world where f is false
+    and with no normal world where c : A is false for a pair (c, A) of
+    the CS universe. Neither changes under a world renaming, so the
+    first hit, the first raw model that falsifies f and honours the CS,
+    is the least raw index of its class: canonical, with no mask
+    computed. It is reported at its first normal world where f is false,
+    after a re-check of f and the CS universe both on a fresh batch of
+    one.
 
     models_scanned counts the canonical models up to the hit, CS-models
     or not: each earlier shape's by its world and cell counts (_orbits),
-    and those of the hit's shape window by window, including windows
-    skipped as holding no falsifying model. Exhausted, it counts every
+    and those of the hit's shape by canonical masks of its windows up to
+    the hit, the only masks a search computes. Exhausted, it counts every
     shape's. Exhaustion certifies nothing beyond the stated bounds, since
     no completeness theorem backs this logic.
     """
@@ -547,10 +540,6 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         ctx = EvalContext(shape.batch(start, width))
         false = false_at_normal(ctx, f)
         hits = ctx.batch.models_in(false)
-        if not hits:
-            continue
-        canonical = shape.canonical(start, width)
-        hits &= canonical
         for c, a in cs_universe:
             if not hits:
                 break
@@ -565,7 +554,7 @@ def find_countermodel(f: Formula, sig: ModelSignature, cs_universe=()) -> Search
         if holds(one, w, f) or cs_violations(one, cs_universe):
             raise RuntimeError("countermodel failed re-verification")
         scanned += sum(shape.canonical(s, width).bit_count() for s in range(0, start, width))
-        scanned += (canonical & (low - 1)).bit_count() + 1
+        scanned += (shape.canonical(start, width) & (low - 1)).bit_count() + 1
         return SearchReport("countermodel", scanned, sig, m, w)
     return SearchReport("exhausted", scanned + whole, sig)
 

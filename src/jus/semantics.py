@@ -241,36 +241,6 @@ def index_bits(start: int, width: int, count: int) -> list:
     return low[:count] + [full if start >> j & 1 else 0 for j in range(len(low), count)]
 
 
-def pattern(lo: int, size: int, values, start: int, width: int) -> int:
-    """Bit b, for b < width, is set when the digit of size bits at bit lo
-    of the index start + b is one of values. It serves digits whose value
-    sets are not one bit's (an evidence set's rank bits, say); a single
-    index bit is a column of index_bits.
-
-    Over consecutive indices that digit runs through its values in runs
-    of 2^lo, so the mask is a periodic pattern, built a run at a time
-    and then doubled. width is a power of two and start a multiple of it,
-    so a window of 2^lo or fewer indices sees one digit value, and a
-    shorter period than width fits into it whole.
-    """
-    run = 1 << lo
-    top = (1 << size) - 1
-    first = start >> lo & top
-    if run >= width:
-        return (1 << width) - 1 if first in values else 0
-    runs = min(width >> lo, top + 1)
-    ones = (1 << run) - 1
-    out = 0
-    for q in range(runs):
-        if first + q in values:
-            out |= ones << (q << lo)
-    span = runs << lo
-    while span < width:
-        out |= out << span
-        span <<= 1
-    return out
-
-
 class EvalContext:
     """One node of the update tree over one batch. Do not mutate; push to
     extend.

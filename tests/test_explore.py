@@ -3,7 +3,7 @@
 The enumeration oracles here are deliberately dumb. One generates every
 raw assignment, canonicalizes each by trying all world renamings itself,
 and counts distinct classes. The other builds every raw model with
-itertools.product and keeps those whose encoding no renaming makes
+itertools.product and keeps those whose raw index no renaming makes
 smaller, one model at a time. The bit-sliced enumerator must agree with
 both exactly: the same count, the same models, in the same order.
 """
@@ -30,8 +30,7 @@ from jus.model import ConstantSpec, SubsetModel, validate_model
 from jus.parse import parse_formula
 from jus.proof import (Proof, ProofBuilder, ProofStep, check_proof, licensed_pairs,
                        match_axiom)
-from jus.semantics import (Batch, EvalContext, cs_violations, decoded, evaluate, holds,
-                           index_bits, pattern)
+from jus.semantics import Batch, EvalContext, cs_violations, decoded, evaluate, holds, index_bits
 from jus.syntax import (
     App,
     Constant,
@@ -70,6 +69,14 @@ def test_signature_validation():
     for worlds, nonnormal in ((2.0, 1), (True, 0), (2, False), (2, 1.0)):
         with pytest.raises(ValueError, match="world bounds must be ints"):
             ModelSignature((1,), (), worlds, nonnormal, ())
+    # a repeated key is a second cell of one value: (1, 1) enumerated 18
+    # models, 8 of them distinct, where (1,) gives 7
+    for args, name in ((((1, 1), (), 2, 1, ()), "propositions"),
+                       (((1,), (Variable(1), Up(P1), Variable(1)), 2, 1, ()), "atoms"),
+                       (((1,), (), 2, 1, (P1, Implies(P1, P1), P1)), "v1 support")):
+        with pytest.raises(ValueError, match="%s must not repeat" % name):
+            ModelSignature(*args)
+    assert len(list(enumerate_models(ModelSignature((1,), (), 2, 1, ())))) == 7
 
 
 def test_signature_for_collects_the_needed_pieces():
@@ -179,30 +186,22 @@ def _oracle_count(sig):
 
 
 # the generate-and-test enumerator: every raw model in itertools.product
-# order, kept when no world renaming gives a smaller encoding
+# order, kept when no world renaming gives it a smaller raw index
 
 def _world_names(k, m):
     return tuple("w%d" % (i + 1) for i in range(k)), tuple("u%d" % (i + 1) for i in range(m))
 
 
 def _encode(m, normal, other, sig, renaming):
-    """Model data under a world renaming (old name -> new name), as a
-    comparable tuple."""
+    """The raw index of the model renamed (old name -> new name), as a
+    comparable tuple: its v0 cells, then its v1 cells, then its evidence
+    cells' member masks (bit u for world u), each in cell order."""
     order = {w: i for i, w in enumerate(normal + other)}
     inv = {new: old for old, new in renaming.items()}
-
-    def row(w):
-        old = inv[w]
-        if w in normal:
-            vals = tuple(m.v0[(old, p)] for p in sig.propositions)
-            ev = tuple(
-                tuple(sorted(order[renaming[u]] for u in m.evidence[(old, t)]))
-                for t in sig.atoms
-            )
-            return (vals, ev)
-        return tuple(m.v1[(old, g)] for g in sig.v1_support)
-
-    return tuple(row(w) for w in normal + other)
+    return (tuple(m.v0[inv[w], p] for w in normal for p in sig.propositions)
+            + tuple(m.v1[inv[w], g] for w in other for g in sig.v1_support)
+            + tuple(sum(1 << order[renaming[u]] for u in m.evidence[inv[w], t])
+                    for w in normal for t in sig.atoms))
 
 
 def _raw_models(sig, k, m):
@@ -305,16 +304,55 @@ def test_enumerate_models_matches_the_oracle_in_order(sig):
     assert list(enumerate_models(sig)) == list(_oracle_models(sig))
 
 
-def test_pattern_matches_the_index_digits():
-    for lo, size in ((0, 1), (3, 1), (0, 3), (2, 2), (5, 3), (9, 2)):
-        for values in ((1,), (0, 3), (2, 5, 6), range(1 << size)):
-            values = frozenset(values)
-            for width in (1, 8, 64, 256):
-                for start in (0, width, 3 * width, 1024 - width, 4096):
-                    got = pattern(lo, size, values, start, width)
-                    want = sum(1 << b for b in range(width)
-                               if (start + b) >> lo & ((1 << size) - 1) in values)
-                    assert got == want, (lo, size, sorted(values), start, width)
+def _renamed(model, shape, perm):
+    """The model with world slot i renamed to slot perm[i]."""
+    to = {w: shape.worlds[perm[i]] for i, w in enumerate(shape.worlds)}
+    return SubsetModel(model.worlds, model.normal,
+                       {(to[w], p): v for (w, p), v in model.v0.items()},
+                       {(to[w], g): v for (w, g), v in model.v1.items()},
+                       {(to[w], t): frozenset(map(to.get, s))
+                        for (w, t), s in model.evidence.items()}, "all")
+
+
+@pytest.mark.parametrize("sig", SHAPE_SIGS + BLOCK_SIGS)
+def test_renaming_pairs_rename_the_decoded_models(sig):
+    # each renaming's bit pairs, applied to a raw index, give the index of
+    # the renamed model, at every raw index of each shape of at most 2^10
+    # models: the table and the decoder read one layout
+    for k, m in _oracle_shapes(sig):
+        shape = explore._Shape(sig, k, m)
+        if shape.size > 1 << 10:
+            continue
+        perms = [pn + po for pn in itertools.permutations(range(k))
+                 for po in itertools.permutations(range(k, shape.n))]
+        tables = explore._renaming_pairs(*shape.counts)
+        assert len(tables) == len(perms) - 1
+        models = [shape.model(i) for i in range(shape.size)]
+        for perm, pairs in zip(perms[1:], tables):
+            assert all(a != b for a, b in pairs)
+            assert [a for a, _ in pairs] == sorted({a for a, _ in pairs}, reverse=True)
+            for i, model in enumerate(models):
+                renamed = i
+                for a, b in pairs:
+                    renamed ^= ((i >> a ^ i >> b) & 1) << a
+                assert models[renamed] == _renamed(model, shape, perm), (k, m, perm, i)
+
+
+def _column(j, start, width):
+    """Bit b is bit j of the index start + b, for a window of a power of
+    two width from a multiple of it: runs of 2^j equal bits, so one
+    period of two runs, doubled until it fills the window, or a constant
+    of start's when a run covers the window."""
+    assert start % width == 0
+    run = 1 << j
+    if run >= width:
+        return (1 << width) - 1 if start >> j & 1 else 0
+    column = ((1 << run) - 1) << run
+    span = run << 1
+    while span < width:
+        column |= column << span
+        span <<= 1
+    return column
 
 
 def test_index_bits_match_one_bit_patterns():
@@ -323,13 +361,19 @@ def test_index_bits_match_one_bit_patterns():
     for width in (1 << e for e in range(13)):
         for start in (0, width, 3 * width, 4096):
             got = index_bits(start, width, 21)
-            assert got == [pattern(j, 1, {1}, start, width) for j in range(21)], (start, width)
+            assert got == [_column(j, start, width) for j in range(21)], (start, width)
             assert index_bits(start, width, 5) == got[:5]
+    # the reference column against the index bits themselves
+    for width in (1, 8, 64):
+        for start in (0, width, 5 * width):
+            for j in range(9):
+                assert _column(j, start, width) == sum(
+                    1 << b for b in range(width) if (start + b) >> j & 1), (j, start, width)
 
 
 def _packed_bit_by_bit(shape, start, width):
     """The window's normal, lanes, v0, v1 and evidence rows, each index
-    bit's column a pattern of its own."""
+    bit's column a _column of its own."""
     full = (1 << width) - 1
     v0, v1 = {}, {}
     rows = {t: [0] * shape.n for t in shape.sig.atoms}
@@ -338,7 +382,7 @@ def _packed_bit_by_bit(shape, start, width):
             d = lo + (len(keys) - 1 - j) * size  # the first key's digit is highest
             column = 0
             for u in range(size):
-                column |= pattern(d + u, 1, {1}, start, width) << u * width
+                column |= _column(d + u, start, width) << u * width
             if kind == "ev":
                 rows[key][i] = column
             else:
@@ -446,8 +490,8 @@ def _mask_spy(monkeypatch):
 
 def test_search_computes_masks_only_in_its_hit_shape(monkeypatch):
     # an exhausted search counts its classes without a mask, and a search
-    # with a hit computes masks in its hit's shape alone: where a model
-    # falsifies the query, and for the windows before the hit's
+    # with a hit computes masks in its hit's shape alone, to count the
+    # canonical models up to the hit: its window's and those before it
     monkeypatch.setattr(explore, "CHUNK", 64)
     calls = _mask_spy(monkeypatch)
     f, worlds, nonnormal, scanned = CHUNK_QUERIES[1]
@@ -830,6 +874,21 @@ def _first_countermodel(f, sig, universe=()):
     return ("exhausted", scanned, None, None)
 
 
+def _first_raw_countermodel(f, sig, universe=()):
+    """The first shape.model(i), in shape and index order, that falsifies
+    f at a normal world and honours the universe, with that world: one
+    model and one fresh context at a time, and no canonicity."""
+    for k, m in _oracle_shapes(sig):
+        shape = explore._Shape(sig, k, m)
+        for i in range(shape.size):
+            model = shape.model(i)
+            ctx = EvalContext(model)
+            false = [w for w in model.worlds if w in model.normal and not holds(ctx, w, f)]
+            if false and not cs_violations(ctx, universe):
+                return model, false[0]
+    return None, None
+
+
 # text is (formula, max worlds, max non-normal, worlds of the hit or None
 # when exhausted). The last query's first hit lies in a 3-world shape, so
 # the raw order of 3-world evidence digits decides which model it is
@@ -850,6 +909,9 @@ def test_find_countermodel_matches_a_plain_scan(text, universe):
     got = (report.outcome, report.models_scanned, report.model, report.world)
     assert got == _first_countermodel(f, sig, universe)
     assert (len(report.model.worlds) if report.model else None) == hit_worlds
+    # the first hit is the first raw model that falsifies f and honours
+    # the CS, which is the least raw index of its class
+    assert (report.model, report.world) == _first_raw_countermodel(f, sig, universe)
 
 
 def test_random_cs_model_empty_universe():
